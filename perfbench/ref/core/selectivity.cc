@@ -1,0 +1,125 @@
+#include "core/selectivity.h"
+
+#include <algorithm>
+#include <limits>
+
+namespace lbr {
+
+uint64_t EstimateTpCardinality(const TripleIndex& index,
+                               const Dictionary& dict,
+                               const TriplePattern& tp) {
+  const bool sv = tp.s.is_var, pv = tp.p.is_var, ov = tp.o.is_var;
+
+  if (!pv) {
+    auto p = dict.PredicateId(tp.p.term);
+    if (!p) return 0;
+    if (sv && ov) return index.PredicateCardinality(*p);
+    // Pin the slice while reading its rows (mapped-snapshot spill safety).
+    TripleIndex::SlicePin pin = index.Slice(*p);
+    if (sv) {
+      auto o = dict.ObjectId(tp.o.term);
+      return o ? TripleIndex::FindRowIn(pin->os_rows, *o).Count() : 0;
+    }
+    if (ov) {
+      auto s = dict.SubjectId(tp.s.term);
+      return s ? TripleIndex::FindRowIn(pin->so_rows, *s).Count() : 0;
+    }
+    auto s = dict.SubjectId(tp.s.term);
+    auto o = dict.ObjectId(tp.o.term);
+    return (s && o && TripleIndex::FindRowIn(pin->so_rows, *s).Test(*o)) ? 1
+                                                                         : 0;
+  }
+
+  // Variable predicate: sum across predicates.
+  uint64_t total = 0;
+  if (!sv && ov) {
+    auto s = dict.SubjectId(tp.s.term);
+    if (!s) return 0;
+    for (uint32_t p = 0; p < index.num_predicates(); ++p) {
+      total += TripleIndex::FindRowIn(index.Slice(p)->so_rows, *s).Count();
+    }
+    return total;
+  }
+  if (sv && !ov) {
+    auto o = dict.ObjectId(tp.o.term);
+    if (!o) return 0;
+    for (uint32_t p = 0; p < index.num_predicates(); ++p) {
+      total += TripleIndex::FindRowIn(index.Slice(p)->os_rows, *o).Count();
+    }
+    return total;
+  }
+  if (!sv && !ov) {
+    auto s = dict.SubjectId(tp.s.term);
+    auto o = dict.ObjectId(tp.o.term);
+    if (!s || !o) return 0;
+    for (uint32_t p = 0; p < index.num_predicates(); ++p) {
+      if (TripleIndex::FindRowIn(index.Slice(p)->so_rows, *s).Test(*o)) {
+        ++total;
+      }
+    }
+    return total;
+  }
+  return index.num_triples();  // (?s ?p ?o), rejected later anyway.
+}
+
+namespace {
+
+// Rounds a density estimate to a whole-triple figure, never collapsing a
+// plausible match to zero (a zero estimate would make the jvar order treat
+// the TP as absolutely selective, which only an actual dictionary miss
+// justifies).
+uint64_t RoundEstimate(double x) {
+  uint64_t r = static_cast<uint64_t>(x + 0.5);
+  return r > 0 ? r : 1;
+}
+
+}  // namespace
+
+uint64_t EstimateTpCardinalityFromStats(const PredicateStats& stats,
+                                        const Dictionary& dict,
+                                        const TriplePattern& tp) {
+  const bool sv = tp.s.is_var, pv = tp.p.is_var, ov = tp.o.is_var;
+
+  if (!pv) {
+    auto p = dict.PredicateId(tp.p.term);
+    if (!p) return 0;
+    const PredStat& st = stats.pred(*p);
+    if (st.triples == 0) return 0;
+    if (sv && ov) return st.triples;
+    if (sv) {
+      return dict.ObjectId(tp.o.term) ? RoundEstimate(st.object_fan_in) : 0;
+    }
+    if (ov) {
+      return dict.SubjectId(tp.s.term) ? RoundEstimate(st.subject_fan_out)
+                                       : 0;
+    }
+    return (dict.SubjectId(tp.s.term) && dict.ObjectId(tp.o.term)) ? 1 : 0;
+  }
+
+  // Variable predicate: global densities.
+  if (!sv && ov) {
+    return dict.SubjectId(tp.s.term)
+               ? RoundEstimate(stats.triples_per_subject())
+               : 0;
+  }
+  if (sv && !ov) {
+    return dict.ObjectId(tp.o.term)
+               ? RoundEstimate(stats.triples_per_object())
+               : 0;
+  }
+  if (!sv && !ov) {
+    return (dict.SubjectId(tp.s.term) && dict.ObjectId(tp.o.term)) ? 1 : 0;
+  }
+  return stats.total_triples();  // (?s ?p ?o), rejected later anyway.
+}
+
+uint64_t JvarSelectivityKey(const std::vector<uint64_t>& tp_cardinalities,
+                            const std::vector<int>& tps_with_jvar) {
+  uint64_t best = std::numeric_limits<uint64_t>::max();
+  for (int tp_id : tps_with_jvar) {
+    best = std::min(best, tp_cardinalities[tp_id]);
+  }
+  return best;
+}
+
+}  // namespace lbr

@@ -1,0 +1,46 @@
+#ifndef LBR_RDF_GRAPH_H_
+#define LBR_RDF_GRAPH_H_
+
+#include <cstdint>
+#include <vector>
+
+#include "rdf/dictionary.h"
+#include "rdf/term.h"
+
+namespace lbr {
+
+/// An in-memory RDF graph: a finalized Dictionary plus the dictionary-encoded
+/// triple set, deduplicated and sorted in (S, P, O) order.
+///
+/// Graph is the hand-off point between the data-producing side (N-Triples
+/// parsing, workload generators) and the index builder (bitmat::TripleIndex).
+class Graph {
+ public:
+  Graph() = default;
+
+  /// Builds a graph from string-level triples. Duplicates are removed.
+  static Graph FromTriples(const std::vector<TermTriple>& triples);
+
+  const Dictionary& dict() const { return dict_; }
+  const std::vector<Triple>& triples() const { return triples_; }
+
+  size_t num_triples() const { return triples_.size(); }
+
+  /// Dataset-characteristics row of Table 6.1.
+  struct Stats {
+    size_t num_triples = 0;
+    uint32_t num_subjects = 0;
+    uint32_t num_predicates = 0;
+    uint32_t num_objects = 0;
+    uint32_t num_common = 0;  ///< |Vso|, not in the paper's table but useful.
+  };
+  Stats ComputeStats() const;
+
+ private:
+  Dictionary dict_;
+  std::vector<Triple> triples_;
+};
+
+}  // namespace lbr
+
+#endif  // LBR_RDF_GRAPH_H_
