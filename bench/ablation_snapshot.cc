@@ -5,8 +5,8 @@
 //               the E.1 query set once (what every restart paid before the
 //               snapshot format existed);
 //   snapshot  — map a SaveSnapshot file, decode metadata only, run the same
-//               query set once (each predicate's rows materialize from the
-//               mapped extents on first touch).
+//               query set once (each (predicate, side) slice a query
+//               reads materializes from the mapped extents on first touch).
 //
 // Per-query result streams are hashed order-independently and compared
 // across the two paths every pass; any divergence aborts the bench. The

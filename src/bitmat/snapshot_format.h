@@ -7,6 +7,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "util/checksum.h"
+
 namespace lbr {
 
 /// Structured failure taxonomy for snapshot open/materialize. Every
@@ -36,26 +38,30 @@ class SnapshotError : public std::runtime_error {
   SnapshotErrorCode code_;
 };
 
-/// On-disk snapshot layout (version 1, little-endian, DESIGN.md §11):
+/// On-disk snapshot layout (version 2, little-endian, DESIGN.md §11):
 ///
-///   [SnapHeader | SectionEntry x num_sections | u64 header_crc]
-///   dict section     — Dictionary::WriteTo bytes (crc-verified at open)
-///   stats section    — PredicateStats::WriteTo bytes (crc-verified at open)
+///   [SnapHeader | SectionEntry x num_sections | u64 header_checksum]
+///   dict section     — Dictionary::WriteTo bytes (verified at open)
+///   stats section    — PredicateStats::WriteTo bytes (verified at open)
 ///   rowdir section   — concatenated RowDirEntry arrays, one array per
-///                      (predicate, orientation); per-slice crc verified
-///                      lazily at first materialization
+///                      (predicate, orientation); each verified at every
+///                      materialization of its slice
 ///   meta section     — index dims + per-predicate counts, non-empty-row
-///                      bitvectors and SliceDir records (crc-verified at
-///                      open)
+///                      bitvectors and SliceDir records (verified at open)
 ///   extents section  — page-aligned per-(predicate, orientation) payload
-///                      word runs; per-slice crc verified lazily
+///                      word runs; each verified at every materialization
+///
+/// Every checksum is Checksum64 (util/checksum.h) with seed 0. The header
+/// checksum covers the SnapHeader and the section table as one contiguous
+/// byte range. Version 1 used a byte-serial FNV-1a instead and is rejected
+/// as kBadVersion.
 ///
 /// Rows are stored as raw payload words in the extents plus a fixed-size
 /// directory entry, so a materialized slice is a vector of zero-copy
 /// CompressedRow *views* into the mapped extent — both kPositions and kRuns
 /// payloads are position-independent 4-byte word arrays, usable in place.
 inline constexpr char kSnapMagic[8] = {'L', 'B', 'R', 'S', 'N', 'P', '0', '1'};
-inline constexpr uint32_t kSnapVersion = 1;
+inline constexpr uint32_t kSnapVersion = 2;
 
 enum SnapSectionKind : uint32_t {
   kSnapSectionDict = 1,
@@ -81,7 +87,7 @@ struct SnapSectionEntry {
   uint32_t reserved;
   uint64_t offset;  ///< Absolute file offset.
   uint64_t size;    ///< Bytes.
-  uint64_t crc;     ///< Crc64 of the section bytes; 0 = verified elsewhere.
+  uint64_t checksum;  ///< Of the section bytes; 0 = verified per slice.
 };
 
 /// One non-empty row of a slice: fixed 24 bytes so a directory is readable
@@ -106,8 +112,8 @@ struct SnapSliceLocEntry {
   uint32_t reserved;
   uint64_t extent_off;    ///< Bytes from the extents section start.
   uint64_t extent_words;  ///< Extent payload length in 4-byte words.
-  uint64_t dir_crc;       ///< Crc64 of the directory bytes.
-  uint64_t extent_crc;    ///< Crc64 of the extent payload bytes.
+  uint64_t dir_checksum;     ///< Checksum64 of the directory bytes.
+  uint64_t extent_checksum;  ///< Checksum64 of the extent payload bytes.
 };
 #pragma pack(pop)
 
@@ -118,21 +124,6 @@ static_assert(sizeof(SnapSliceLocEntry) == 48, "SnapSliceLocEntry layout");
 
 inline constexpr uint64_t kSnapHeaderBytes =
     sizeof(SnapHeader) + kSnapNumSections * sizeof(SnapSectionEntry) + 8;
-
-/// FNV-1a 64 over raw bytes: fast enough for lazy per-extent verification,
-/// strong enough to catch the truncation/bit-rot classes the rejection
-/// tests exercise. Incremental form: seed with kCrc64Init, chain `h`.
-inline constexpr uint64_t kCrc64Init = 1469598103934665603ull;
-
-inline uint64_t Crc64(const void* data, size_t len,
-                      uint64_t h = kCrc64Init) {
-  const uint8_t* p = static_cast<const uint8_t*>(data);
-  for (size_t i = 0; i < len; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 /// Reads a packed struct out of a byte buffer without alignment UB.
 template <typename T>

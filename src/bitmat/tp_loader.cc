@@ -81,6 +81,14 @@ void AlignMaskInto(const Bitvector& src, DomainKind src_kind,
   }
 }
 
+TripleIndex::Side TpReadSide(const TriplePattern& tp,
+                             bool prefer_subject_rows) {
+  if (!tp.s.is_var) return TripleIndex::Side::kSO;
+  if (!tp.o.is_var) return TripleIndex::Side::kOS;
+  return prefer_subject_rows ? TripleIndex::Side::kSO
+                             : TripleIndex::Side::kOS;
+}
+
 namespace {
 
 TpBitMat LoadTpBitMatImpl(const TripleIndex& index, const Dictionary& dict,
@@ -95,6 +103,7 @@ TpBitMat LoadTpBitMatImpl(const TripleIndex& index, const Dictionary& dict,
   }
 
   TpBitMat out;
+  const TripleIndex::Side side = TpReadSide(tp, prefer_subject_rows);
   auto subject_id = [&]() -> std::optional<uint32_t> {
     return dict.SubjectId(tp.s.term);
   };
@@ -111,22 +120,21 @@ TpBitMat LoadTpBitMatImpl(const TripleIndex& index, const Dictionary& dict,
       // (?a :p ?b): full predicate slice, orientation by the jvar order.
       // Pin the slice across the copy-out so a concurrent snapshot spill
       // cannot free the row vectors mid-iteration (mapped mode).
-      TripleIndex::SlicePin pin = p ? index.Slice(*p) : nullptr;
-      if (prefer_subject_rows) {
+      TripleIndex::SlicePin pin = p ? index.Slice(*p, side) : nullptr;
+      if (side == TripleIndex::Side::kSO) {
         out.row_kind = DomainKind::kSubject;
         out.col_kind = DomainKind::kObject;
         out.row_var = tp.s.var;
         out.col_var = tp.o.var;
         out.bm = BitMat(index.num_subjects(), index.num_objects());
-        if (pin) FillRows(pin->so_rows, masks, ctx, &out.bm);
       } else {
         out.row_kind = DomainKind::kObject;
         out.col_kind = DomainKind::kSubject;
         out.row_var = tp.o.var;
         out.col_var = tp.s.var;
         out.bm = BitMat(index.num_objects(), index.num_subjects());
-        if (pin) FillRows(pin->os_rows, masks, ctx, &out.bm);
       }
+      if (pin) FillRows(pin->rows, masks, ctx, &out.bm);
       if (tp.s.var == tp.o.var) KeepDiagonal(index.num_common(), &out.bm);
       return out;
     }
@@ -137,8 +145,8 @@ TpBitMat LoadTpBitMatImpl(const TripleIndex& index, const Dictionary& dict,
       out.bm = BitMat(index.num_subjects(), 1);
       std::optional<uint32_t> o = object_id();
       if (p && o) {
-        TripleIndex::SlicePin pin = index.Slice(*p);
-        FillColumnVector(TripleIndex::FindRowIn(pin->os_rows, *o), masks,
+        TripleIndex::SlicePin pin = index.Slice(*p, side);
+        FillColumnVector(TripleIndex::FindRowIn(pin->rows, *o), masks,
                          &out.bm);
       }
       return out;
@@ -150,8 +158,8 @@ TpBitMat LoadTpBitMatImpl(const TripleIndex& index, const Dictionary& dict,
       out.bm = BitMat(index.num_objects(), 1);
       std::optional<uint32_t> s = subject_id();
       if (p && s) {
-        TripleIndex::SlicePin pin = index.Slice(*p);
-        FillColumnVector(TripleIndex::FindRowIn(pin->so_rows, *s), masks,
+        TripleIndex::SlicePin pin = index.Slice(*p, side);
+        FillColumnVector(TripleIndex::FindRowIn(pin->rows, *s), masks,
                          &out.bm);
       }
       return out;
@@ -161,8 +169,8 @@ TpBitMat LoadTpBitMatImpl(const TripleIndex& index, const Dictionary& dict,
     std::optional<uint32_t> s = subject_id();
     std::optional<uint32_t> o = object_id();
     if (p && s && o) {
-      TripleIndex::SlicePin pin = index.Slice(*p);
-      if (TripleIndex::FindRowIn(pin->so_rows, *s).Test(*o)) {
+      TripleIndex::SlicePin pin = index.Slice(*p, side);
+      if (TripleIndex::FindRowIn(pin->rows, *s).Test(*o)) {
         out.bm.SetRow(0, CompressedRow::FromPositions({0}));
       }
     }
@@ -185,8 +193,8 @@ TpBitMat LoadTpBitMatImpl(const TripleIndex& index, const Dictionary& dict,
             (p >= masks.row_mask->size() || !masks.row_mask->Get(p))) {
           continue;
         }
-        TripleIndex::SlicePin pin = index.Slice(p);
-        const CompressedRow& row = TripleIndex::FindRowIn(pin->so_rows, *s);
+        TripleIndex::SlicePin pin = index.Slice(p, side);
+        const CompressedRow& row = TripleIndex::FindRowIn(pin->rows, *s);
         if (row.IsEmpty()) continue;
         if (masks.col_mask != nullptr) {
           SetRowMasked(p, row, *masks.col_mask, scratch.get(), &out.bm);
@@ -212,8 +220,8 @@ TpBitMat LoadTpBitMatImpl(const TripleIndex& index, const Dictionary& dict,
             (p >= masks.row_mask->size() || !masks.row_mask->Get(p))) {
           continue;
         }
-        TripleIndex::SlicePin pin = index.Slice(p);
-        const CompressedRow& row = TripleIndex::FindRowIn(pin->os_rows, *o);
+        TripleIndex::SlicePin pin = index.Slice(p, side);
+        const CompressedRow& row = TripleIndex::FindRowIn(pin->rows, *o);
         if (row.IsEmpty()) continue;
         if (masks.col_mask != nullptr) {
           SetRowMasked(p, row, *masks.col_mask, scratch.get(), &out.bm);
@@ -236,8 +244,8 @@ TpBitMat LoadTpBitMatImpl(const TripleIndex& index, const Dictionary& dict,
           (p >= masks.row_mask->size() || !masks.row_mask->Get(p))) {
         continue;
       }
-      TripleIndex::SlicePin pin = index.Slice(p);
-      if (TripleIndex::FindRowIn(pin->so_rows, *s).Test(*o)) {
+      TripleIndex::SlicePin pin = index.Slice(p, side);
+      if (TripleIndex::FindRowIn(pin->rows, *s).Test(*o)) {
         out.bm.SetRow(p, CompressedRow::FromPositions({0}));
       }
     }

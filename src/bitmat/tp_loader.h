@@ -103,6 +103,15 @@ inline void SetRowMaskedShared(uint32_t id, const BitMat::RowHandle& row,
   if (masked != nullptr) bm->SetRowShared(id, std::move(masked));
 }
 
+/// The side of the index `tp` reads: S-O when the subject is fixed (rows
+/// keyed by that subject), O-S when only the object is fixed, and for a
+/// (?a :p ?b) pattern the orientation `prefer_subject_rows` picks. The one
+/// place that rule lives — LoadTpBitMat, the selectivity estimate and the
+/// engine's snapshot prefetch all ask it, so a TP never prefetches or
+/// materializes a side it does not read.
+TripleIndex::Side TpReadSide(const TriplePattern& tp,
+                             bool prefer_subject_rows);
+
 /// Loads the BitMat holding all triples matching `tp` (Section 5's `init`
 /// step). `prefer_subject_rows` picks the S-O (true) or O-S (false)
 /// orientation for two-variable TPs with a fixed predicate — the engine

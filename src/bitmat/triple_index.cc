@@ -40,23 +40,32 @@ void ReadRows(std::istream* in,
 // Heap bytes of a materialized slice: vector storage plus owned payload.
 // Views into the map own no payload, so a freshly materialized mapped
 // slice costs ~sizeof(pair) per row regardless of payload size.
-uint64_t SliceHeapBytes(const TripleIndex::PredSlice& slice) {
-  uint64_t bytes = sizeof(TripleIndex::PredSlice);
-  bytes += slice.so_rows.capacity() *
-           sizeof(std::pair<uint32_t, CompressedRow>);
-  bytes += slice.os_rows.capacity() *
-           sizeof(std::pair<uint32_t, CompressedRow>);
-  for (const auto& [id, row] : slice.so_rows) {
+uint64_t SliceHeapBytes(const TripleIndex::SliceRows& slice) {
+  uint64_t bytes = sizeof(TripleIndex::SliceRows);
+  bytes += slice.rows.capacity() * sizeof(std::pair<uint32_t, CompressedRow>);
+  for (const auto& [id, row] : slice.rows) {
     (void)id;
     bytes += row.OwnedHeapBytes();
   }
-  for (const auto& [id, row] : slice.os_rows) {
-    (void)id;
-    bytes += row.OwnedHeapBytes();
-  }
-  bytes += slice.so_extent_copy.capacity() * sizeof(uint32_t);
-  bytes += slice.os_extent_copy.capacity() * sizeof(uint32_t);
+  bytes += slice.extent_copy.capacity() * sizeof(uint32_t);
   return bytes;
+}
+
+// Groups (row id, column id) pairs, sorted by row then column, into the
+// sparse rows of one side.
+void GroupRows(const std::vector<std::pair<uint32_t, uint32_t>>& pairs,
+               TripleIndex::SliceRows* slice, Bitvector* non_empty) {
+  std::vector<uint32_t> cols;
+  for (size_t i = 0; i < pairs.size();) {
+    uint32_t id = pairs[i].first;
+    cols.clear();
+    while (i < pairs.size() && pairs[i].first == id) {
+      cols.push_back(pairs[i].second);
+      ++i;
+    }
+    slice->rows.emplace_back(id, CompressedRow::FromPositions(cols));
+    non_empty->Set(id);
+  }
 }
 
 }  // namespace
@@ -72,7 +81,7 @@ TripleIndex TripleIndex::Build(const Graph& graph) {
   idx.pred_counts_.assign(idx.num_predicates_, 0);
   idx.non_empty_s_.resize(idx.num_predicates_);
   idx.non_empty_o_.resize(idx.num_predicates_);
-  idx.preds_.resize(idx.num_predicates_);
+  idx.slices_.resize(2 * static_cast<size_t>(idx.num_predicates_));
 
   // Bucket triples by predicate in both orientations, then compress.
   std::vector<std::vector<std::pair<uint32_t, uint32_t>>> by_pred(
@@ -83,44 +92,25 @@ TripleIndex TripleIndex::Build(const Graph& graph) {
   }
 
   for (uint32_t p = 0; p < idx.num_predicates_; ++p) {
-    auto slice = std::make_shared<PredSlice>();
     idx.non_empty_s_[p].Resize(idx.num_subjects_);
     idx.non_empty_o_[p].Resize(idx.num_objects_);
     auto& pairs = by_pred[p];
 
-    // S-O orientation: group by subject. Input triples are (S,P,O)-sorted,
-    // so pairs are already (s, o)-sorted.
-    std::vector<uint32_t> cols;
-    for (size_t i = 0; i < pairs.size();) {
-      uint32_t s = pairs[i].first;
-      cols.clear();
-      while (i < pairs.size() && pairs[i].first == s) {
-        cols.push_back(pairs[i].second);
-        ++i;
-      }
-      slice->so_rows.emplace_back(s, CompressedRow::FromPositions(cols));
-      idx.non_empty_s_[p].Set(s);
-    }
+    // S-O side: group by subject. Input triples are (S,P,O)-sorted, so
+    // pairs are already (s, o)-sorted.
+    auto so = std::make_shared<SliceRows>();
+    GroupRows(pairs, so.get(), &idx.non_empty_s_[p]);
 
-    // O-S orientation: re-sort by (o, s).
-    std::sort(pairs.begin(), pairs.end(),
-              [](const auto& a, const auto& b) {
-                return a.second != b.second ? a.second < b.second
-                                            : a.first < b.first;
-              });
-    for (size_t i = 0; i < pairs.size();) {
-      uint32_t o = pairs[i].second;
-      cols.clear();
-      while (i < pairs.size() && pairs[i].second == o) {
-        cols.push_back(pairs[i].first);
-        ++i;
-      }
-      slice->os_rows.emplace_back(o, CompressedRow::FromPositions(cols));
-      idx.non_empty_o_[p].Set(o);
-    }
+    // O-S side: swap to (o, s) and re-sort.
+    for (auto& pair : pairs) std::swap(pair.first, pair.second);
+    std::sort(pairs.begin(), pairs.end());
+    auto os = std::make_shared<SliceRows>();
+    GroupRows(pairs, os.get(), &idx.non_empty_o_[p]);
+
     pairs.clear();
     pairs.shrink_to_fit();
-    idx.preds_[p] = std::move(slice);
+    idx.slices_[SlotOf(p, Side::kSO)] = std::move(so);
+    idx.slices_[SlotOf(p, Side::kOS)] = std::move(os);
   }
   return idx;
 }
@@ -134,47 +124,61 @@ const CompressedRow& TripleIndex::FindRowIn(
   return it->second;
 }
 
-const TripleIndex::PredSlice& TripleIndex::EnsureSlice(uint32_t p) const {
-  if (backing_ == nullptr) return *preds_[p];
-  // Mapped mode: materialize (or touch) under the per-predicate lock. The
-  // returned reference stays valid until the slice is spilled — preds_[p]
-  // keeps a strong ref until then.
-  return *MaterializeSlice(p);
+const TripleIndex::SliceRows& TripleIndex::EnsureSlice(uint32_t p,
+                                                       Side side) const {
+  if (backing_ == nullptr) return *slices_[SlotOf(p, side)];
+  // Mapped mode: materialize (or touch) under the slice's lock. The
+  // returned reference stays valid until the slice is spilled —
+  // slices_[slot] keeps a strong ref until then.
+  return *MaterializeSlice(p, side);
 }
 
-TripleIndex::SlicePin TripleIndex::Slice(uint32_t p) const {
+TripleIndex::SlicePin TripleIndex::Slice(uint32_t p, Side side) const {
   if (p >= num_predicates_) return nullptr;
-  if (backing_ == nullptr) return preds_[p];
-  return MaterializeSlice(p);
+  if (backing_ == nullptr) return slices_[SlotOf(p, side)];
+  return MaterializeSlice(p, side);
 }
 
-void TripleIndex::DecodeSliceRows(
-    const SliceLoc& loc, const char* what,
-    std::vector<std::pair<uint32_t, CompressedRow>>* rows,
-    std::vector<uint32_t>* extent_copy) const {
+bool TripleIndex::SliceChecksumsMatch(const SliceLoc& loc) const {
   const uint8_t* base = backing_->file->data();
+  return Checksum64(base + loc.dir_off,
+                    static_cast<uint64_t>(loc.dir_rows) *
+                        sizeof(SnapRowDirEntry)) == loc.dir_checksum &&
+         Checksum64(base + loc.extent_off, loc.extent_words * 4) ==
+             loc.extent_checksum;
+}
+
+void TripleIndex::DecodeSliceRows(uint32_t p, Side side,
+                                  SliceRows* slice) const {
+  const Backing& b = *backing_;
+  const SliceLoc& loc = b.loc[SlotOf(p, side)];
+  const uint8_t* base = b.file->data();
   const uint64_t dir_bytes =
       static_cast<uint64_t>(loc.dir_rows) * sizeof(SnapRowDirEntry);
   const uint8_t* dir = base + loc.dir_off;
   const uint32_t* extent =
       reinterpret_cast<const uint32_t*>(base + loc.extent_off);
   std::vector<uint8_t> dir_copy;
-  if (extent_copy != nullptr) {
+  if (b.paranoid) {
     // Paranoid mode: pread both regions into heap buffers and verify/decode
     // the copies — a storage-level fault surfaces as a clean pread error or
     // checksum mismatch here, never a SIGBUS on a later mapped access.
     dir_copy.resize(dir_bytes);
-    if (dir_bytes > 0) {
-      backing_->file->ReadAt(loc.dir_off, dir_bytes, dir_copy.data());
-    }
+    if (dir_bytes > 0) b.file->ReadAt(loc.dir_off, dir_bytes, dir_copy.data());
     dir = dir_copy.data();
-    extent_copy->resize(loc.extent_words);
+    slice->extent_copy.resize(loc.extent_words);
     if (loc.extent_words > 0) {
-      backing_->file->ReadAt(loc.extent_off, loc.extent_words * 4,
-                             extent_copy->data());
+      b.file->ReadAt(loc.extent_off, loc.extent_words * 4,
+                     slice->extent_copy.data());
     }
-    extent = extent_copy->data();
+    extent = slice->extent_copy.data();
   }
+  const auto what = [&](const char* region) {
+    return std::string(region) + " of the " +
+           (side == Side::kSO ? "S-O" : "O-S") +
+           " slice of predicate " + std::to_string(p) + " in " +
+           b.file->path();
+  };
   // Lazy integrity: verify the directory and extent checksums on every
   // materialization (re-materializing after a spill re-reads from disk, so
   // re-verifying is the honest contract). The index.checksum fault site
@@ -182,28 +186,24 @@ void TripleIndex::DecodeSliceRows(
   // corrupting a real file.
   const bool forced =
       FaultRegistry::Instance().ShouldInject(FaultSiteId::kIndexChecksum);
-  if (forced || Crc64(dir, dir_bytes) != loc.dir_crc) {
-    throw SnapshotError(SnapshotErrorCode::kChecksum,
-                        std::string("row directory of ") + what + " in " +
-                            backing_->file->path());
+  if (forced || Checksum64(dir, dir_bytes) != loc.dir_checksum) {
+    throw SnapshotError(SnapshotErrorCode::kChecksum, what("row directory"));
   }
-  if (Crc64(extent, loc.extent_words * 4) != loc.extent_crc) {
-    throw SnapshotError(SnapshotErrorCode::kChecksum,
-                        std::string("extent of ") + what + " in " +
-                            backing_->file->path());
+  if (Checksum64(extent, loc.extent_words * 4) != loc.extent_checksum) {
+    throw SnapshotError(SnapshotErrorCode::kChecksum, what("extent"));
   }
-  rows->clear();
-  rows->reserve(loc.dir_rows);
+  auto& rows = slice->rows;
+  rows.clear();
+  rows.reserve(loc.dir_rows);
   for (uint32_t i = 0; i < loc.dir_rows; ++i) {
     SnapRowDirEntry e =
         ReadPod<SnapRowDirEntry>(dir, i * sizeof(SnapRowDirEntry));
     if (e.payload_off_words + e.payload_words > loc.extent_words ||
         e.encoding > static_cast<uint8_t>(CompressedRow::Encoding::kRuns)) {
       throw SnapshotError(SnapshotErrorCode::kCorrupt,
-                          std::string("row directory entry of ") + what +
-                              " out of bounds in " + backing_->file->path());
+                          what("row directory entry") + " out of bounds");
     }
-    rows->emplace_back(
+    rows.emplace_back(
         e.id, CompressedRow::View(
                   static_cast<CompressedRow::Encoding>(e.encoding),
                   e.first_bit != 0, e.count, extent + e.payload_off_words,
@@ -211,12 +211,13 @@ void TripleIndex::DecodeSliceRows(
   }
 }
 
-std::shared_ptr<TripleIndex::PredSlice> TripleIndex::MaterializeSlice(
-    uint32_t p) const {
+std::shared_ptr<TripleIndex::SliceRows> TripleIndex::MaterializeSlice(
+    uint32_t p, Side side) const {
   Backing& b = *backing_;
-  // Degraded mode: a predicate that previously failed integrity checks is
-  // quarantined — every subsequent touch fails fast with the same
-  // structured error (this query fails; other predicates keep serving).
+  // Degraded mode: a predicate whose either side previously failed
+  // integrity checks is quarantined — every subsequent touch of either
+  // side fails fast with the same structured error (this query fails;
+  // other predicates keep serving).
   if (b.quarantined[p].load(std::memory_order_relaxed) != 0) {
     throw SnapshotError(SnapshotErrorCode::kChecksum,
                         "predicate " + std::to_string(p) +
@@ -224,23 +225,21 @@ std::shared_ptr<TripleIndex::PredSlice> TripleIndex::MaterializeSlice(
                             "failure in " +
                             b.file->path());
   }
-  b.last_touch[p].store(
+  const size_t slot = SlotOf(p, side);
+  b.last_touch[slot].store(
       b.touch_seq.fetch_add(1, std::memory_order_relaxed) + 1,
       std::memory_order_relaxed);
-  std::shared_ptr<PredSlice> result;
+  std::shared_ptr<SliceRows> result;
   {
-    std::lock_guard<std::mutex> lk(b.mu[p]);
-    if (preds_[p] != nullptr) return preds_[p];
-    auto slice = std::make_shared<PredSlice>();
+    std::lock_guard<std::mutex> lk(b.mu[slot]);
+    if (slices_[slot] != nullptr) return slices_[slot];
+    auto slice = std::make_shared<SliceRows>();
     try {
-      // The decode pair is the transient-I/O boundary: a retry starts from
-      // clear vectors, so nothing partial survives a failed attempt.
+      // The decode is the transient-I/O boundary: a retry starts from a
+      // clear vector, so nothing partial survives a failed attempt.
       RetryTransient([&] {
         FaultRegistry::Instance().MaybeInject(FaultSiteId::kIndexMaterialize);
-        DecodeSliceRows(b.so_loc[p], "S-O slice", &slice->so_rows,
-                        b.paranoid ? &slice->so_extent_copy : nullptr);
-        DecodeSliceRows(b.os_loc[p], "O-S slice", &slice->os_rows,
-                        b.paranoid ? &slice->os_extent_copy : nullptr);
+        DecodeSliceRows(p, side, slice.get());
       });
     } catch (const SnapshotError& e) {
       if (e.code() == SnapshotErrorCode::kChecksum ||
@@ -255,14 +254,14 @@ std::shared_ptr<TripleIndex::PredSlice> TripleIndex::MaterializeSlice(
     if (b.meter != nullptr) b.meter->ChargeMemory(slice->heap_bytes);
     b.resident_bytes.fetch_add(slice->heap_bytes, std::memory_order_relaxed);
     b.materializations.fetch_add(1, std::memory_order_relaxed);
-    preds_[p] = slice;
-    b.resident[p].store(1, std::memory_order_relaxed);
+    slices_[slot] = slice;
+    b.resident[slot].store(1, std::memory_order_relaxed);
     result = std::move(slice);
   }
-  // Budget enforcement outside mu[p] (the spiller try_locks slice mutexes,
-  // so holding one here would only shrink its victim pool). `result` keeps
-  // this slice's use_count above 1, so the pass can never reclaim the
-  // slice we are about to hand out.
+  // Budget enforcement outside mu[slot] (the spiller try_locks slice
+  // mutexes, so holding one here would only shrink its victim pool).
+  // `result` keeps this slice's use_count above 1, so the pass can never
+  // reclaim the slice we are about to hand out.
   if (b.budget_bytes > 0 && b.meter != nullptr &&
       b.meter->memory_used() > b.budget_bytes) {
     SpillToFit();
@@ -286,29 +285,29 @@ uint64_t TripleIndex::SpillToFit() const {
   // slice pinned or its lock contended. Once every candidate has been
   // tried fruitlessly, the remaining residency is all pinned working set
   // and the pass yields (the budget is best-effort under pins).
-  uint32_t stalls = 0;
-  while (b.meter->memory_used() > b.budget_bytes &&
-         stalls <= num_predicates_) {
+  const size_t num_slots = slices_.size();
+  size_t stalls = 0;
+  while (b.meter->memory_used() > b.budget_bytes && stalls <= num_slots) {
     // Pick the coldest materialized slice (lock-free flag scan).
-    uint32_t victim = num_predicates_;
+    size_t victim = num_slots;
     uint64_t victim_touch = ~0ull;
-    for (uint32_t p = 0; p < num_predicates_; ++p) {
-      if (b.resident[p].load(std::memory_order_relaxed) == 0) continue;
-      uint64_t t = b.last_touch[p].load(std::memory_order_relaxed);
+    for (size_t slot = 0; slot < num_slots; ++slot) {
+      if (b.resident[slot].load(std::memory_order_relaxed) == 0) continue;
+      uint64_t t = b.last_touch[slot].load(std::memory_order_relaxed);
       if (t < victim_touch) {
         victim_touch = t;
-        victim = p;
+        victim = slot;
       }
     }
-    if (victim == num_predicates_) break;  // nothing materialized
+    if (victim == num_slots) break;  // nothing materialized
     std::unique_lock<std::mutex> lk(b.mu[victim], std::try_to_lock);
     // use_count is stable here: new pins require mu[victim], which we
     // hold; concurrent pin releases only make a spillable slice look
     // pinned (conservative skip).
-    if (lk.owns_lock() && preds_[victim] != nullptr &&
-        preds_[victim].use_count() == 1) {
-      uint64_t bytes = preds_[victim]->heap_bytes;
-      preds_[victim].reset();
+    if (lk.owns_lock() && slices_[victim] != nullptr &&
+        slices_[victim].use_count() == 1) {
+      uint64_t bytes = slices_[victim]->heap_bytes;
+      slices_[victim].reset();
       b.resident[victim].store(0, std::memory_order_relaxed);
       b.meter->ReleaseMemory(bytes);
       b.resident_bytes.fetch_sub(bytes, std::memory_order_relaxed);
@@ -318,11 +317,8 @@ uint64_t TripleIndex::SpillToFit() const {
       // Return the extent pages to the file: the "spill back to the mapped
       // extents" half of the contract. Clean read-only pages just drop;
       // the next materialization faults them back from disk.
-      const SliceLoc& so = b.so_loc[victim];
-      const SliceLoc& os = b.os_loc[victim];
-      b.file->Advise(so.extent_off, so.extent_words * 4,
-                     MappedFile::Advice::kDontNeed);
-      b.file->Advise(os.extent_off, os.extent_words * 4,
+      const SliceLoc& loc = b.loc[victim];
+      b.file->Advise(loc.extent_off, loc.extent_words * 4,
                      MappedFile::Advice::kDontNeed);
     } else {
       // Pinned or contended: stamp it recently-used so the next scan tries
@@ -352,25 +348,19 @@ void TripleIndex::SetSpillHook(std::function<uint64_t()> hook) {
   backing_->spill_hook = std::move(hook);
 }
 
-void TripleIndex::Prefetch(uint32_t p) const {
+void TripleIndex::Prefetch(uint32_t p, Side side) const {
   if (backing_ == nullptr || p >= num_predicates_) return;
   Backing& b = *backing_;
+  const size_t slot = SlotOf(p, side);
   {
-    // Resident already? Touch it so the prefetch also refreshes LRU.
-    std::lock_guard<std::mutex> lk(b.mu[p]);
-    if (preds_[p] != nullptr) return;
+    std::lock_guard<std::mutex> lk(b.mu[slot]);
+    if (slices_[slot] != nullptr) return;
   }
-  const SliceLoc& so = b.so_loc[p];
-  const SliceLoc& os = b.os_loc[p];
-  b.file->Advise(so.dir_off,
-                 static_cast<uint64_t>(so.dir_rows) * sizeof(SnapRowDirEntry),
+  const SliceLoc& loc = b.loc[slot];
+  b.file->Advise(loc.dir_off,
+                 static_cast<uint64_t>(loc.dir_rows) * sizeof(SnapRowDirEntry),
                  MappedFile::Advice::kWillNeed);
-  b.file->Advise(so.extent_off, so.extent_words * 4,
-                 MappedFile::Advice::kWillNeed);
-  b.file->Advise(os.dir_off,
-                 static_cast<uint64_t>(os.dir_rows) * sizeof(SnapRowDirEntry),
-                 MappedFile::Advice::kWillNeed);
-  b.file->Advise(os.extent_off, os.extent_words * 4,
+  b.file->Advise(loc.extent_off, loc.extent_words * 4,
                  MappedFile::Advice::kWillNeed);
   b.prefetches.fetch_add(1, std::memory_order_relaxed);
 }
@@ -390,20 +380,10 @@ bool TripleIndex::VerifySlices(std::vector<uint32_t>* corrupt,
                                std::vector<uint32_t>* quarantined) const {
   if (backing_ == nullptr) return true;
   const Backing& b = *backing_;
-  const uint8_t* base = b.file->data();
   bool ok = true;
   for (uint32_t p = 0; p < num_predicates_; ++p) {
-    bool bad = false;
-    for (const SliceLoc* loc : {&b.so_loc[p], &b.os_loc[p]}) {
-      const uint64_t dir_bytes =
-          static_cast<uint64_t>(loc->dir_rows) * sizeof(SnapRowDirEntry);
-      if (Crc64(base + loc->dir_off, dir_bytes) != loc->dir_crc ||
-          Crc64(base + loc->extent_off, loc->extent_words * 4) !=
-              loc->extent_crc) {
-        bad = true;
-      }
-    }
-    if (bad) {
+    if (!SliceChecksumsMatch(b.loc[SlotOf(p, Side::kSO)]) ||
+        !SliceChecksumsMatch(b.loc[SlotOf(p, Side::kOS)])) {
       ok = false;
       if (corrupt != nullptr) corrupt->push_back(p);
     }
@@ -417,19 +397,19 @@ bool TripleIndex::VerifySlices(std::vector<uint32_t>* corrupt,
 
 const CompressedRow& TripleIndex::SoRow(uint32_t p, uint32_t s) const {
   if (p >= num_predicates_) return kEmptyRow;
-  return FindRowIn(EnsureSlice(p).so_rows, s);
+  return FindRowIn(EnsureSlice(p, Side::kSO).rows, s);
 }
 
 const CompressedRow& TripleIndex::OsRow(uint32_t p, uint32_t o) const {
   if (p >= num_predicates_) return kEmptyRow;
-  return FindRowIn(EnsureSlice(p).os_rows, o);
+  return FindRowIn(EnsureSlice(p, Side::kOS).rows, o);
 }
 
 BitMat TripleIndex::PoBitMat(uint32_t s) const {
   BitMat bm(num_predicates_, num_objects_);
   for (uint32_t p = 0; p < num_predicates_; ++p) {
-    SlicePin pin = Slice(p);
-    const CompressedRow& row = FindRowIn(pin->so_rows, s);
+    SlicePin pin = Slice(p, Side::kSO);
+    const CompressedRow& row = FindRowIn(pin->rows, s);
     if (!row.IsEmpty()) bm.SetRow(p, row);
   }
   return bm;
@@ -438,8 +418,8 @@ BitMat TripleIndex::PoBitMat(uint32_t s) const {
 BitMat TripleIndex::PsBitMat(uint32_t o) const {
   BitMat bm(num_predicates_, num_subjects_);
   for (uint32_t p = 0; p < num_predicates_; ++p) {
-    SlicePin pin = Slice(p);
-    const CompressedRow& row = FindRowIn(pin->os_rows, o);
+    SlicePin pin = Slice(p, Side::kOS);
+    const CompressedRow& row = FindRowIn(pin->rows, o);
     if (!row.IsEmpty()) bm.SetRow(p, row);
   }
   return bm;
@@ -449,20 +429,17 @@ TripleIndex::SizeReport TripleIndex::ComputeSizeReport() const {
   SizeReport report;
   uint64_t rle_so = 0, rle_os = 0;
   for (uint32_t p = 0; p < num_predicates_; ++p) {
-    SlicePin pin = Slice(p);
-    for (const auto& [id, row] : pin->so_rows) {
-      (void)id;
-      report.so_bytes += row.PayloadBytes();
-      rle_so +=
-          CompressedRow::RleOnlyFromPositions(row.SetBits()).PayloadBytes();
-      ++report.num_rows;
-    }
-    for (const auto& [id, row] : pin->os_rows) {
-      (void)id;
-      report.os_bytes += row.PayloadBytes();
-      rle_os +=
-          CompressedRow::RleOnlyFromPositions(row.SetBits()).PayloadBytes();
-      ++report.num_rows;
+    for (Side side : {Side::kSO, Side::kOS}) {
+      uint64_t& bytes = side == Side::kSO ? report.so_bytes : report.os_bytes;
+      uint64_t& rle = side == Side::kSO ? rle_so : rle_os;
+      SlicePin pin = Slice(p, side);
+      for (const auto& [id, row] : pin->rows) {
+        (void)id;
+        bytes += row.PayloadBytes();
+        rle +=
+            CompressedRow::RleOnlyFromPositions(row.SetBits()).PayloadBytes();
+        ++report.num_rows;
+      }
     }
   }
   // All four families: SO + OS stored, P-O mirrors SO, P-S mirrors OS.
@@ -480,9 +457,8 @@ void TripleIndex::WriteTo(std::ostream* out) const {
   out->write(reinterpret_cast<const char*>(&num_triples_), 8);
   for (uint32_t p = 0; p < num_predicates_; ++p) {
     out->write(reinterpret_cast<const char*>(&pred_counts_[p]), 8);
-    SlicePin pin = Slice(p);
-    WriteRows(pin->so_rows, out);
-    WriteRows(pin->os_rows, out);
+    WriteRows(Slice(p, Side::kSO)->rows, out);
+    WriteRows(Slice(p, Side::kOS)->rows, out);
   }
 }
 
@@ -501,23 +477,22 @@ TripleIndex TripleIndex::ReadFrom(std::istream* in) {
   idx.pred_counts_.resize(idx.num_predicates_);
   idx.non_empty_s_.resize(idx.num_predicates_);
   idx.non_empty_o_.resize(idx.num_predicates_);
-  idx.preds_.resize(idx.num_predicates_);
+  idx.slices_.resize(2 * static_cast<size_t>(idx.num_predicates_));
   for (uint32_t p = 0; p < idx.num_predicates_; ++p) {
     in->read(reinterpret_cast<char*>(&idx.pred_counts_[p]), 8);
-    auto slice = std::make_shared<PredSlice>();
-    ReadRows(in, &slice->so_rows);
-    ReadRows(in, &slice->os_rows);
     idx.non_empty_s_[p].Resize(idx.num_subjects_);
     idx.non_empty_o_[p].Resize(idx.num_objects_);
-    for (const auto& [id, row] : slice->so_rows) {
-      (void)row;
-      idx.non_empty_s_[p].Set(id);
+    for (Side side : {Side::kSO, Side::kOS}) {
+      auto slice = std::make_shared<SliceRows>();
+      ReadRows(in, &slice->rows);
+      Bitvector& non_empty =
+          side == Side::kSO ? idx.non_empty_s_[p] : idx.non_empty_o_[p];
+      for (const auto& [id, row] : slice->rows) {
+        (void)row;
+        non_empty.Set(id);
+      }
+      idx.slices_[SlotOf(p, side)] = std::move(slice);
     }
-    for (const auto& [id, row] : slice->os_rows) {
-      (void)row;
-      idx.non_empty_o_[p].Set(id);
-    }
-    idx.preds_[p] = std::move(slice);
   }
   return idx;
 }

@@ -37,44 +37,51 @@ namespace lbr {
 /// orientation (the "meta-information" of Appendix D that lets selectivity
 /// be judged without scanning payload).
 ///
+/// A *slice* is one (predicate, side) matrix: the S-O or the O-S BitMat of
+/// one predicate. It is the unit the index materializes, pins, spills,
+/// prefetches and meters, and every reader asks only for the side it reads.
+///
 /// Two storage backends (DESIGN.md §11):
 ///  - Heap mode (Build/ReadFrom): every slice is resident from the start.
 ///  - Mapped mode (a snapshot opened through Database::OpenSnapshot): the
 ///    file is mmap'd and slices materialize lazily on first touch as
 ///    vectors of zero-copy CompressedRow views into the mapped extents, so
-///    the first query pays only for the predicates it touches. Under a
-///    memory budget, cold slices *spill*: their heap structures are freed
-///    and their extent pages are madvise(DONTNEED)'d back to the file; the
-///    next touch re-materializes (and re-verifies) them.
+///    the first query pays only for the sides it touches. Under a memory
+///    budget, cold slices *spill*: their heap structures are freed and
+///    their extent pages are madvise(DONTNEED)'d back to the file; the next
+///    touch re-materializes (and re-verifies) them.
 ///
 /// Concurrency: heap mode is immutable after construction (lock-free
-/// reads). Mapped mode guards each slice with a per-predicate mutex;
-/// `Slice()` returns a shared_ptr pin that keeps a slice alive across
-/// spills, so concurrent readers and the spiller never race. The
-/// reference-returning accessors (SoRow/SoRows/...) stay valid until the
-/// slice is spilled — hot engine paths hold pins; admin paths (size
-/// report, WriteTo) assume no concurrent budget pressure.
+/// reads). Mapped mode guards each slice with its own mutex; `Slice()`
+/// returns a shared_ptr pin that keeps a slice alive across spills, so
+/// concurrent readers and the spiller never race. The reference-returning
+/// accessors (SoRow/SoRows/...) stay valid until the slice is spilled —
+/// hot engine paths hold pins; admin paths (size report, WriteTo) assume
+/// no concurrent budget pressure.
 class TripleIndex {
  public:
-  /// One predicate's S-O and O-S matrices. Public so Slice() pins can hand
-  /// the row vectors to the TP loader directly.
-  struct PredSlice {
+  /// Which of a predicate's two matrices: S-O (rows keyed by subject,
+  /// columns are objects) or O-S (rows keyed by object, columns are
+  /// subjects).
+  enum class Side : uint8_t { kSO = 0, kOS = 1 };
+
+  /// One (predicate, side) matrix. Public so Slice() pins can hand the row
+  /// vector to the TP loader directly.
+  struct SliceRows {
     // Sorted by first (row id); only non-empty rows present.
-    std::vector<std::pair<uint32_t, CompressedRow>> so_rows;
-    std::vector<std::pair<uint32_t, CompressedRow>> os_rows;
-    /// Paranoid mode (LBR_SNAPSHOT_PARANOID, DESIGN.md §12): heap copies of
-    /// the payload extents, pread from the file instead of borrowed from
-    /// the mapping — the rows above view into these buffers, so a
-    /// storage-level bit flip surfaces as a pread error or checksum
-    /// mismatch, never a SIGBUS on a mapped access. Empty in normal mode.
-    std::vector<uint32_t> so_extent_copy;
-    std::vector<uint32_t> os_extent_copy;
-    /// Heap bytes of the slice's own structures (vectors + owned payload +
-    /// paranoid extent copies; view payload in the map is not counted) —
-    /// the unit the snapshot memory budget meters.
+    std::vector<std::pair<uint32_t, CompressedRow>> rows;
+    /// Paranoid mode (LBR_SNAPSHOT_PARANOID, DESIGN.md §12): a heap copy of
+    /// the payload extent, pread from the file instead of borrowed from the
+    /// mapping — the rows above view into this buffer, so a storage-level
+    /// bit flip surfaces as a pread error or checksum mismatch, never a
+    /// SIGBUS on a mapped access. Empty in normal mode.
+    std::vector<uint32_t> extent_copy;
+    /// Heap bytes of the slice's own structures (vector + owned payload +
+    /// paranoid extent copy; view payload in the map is not counted) — the
+    /// unit the snapshot memory budget meters.
     uint64_t heap_bytes = 0;
   };
-  using SlicePin = std::shared_ptr<const PredSlice>;
+  using SlicePin = std::shared_ptr<const SliceRows>;
 
   TripleIndex() = default;
 
@@ -93,11 +100,12 @@ class TripleIndex {
     return pred_counts_[p];
   }
 
-  /// Pins predicate `p`'s slice: materializes it first in mapped mode.
-  /// The pin keeps the slice's row vectors alive even if the slice is
-  /// spilled concurrently — the loader's access protocol under a memory
-  /// budget. Returns nullptr for out-of-range predicates.
-  SlicePin Slice(uint32_t p) const;
+  /// Pins side `side` of predicate `p`: materializes it first in mapped
+  /// mode (the other side stays on disk). The pin keeps the slice's rows
+  /// alive even if the slice is spilled concurrently — the loader's access
+  /// protocol under a memory budget. Returns nullptr for out-of-range
+  /// predicates.
+  SlicePin Slice(uint32_t p, Side side) const;
 
   /// Finds row `id` in a pinned slice's sorted row vector (binary search);
   /// returns a shared empty row when absent.
@@ -108,7 +116,7 @@ class TripleIndex {
   /// Row `s` of the S-O BitMat of predicate `p`: objects `o` with (s,p,o).
   /// Returns an empty row when absent. In mapped mode the reference is
   /// valid until the slice is spilled; prefer Slice() + FindRowIn under a
-  /// memory budget.
+  /// memory budget. Touches only the S-O side (OsRow: only the O-S side).
   const CompressedRow& SoRow(uint32_t p, uint32_t s) const;
   /// Row `o` of the O-S BitMat of predicate `p`: subjects `s` with (s,p,o).
   const CompressedRow& OsRow(uint32_t p, uint32_t o) const;
@@ -120,22 +128,23 @@ class TripleIndex {
   const Bitvector& ObjectsOf(uint32_t p) const { return non_empty_o_[p]; }
 
   /// All non-empty (s, row) pairs of the S-O BitMat of `p`, ascending s.
-  /// Materializes the slice in mapped mode; see SoRow for the lifetime
+  /// Materializes that side in mapped mode; see SoRow for the lifetime
   /// caveat.
   const std::vector<std::pair<uint32_t, CompressedRow>>& SoRows(
       uint32_t p) const {
-    return EnsureSlice(p).so_rows;
+    return EnsureSlice(p, Side::kSO).rows;
   }
   const std::vector<std::pair<uint32_t, CompressedRow>>& OsRows(
       uint32_t p) const {
-    return EnsureSlice(p).os_rows;
+    return EnsureSlice(p, Side::kOS).rows;
   }
 
   /// Materializes the P-O BitMat of subject `s` (rows = predicates,
-  /// cols = objects) — the per-subject slice family of the paper.
+  /// cols = objects) — the per-subject slice family of the paper. Reads
+  /// only S-O sides.
   BitMat PoBitMat(uint32_t s) const;
   /// Materializes the P-S BitMat of object `o` (rows = predicates,
-  /// cols = subjects).
+  /// cols = subjects). Reads only O-S sides.
   BitMat PsBitMat(uint32_t o) const;
 
   // --- Snapshot backend (DESIGN.md §11) -------------------------------------
@@ -163,12 +172,13 @@ class TripleIndex {
   /// materializations that overshoot.
   uint64_t SpillToFit() const;
 
-  /// madvise(WILLNEED) on predicate `p`'s directory + extents — the
-  /// planner-driven readahead hint for TPs about to be loaded. No-op in
-  /// heap mode or for already-resident slices.
-  void Prefetch(uint32_t p) const;
+  /// madvise(WILLNEED) on the directory + extent of side `side` of
+  /// predicate `p` — the planner-driven readahead hint for TPs about to be
+  /// loaded. No-op in heap mode or for an already-resident slice.
+  void Prefetch(uint32_t p, Side side) const;
 
-  /// Snapshot-tier observability (all zero in heap mode).
+  /// Snapshot-tier observability (all zero in heap mode). Materializations,
+  /// spills and prefetches count slices, that is (predicate, side) pairs.
   uint64_t snapshot_materializations() const {
     return backing_ ? backing_->materializations.load(
                           std::memory_order_relaxed)
@@ -189,8 +199,9 @@ class TripleIndex {
   uint64_t snapshot_budget_bytes() const {
     return backing_ ? backing_->budget_bytes : 0;
   }
-  /// Predicates quarantined by a checksum/corruption failure (degraded
-  /// mode, DESIGN.md §12). Zero in heap mode.
+  /// Predicates quarantined by a checksum/corruption failure on either
+  /// side (degraded mode, DESIGN.md §12): both sides then fail fast. Zero
+  /// in heap mode.
   uint64_t snapshot_quarantined() const {
     return backing_ ? backing_->quarantines.load(std::memory_order_relaxed)
                     : 0;
@@ -199,11 +210,11 @@ class TripleIndex {
   std::vector<uint32_t> QuarantinedSlices() const;
 
   /// Integrity sweep for `.verify` / Database::VerifySnapshot: re-checks
-  /// every slice's directory and extent checksums against the mapped bytes
-  /// without materializing anything. Appends failing predicate IDs to
-  /// `corrupt` and currently-quarantined IDs to `quarantined` (either may
-  /// be null). Returns true when both lists are empty. Heap mode always
-  /// verifies clean.
+  /// both sides' directory and extent checksums of every predicate against
+  /// the mapped bytes without materializing anything. Appends predicate IDs
+  /// with a failing side to `corrupt` and currently-quarantined IDs to
+  /// `quarantined` (either may be null). Returns true when both lists are
+  /// empty. Heap mode always verifies clean.
   bool VerifySlices(std::vector<uint32_t>* corrupt,
                     std::vector<uint32_t>* quarantined) const;
 
@@ -228,29 +239,34 @@ class TripleIndex {
  private:
   friend class SnapshotIO;
 
-  /// Per-(predicate, orientation) location of the row directory and the
+  /// Slot of side `side` of predicate `p` in slices_ and the per-slice
+  /// Backing arrays.
+  static size_t SlotOf(uint32_t p, Side side) {
+    return 2 * static_cast<size_t>(p) + static_cast<size_t>(side);
+  }
+
+  /// Per-(predicate, side) location of the row directory and the
   /// page-aligned payload extent inside the mapped snapshot.
   struct SliceLoc {
     uint64_t dir_off = 0;       ///< Byte offset of the directory (absolute).
     uint32_t dir_rows = 0;      ///< Directory entries.
     uint64_t extent_off = 0;    ///< Byte offset of the extent (absolute).
     uint64_t extent_words = 0;  ///< Extent length in 4-byte words.
-    uint64_t dir_crc = 0;
-    uint64_t extent_crc = 0;
+    uint64_t dir_checksum = 0;
+    uint64_t extent_checksum = 0;
   };
 
   struct Backing {
     std::shared_ptr<MappedFile> file;
-    std::vector<SliceLoc> so_loc;  ///< Indexed by predicate.
-    std::vector<SliceLoc> os_loc;
-    /// Per-predicate materialization locks; also guard preds_[p] loads in
+    std::vector<SliceLoc> loc;  ///< Indexed by SlotOf(p, side).
+    /// Per-slice materialization locks; also guard slices_[slot] loads in
     /// mapped mode (C++17 has no atomic shared_ptr).
     std::unique_ptr<std::mutex[]> mu;
-    /// LRU clock: last-touch sequence per predicate.
+    /// LRU clock: last-touch sequence per slice.
     std::unique_ptr<std::atomic<uint64_t>[]> last_touch;
-    /// Lock-free residency flags mirroring preds_[p] != nullptr (updated
-    /// under mu[p]); the spiller's victim scan reads these instead of the
-    /// shared_ptrs themselves.
+    /// Lock-free residency flags mirroring slices_[slot] != nullptr
+    /// (updated under mu[slot]); the spiller's victim scan reads these
+    /// instead of the shared_ptrs themselves.
     std::unique_ptr<std::atomic<uint8_t>[]> resident;
     std::atomic<uint64_t> touch_seq{0};
     // Budget + accounting (SetMemoryBudget).
@@ -265,9 +281,10 @@ class TripleIndex {
     std::atomic<uint64_t> prefetches{0};
     std::atomic<uint64_t> resident_bytes{0};
     /// Degraded mode (DESIGN.md §12): per-predicate quarantine flags, set
-    /// when a materialization hits a checksum/corruption failure. A
-    /// quarantined slice fails fast with a structured error on every
-    /// subsequent touch (that query fails; other predicates keep serving).
+    /// when a materialization of either side hits a checksum/corruption
+    /// failure. Both sides of a quarantined predicate fail fast with a
+    /// structured error on every subsequent touch (that query fails; other
+    /// predicates keep serving).
     std::unique_ptr<std::atomic<uint8_t>[]> quarantined;
     std::atomic<uint64_t> quarantines{0};
     /// LBR_SNAPSHOT_PARANOID: pread slice bytes into heap instead of
@@ -277,16 +294,16 @@ class TripleIndex {
 
   /// Materialize-on-first-touch for mapped mode; heap mode returns the
   /// resident slice directly.
-  const PredSlice& EnsureSlice(uint32_t p) const;
-  std::shared_ptr<PredSlice> MaterializeSlice(uint32_t p) const;
-  /// Decodes one orientation's rows from the mapped directory + extent,
-  /// verifying both checksums. Throws SnapshotError on any mismatch. When
-  /// `extent_copy` is non-null (paranoid mode), the extent is pread into it
-  /// and the rows view the heap copy instead of the map.
-  void DecodeSliceRows(
-      const SliceLoc& loc, const char* what,
-      std::vector<std::pair<uint32_t, CompressedRow>>* rows,
-      std::vector<uint32_t>* extent_copy = nullptr) const;
+  const SliceRows& EnsureSlice(uint32_t p, Side side) const;
+  std::shared_ptr<SliceRows> MaterializeSlice(uint32_t p, Side side) const;
+  /// Decodes one slice's rows from the mapped directory + extent into
+  /// `*slice`, verifying both checksums. Throws SnapshotError on any
+  /// mismatch. In paranoid mode the extent is pread into
+  /// slice->extent_copy and the rows view that heap copy instead of the
+  /// map.
+  void DecodeSliceRows(uint32_t p, Side side, SliceRows* slice) const;
+  /// True when both checksums of the slice at `loc` match the mapped bytes.
+  bool SliceChecksumsMatch(const SliceLoc& loc) const;
 
   uint32_t num_subjects_ = 0;
   uint32_t num_predicates_ = 0;
@@ -297,10 +314,11 @@ class TripleIndex {
   /// Always-resident condensed metadata (one Bitvector pair per predicate).
   std::vector<Bitvector> non_empty_s_;
   std::vector<Bitvector> non_empty_o_;
-  /// Slice storage. Heap mode: every entry non-null after construction,
-  /// never mutated (lock-free). Mapped mode: entries start null and are
-  /// published/spilled under backing_->mu[p].
-  mutable std::vector<std::shared_ptr<PredSlice>> preds_;
+  /// Slice storage, indexed by SlotOf(p, side). Heap mode: every entry
+  /// non-null after construction, never mutated (lock-free). Mapped mode:
+  /// entries start null and are published/spilled under
+  /// backing_->mu[slot].
+  mutable std::vector<std::shared_ptr<SliceRows>> slices_;
   mutable std::unique_ptr<Backing> backing_;
 };
 

@@ -3,31 +3,35 @@
 #include <algorithm>
 #include <limits>
 
+#include "bitmat/tp_loader.h"
+
 namespace lbr {
 
 uint64_t EstimateTpCardinality(const TripleIndex& index,
                                const Dictionary& dict,
                                const TriplePattern& tp) {
   const bool sv = tp.s.is_var, pv = tp.p.is_var, ov = tp.o.is_var;
+  // Every case below fixes the subject or the object, so the orientation
+  // preference never decides the side.
+  const TripleIndex::Side side = TpReadSide(tp, /*prefer_subject_rows=*/true);
 
   if (!pv) {
     auto p = dict.PredicateId(tp.p.term);
     if (!p) return 0;
     if (sv && ov) return index.PredicateCardinality(*p);
     // Pin the slice while reading its rows (mapped-snapshot spill safety).
-    TripleIndex::SlicePin pin = index.Slice(*p);
+    TripleIndex::SlicePin pin = index.Slice(*p, side);
     if (sv) {
       auto o = dict.ObjectId(tp.o.term);
-      return o ? TripleIndex::FindRowIn(pin->os_rows, *o).Count() : 0;
+      return o ? TripleIndex::FindRowIn(pin->rows, *o).Count() : 0;
     }
     if (ov) {
       auto s = dict.SubjectId(tp.s.term);
-      return s ? TripleIndex::FindRowIn(pin->so_rows, *s).Count() : 0;
+      return s ? TripleIndex::FindRowIn(pin->rows, *s).Count() : 0;
     }
     auto s = dict.SubjectId(tp.s.term);
     auto o = dict.ObjectId(tp.o.term);
-    return (s && o && TripleIndex::FindRowIn(pin->so_rows, *s).Test(*o)) ? 1
-                                                                         : 0;
+    return (s && o && TripleIndex::FindRowIn(pin->rows, *s).Test(*o)) ? 1 : 0;
   }
 
   // Variable predicate: sum across predicates.
@@ -36,7 +40,7 @@ uint64_t EstimateTpCardinality(const TripleIndex& index,
     auto s = dict.SubjectId(tp.s.term);
     if (!s) return 0;
     for (uint32_t p = 0; p < index.num_predicates(); ++p) {
-      total += TripleIndex::FindRowIn(index.Slice(p)->so_rows, *s).Count();
+      total += TripleIndex::FindRowIn(index.Slice(p, side)->rows, *s).Count();
     }
     return total;
   }
@@ -44,7 +48,7 @@ uint64_t EstimateTpCardinality(const TripleIndex& index,
     auto o = dict.ObjectId(tp.o.term);
     if (!o) return 0;
     for (uint32_t p = 0; p < index.num_predicates(); ++p) {
-      total += TripleIndex::FindRowIn(index.Slice(p)->os_rows, *o).Count();
+      total += TripleIndex::FindRowIn(index.Slice(p, side)->rows, *o).Count();
     }
     return total;
   }
@@ -53,7 +57,7 @@ uint64_t EstimateTpCardinality(const TripleIndex& index,
     auto o = dict.ObjectId(tp.o.term);
     if (!s || !o) return 0;
     for (uint32_t p = 0; p < index.num_predicates(); ++p) {
-      if (TripleIndex::FindRowIn(index.Slice(p)->so_rows, *s).Test(*o)) {
+      if (TripleIndex::FindRowIn(index.Slice(p, side)->rows, *s).Test(*o)) {
         ++total;
       }
     }

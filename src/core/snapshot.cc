@@ -76,10 +76,10 @@ SnapSliceLocEntry EmitSlice(
     words += row.psize();
   }
   loc.extent_words = words;
-  loc.dir_crc = Crc64(dir->data() + loc.dir_off,
-                      loc.dir_rows * sizeof(SnapRowDirEntry));
-  loc.extent_crc =
-      Crc64(extent->data() + loc.extent_off, loc.extent_words * 4);
+  loc.dir_checksum = Checksum64(dir->data() + loc.dir_off,
+                                loc.dir_rows * sizeof(SnapRowDirEntry));
+  loc.extent_checksum =
+      Checksum64(extent->data() + loc.extent_off, loc.extent_words * 4);
   return loc;
 }
 
@@ -117,7 +117,7 @@ class MetaReader {
 struct SectionSpan {
   uint64_t offset = 0;
   uint64_t size = 0;
-  uint64_t crc = 0;
+  uint64_t checksum = 0;
 };
 
 /// RAII cleanup of the snapshot temp file: closes the descriptor and
@@ -155,14 +155,17 @@ void SnapshotIO::Write(const Dictionary& dict, const TripleIndex& index,
 
   // Walk every slice once, building the row directories, the page-aligned
   // extents, and the per-slice locators. Slice() pins work from either
-  // backend, so re-snapshotting a mapped database materializes each slice
-  // transiently without holding the whole index resident.
+  // backend, so re-snapshotting a mapped database materializes one side at
+  // a time without holding the whole index resident.
   std::string rowdir_blob, extents_blob;
-  std::vector<SnapSliceLocEntry> so_loc(np), os_loc(np);
+  std::vector<SnapSliceLocEntry> locs;
+  locs.reserve(2 * static_cast<size_t>(np));
   for (uint32_t p = 0; p < np; ++p) {
-    TripleIndex::SlicePin pin = index.Slice(p);
-    so_loc[p] = EmitSlice(pin->so_rows, page, &rowdir_blob, &extents_blob);
-    os_loc[p] = EmitSlice(pin->os_rows, page, &rowdir_blob, &extents_blob);
+    for (TripleIndex::Side side :
+         {TripleIndex::Side::kSO, TripleIndex::Side::kOS}) {
+      locs.push_back(EmitSlice(index.Slice(p, side)->rows, page,
+                               &rowdir_blob, &extents_blob));
+    }
   }
 
   // Meta: dims + counts + condensed bitvectors + slice locators.
@@ -183,10 +186,7 @@ void SnapshotIO::Write(const Dictionary& dict, const TripleIndex& index,
     AppendValue<uint64_t>(&meta_blob, static_cast<uint64_t>(ow.size()));
     AppendPod(&meta_blob, ow.data(), ow.size() * 8);
   }
-  for (uint32_t p = 0; p < np; ++p) {
-    AppendPod(&meta_blob, &so_loc[p], sizeof(SnapSliceLocEntry));
-    AppendPod(&meta_blob, &os_loc[p], sizeof(SnapSliceLocEntry));
-  }
+  AppendPod(&meta_blob, locs.data(), locs.size() * sizeof(SnapSliceLocEntry));
 
   // File layout: header | dict | stats | rowdir | meta | pad | extents.
   const uint64_t dict_off = kSnapHeaderBytes;
@@ -205,25 +205,31 @@ void SnapshotIO::Write(const Dictionary& dict, const TripleIndex& index,
 
   SnapSectionEntry sections[kSnapNumSections] = {};
   auto set = [](SnapSectionEntry* e, SnapSectionKind kind, uint64_t off,
-                uint64_t size, uint64_t crc) {
+                uint64_t size, uint64_t checksum) {
     e->kind = kind;
     e->offset = off;
     e->size = size;
-    e->crc = crc;
+    e->checksum = checksum;
   };
   set(&sections[0], kSnapSectionDict, dict_off, dict_blob.size(),
-      Crc64(dict_blob.data(), dict_blob.size()));
+      Checksum64(dict_blob.data(), dict_blob.size()));
   set(&sections[1], kSnapSectionStats, stats_off, stats_blob.size(),
-      Crc64(stats_blob.data(), stats_blob.size()));
-  // Rowdir + extents carry crc 0: their integrity is per-slice (dir_crc /
-  // extent_crc in the locators), verified lazily at materialization.
+      Checksum64(stats_blob.data(), stats_blob.size()));
+  // Rowdir + extents carry checksum 0: their integrity is per slice
+  // (dir_checksum / extent_checksum in the locators), verified lazily at
+  // materialization.
   set(&sections[2], kSnapSectionRowDir, rowdir_off, rowdir_blob.size(), 0);
   set(&sections[3], kSnapSectionMeta, meta_off, meta_blob.size(),
-      Crc64(meta_blob.data(), meta_blob.size()));
+      Checksum64(meta_blob.data(), meta_blob.size()));
   set(&sections[4], kSnapSectionExtents, extents_off, extents_blob.size(), 0);
 
-  uint64_t hdr_crc = Crc64(&hdr, sizeof(hdr));
-  hdr_crc = Crc64(sections, sizeof(sections), hdr_crc);
+  // The header block is the header, the section table and the checksum of
+  // those two, laid out contiguously exactly as the reader sees them.
+  uint8_t head[kSnapHeaderBytes];
+  std::memcpy(head, &hdr, sizeof(hdr));
+  std::memcpy(head + sizeof(hdr), sections, sizeof(sections));
+  const uint64_t head_checksum = Checksum64(head, kSnapHeaderBytes - 8);
+  std::memcpy(head + kSnapHeaderBytes - 8, &head_checksum, 8);
 
   // Crash-safe emission (DESIGN.md §12): the complete image is built in a
   // same-directory temp file, fsync'd, atomically renamed over `path`,
@@ -259,9 +265,7 @@ void SnapshotIO::Write(const Dictionary& dict, const TripleIndex& index,
       len -= static_cast<uint64_t>(n);
     }
   };
-  write_all(&hdr, sizeof(hdr));
-  write_all(sections, sizeof(sections));
-  write_all(&hdr_crc, 8);
+  write_all(head, sizeof(head));
   write_all(dict_blob.data(), dict_blob.size());
   write_all(stats_blob.data(), stats_blob.size());
   write_all(rowdir_blob.data(), rowdir_blob.size());
@@ -365,11 +369,8 @@ SnapshotIO::OpenResult SnapshotIO::Open(const std::string& path,
                             std::to_string(hdr.file_size) + " bytes, file has " +
                             std::to_string(fsize));
   }
-  uint64_t hdr_crc = Crc64(base, sizeof(SnapHeader) +
-                                     kSnapNumSections * sizeof(SnapSectionEntry));
-  uint64_t stored_crc =
-      ReadPod<uint64_t>(base, kSnapHeaderBytes - 8);
-  if (hdr_crc != stored_crc) {
+  if (Checksum64(base, kSnapHeaderBytes - 8) !=
+      ReadPod<uint64_t>(base, kSnapHeaderBytes - 8)) {
     throw SnapshotError(SnapshotErrorCode::kChecksum, "header of " + path);
   }
 
@@ -385,14 +386,14 @@ SnapshotIO::OpenResult SnapshotIO::Open(const std::string& path,
       throw SnapshotError(SnapshotErrorCode::kTruncated,
                           "section extends past the end of " + path);
     }
-    spans[e.kind] = {e.offset, e.size, e.crc};
+    spans[e.kind] = {e.offset, e.size, e.checksum};
   }
   // Eager integrity: dict, stats, and meta are decoded now, so their
   // checksums are verified now. Rowdir/extents verify lazily per slice.
   for (uint32_t kind : {kSnapSectionDict, kSnapSectionStats,
                         kSnapSectionMeta}) {
     const SectionSpan& s = spans[kind];
-    if (Crc64(base + s.offset, s.size) != s.crc) {
+    if (Checksum64(base + s.offset, s.size) != s.checksum) {
       throw SnapshotError(SnapshotErrorCode::kChecksum,
                           "section " + std::to_string(kind) + " of " + path);
     }
@@ -452,11 +453,11 @@ SnapshotIO::OpenResult SnapshotIO::Open(const std::string& path,
     read_bitvector(&index->non_empty_o_[p], index->num_objects_);
   }
 
+  const size_t num_slots = 2 * static_cast<size_t>(np);
   auto backing = std::make_unique<TripleIndex::Backing>();
   backing->file = file;
-  backing->so_loc.resize(np);
-  backing->os_loc.resize(np);
-  auto load_loc = [&](TripleIndex::SliceLoc* loc) {
+  backing->loc.resize(num_slots);
+  for (TripleIndex::SliceLoc& loc : backing->loc) {
     SnapSliceLocEntry e = mr.Read<SnapSliceLocEntry>();
     uint64_t dir_bytes =
         static_cast<uint64_t>(e.dir_rows) * sizeof(SnapRowDirEntry);
@@ -466,24 +467,22 @@ SnapshotIO::OpenResult SnapshotIO::Open(const std::string& path,
       throw SnapshotError(SnapshotErrorCode::kCorrupt,
                           "slice locator out of bounds in " + path);
     }
-    loc->dir_off = rowdir.offset + e.dir_off;
-    loc->dir_rows = e.dir_rows;
-    loc->extent_off = extents.offset + e.extent_off;
-    loc->extent_words = e.extent_words;
-    loc->dir_crc = e.dir_crc;
-    loc->extent_crc = e.extent_crc;
-  };
-  for (uint32_t p = 0; p < np; ++p) {
-    load_loc(&backing->so_loc[p]);
-    load_loc(&backing->os_loc[p]);
+    loc.dir_off = rowdir.offset + e.dir_off;
+    loc.dir_rows = e.dir_rows;
+    loc.extent_off = extents.offset + e.extent_off;
+    loc.extent_words = e.extent_words;
+    loc.dir_checksum = e.dir_checksum;
+    loc.extent_checksum = e.extent_checksum;
   }
-  backing->mu = std::make_unique<std::mutex[]>(np);
-  backing->last_touch = std::make_unique<std::atomic<uint64_t>[]>(np);
-  backing->resident = std::make_unique<std::atomic<uint8_t>[]>(np);
+  backing->mu = std::make_unique<std::mutex[]>(num_slots);
+  backing->last_touch = std::make_unique<std::atomic<uint64_t>[]>(num_slots);
+  backing->resident = std::make_unique<std::atomic<uint8_t>[]>(num_slots);
   backing->quarantined = std::make_unique<std::atomic<uint8_t>[]>(np);
+  for (size_t slot = 0; slot < num_slots; ++slot) {
+    backing->last_touch[slot].store(0, std::memory_order_relaxed);
+    backing->resident[slot].store(0, std::memory_order_relaxed);
+  }
   for (uint32_t p = 0; p < np; ++p) {
-    backing->last_touch[p].store(0, std::memory_order_relaxed);
-    backing->resident[p].store(0, std::memory_order_relaxed);
     backing->quarantined[p].store(0, std::memory_order_relaxed);
   }
   backing->paranoid = options.paranoid;
@@ -492,30 +491,19 @@ SnapshotIO::OpenResult SnapshotIO::Open(const std::string& path,
     backing->paranoid =
         env != nullptr && *env != '\0' && std::strcmp(env, "0") != 0;
   }
-  index->preds_.assign(np, nullptr);
+  index->slices_.assign(num_slots, nullptr);
   index->backing_ = std::move(backing);
 
   if (options.verify_extents) {
-    // Full-integrity open: one sequential pass over every directory and
-    // extent (the paranoid mode of the rejection tests and of operators
+    // Full-integrity open: one sequential pass over both sides of every
+    // predicate (the paranoid mode of the rejection tests and of operators
     // validating a freshly copied snapshot).
-    for (uint32_t p = 0; p < np; ++p) {
-      for (const TripleIndex::SliceLoc* loc :
-           {&index->backing_->so_loc[p], &index->backing_->os_loc[p]}) {
-        uint64_t dir_bytes =
-            static_cast<uint64_t>(loc->dir_rows) * sizeof(SnapRowDirEntry);
-        if (Crc64(base + loc->dir_off, dir_bytes) != loc->dir_crc) {
-          throw SnapshotError(SnapshotErrorCode::kChecksum,
-                              "row directory of predicate " +
-                                  std::to_string(p) + " in " + path);
-        }
-        if (Crc64(base + loc->extent_off, loc->extent_words * 4) !=
-            loc->extent_crc) {
-          throw SnapshotError(SnapshotErrorCode::kChecksum,
-                              "extent of predicate " + std::to_string(p) +
-                                  " in " + path);
-        }
-      }
+    std::vector<uint32_t> corrupt;
+    if (!index->VerifySlices(&corrupt, nullptr)) {
+      throw SnapshotError(SnapshotErrorCode::kChecksum,
+                          "row directory or extent of predicate " +
+                              std::to_string(corrupt.front()) + " in " +
+                              path);
     }
   }
   result.index = std::move(index);

@@ -59,7 +59,7 @@ TEST(DatabaseTest, BuildAndQuery) {
 }
 
 TEST(DatabaseTest, SaveOpenRoundTrip) {
-  std::string path = ::testing::TempDir() + "/lbr_db_test.lbr";
+  std::string path = testing::TempPath("lbr_db_test.lbr");
   {
     Database db = Database::Build(SitcomTriples());
     db.Save(path);
@@ -74,7 +74,7 @@ TEST(DatabaseTest, SaveOpenRoundTrip) {
 }
 
 TEST(DatabaseTest, BuildFromNTriplesFile) {
-  std::string path = ::testing::TempDir() + "/lbr_db_test.nt";
+  std::string path = testing::TempPath("lbr_db_test.nt");
   {
     std::ofstream out(path);
     NTriples::WriteStream(SitcomTriples(), &out);
@@ -86,7 +86,7 @@ TEST(DatabaseTest, BuildFromNTriplesFile) {
 }
 
 TEST(DatabaseTest, OpenRejectsNonDatabase) {
-  std::string path = ::testing::TempDir() + "/lbr_not_a_db.bin";
+  std::string path = testing::TempPath("lbr_not_a_db.bin");
   {
     std::ofstream out(path, std::ios::binary);
     out << "plainly not a database";
@@ -99,7 +99,7 @@ TEST(DatabaseTest, WorkloadScaleRoundTrip) {
   LubmConfig cfg;
   cfg.num_universities = 2;
   Database db = Database::Build(GenerateLubm(cfg));
-  std::string path = ::testing::TempDir() + "/lbr_db_lubm.lbr";
+  std::string path = testing::TempPath("lbr_db_lubm.lbr");
   db.Save(path);
   Database reopened = Database::Open(path);
   std::remove(path.c_str());

@@ -139,7 +139,7 @@ TEST(IntegrationTest, ReferenceOracleAgreesAtMicroScale) {
 TEST(IntegrationTest, IndexPersistenceAtWorkloadScale) {
   Graph g = Graph::FromTriples(GenerateLubm(TinyLubm()));
   TripleIndex idx = TripleIndex::Build(g);
-  std::string path = ::testing::TempDir() + "/lbr_integration_index.bin";
+  std::string path = testing::TempPath("lbr_integration_index.bin");
   idx.SaveToFile(path);
   TripleIndex loaded = TripleIndex::LoadFromFile(path);
   std::remove(path.c_str());

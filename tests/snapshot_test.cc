@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -14,6 +17,7 @@
 
 #include "bitmat/snapshot_format.h"
 #include "core/database.h"
+#include "rdf/term.h"
 #include "test_util.h"
 #include "util/fault_injection.h"
 #include "util/thread_pool.h"
@@ -25,9 +29,7 @@
 namespace lbr {
 namespace {
 
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
+using testing::TempPath;
 
 std::string ReadFileBytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -54,6 +56,24 @@ SnapSectionEntry FindSection(const std::string& bytes, uint32_t kind) {
   }
   ADD_FAILURE() << "section kind " << kind << " not found";
   return {};
+}
+
+/// The locator of side `side` of predicate `p`: the meta section ends with
+/// the locators, two per predicate in slot order (S-O, then O-S).
+SnapSliceLocEntry FindSliceLoc(const std::string& bytes, uint32_t np,
+                               uint32_t p, TripleIndex::Side side) {
+  SnapSectionEntry meta = FindSection(bytes, kSnapSectionMeta);
+  const uint64_t slot = 2 * uint64_t{p} + static_cast<uint64_t>(side);
+  return ReadPod<SnapSliceLocEntry>(
+      reinterpret_cast<const uint8_t*>(bytes.data()),
+      meta.offset + meta.size -
+          (2 * uint64_t{np} - slot) * sizeof(SnapSliceLocEntry));
+}
+
+uint32_t MemberOf(const Database& db) {
+  std::optional<uint32_t> p = db.dict().PredicateId(Term::Iri(lubm::kMemberOf));
+  EXPECT_TRUE(p.has_value());
+  return p.value_or(0);
 }
 
 SnapshotErrorCode OpenErrorCode(const std::string& path,
@@ -153,6 +173,129 @@ TEST(SnapshotTest, LazyMaterializationIsCountedOncePerPredicate) {
   EXPECT_GT(first.snapshot_resident_bytes, 0u);
 }
 
+TEST(SnapshotTest, FreshSnapshotOpensFullyVerified) {
+  Database heap_db = SmallLubmDb();
+  const std::string path = TempPath("snap_fresh.snap");
+  heap_db.SaveSnapshot(path);
+  const std::string bytes = ReadFileBytes(path);
+  EXPECT_EQ(ReadPod<SnapHeader>(
+                reinterpret_cast<const uint8_t*>(bytes.data()), 0)
+                .version,
+            kSnapVersion);
+  SnapshotOptions snap;
+  snap.verify_extents = true;
+  Database db = Database::OpenSnapshot(path, {}, snap);
+  std::remove(path.c_str());
+  EXPECT_TRUE(db.VerifySnapshot().ok());
+  EXPECT_EQ(db.num_triples(), heap_db.num_triples());
+}
+
+TEST(SnapshotTest, BoundObjectTpMaterializesOnlyTheObjectSide) {
+  Database heap_db = SmallLubmDb();
+  const std::string path = TempPath("snap_side.snap");
+  heap_db.SaveSnapshot(path);
+  // The cost planner estimates from the load-time statistics, so the only
+  // index reads are the engine's prefetch and the TP load itself.
+  EngineOptions options;
+  options.planner = PlannerMode::kCost;
+  Database db = Database::OpenSnapshot(path, options);
+  std::remove(path.c_str());
+  const uint32_t member_of = MemberOf(db);
+  ASSERT_EQ(db.index().snapshot_materializations(), 0u);
+  ASSERT_EQ(db.index().snapshot_resident_bytes(), 0u);
+
+  // (?x :memberOf :dept) reads one row of the O-S side and nothing else:
+  // one side prefetched, one side materialized.
+  const std::string q = "SELECT ?x WHERE { ?x <" +
+                        std::string(lubm::kMemberOf) + "> <" +
+                        LubmDepartmentIri(0, 0) + "> . }";
+  QueryStats stats;
+  ResultTable got = db.engine().ExecuteToTable(q, &stats);
+  EXPECT_FALSE(got.rows.empty());
+  EXPECT_EQ(testing::Canonicalize(heap_db.engine().ExecuteToTable(q)),
+            testing::Canonicalize(got));
+  EXPECT_EQ(stats.snapshot_materializations, 1u);
+  EXPECT_EQ(stats.snapshot_prefetches, 1u);
+  const uint64_t resident = db.index().snapshot_resident_bytes();
+
+  // That one slice is the O-S side: pinning it finds it resident, and the
+  // resident bytes are exactly its own.
+  TripleIndex::SlicePin os =
+      db.index().Slice(member_of, TripleIndex::Side::kOS);
+  EXPECT_EQ(db.index().snapshot_materializations(), 1u);
+  EXPECT_EQ(resident, os->heap_bytes);
+
+  // The S-O side was still on disk: touching it is a second, separate
+  // materialization that adds only its own bytes.
+  TripleIndex::SlicePin so =
+      db.index().Slice(member_of, TripleIndex::Side::kSO);
+  EXPECT_EQ(db.index().snapshot_materializations(), 2u);
+  EXPECT_EQ(db.index().snapshot_resident_bytes(), resident + so->heap_bytes);
+}
+
+TEST(SnapshotTest, VerifyAndParanoidReadsCoverBothSides) {
+  Database heap_db = SmallLubmDb();
+  const std::string path = TempPath("snap_sides.snap");
+  heap_db.SaveSnapshot(path);
+  const std::string clean = ReadFileBytes(path);
+  const uint32_t np = heap_db.index().num_predicates();
+  const uint32_t p = MemberOf(heap_db);
+  const SnapSectionEntry ext = FindSection(clean, kSnapSectionExtents);
+  SnapshotOptions paranoid;
+  paranoid.paranoid = true;
+  SnapshotOptions verify;
+  verify.verify_extents = true;
+
+  {
+    // Clean file: paranoid reads serve each side from its own extent copy.
+    Database db = Database::OpenSnapshot(path, {}, paranoid);
+    EXPECT_TRUE(db.VerifySnapshot().ok());
+    for (TripleIndex::Side side :
+         {TripleIndex::Side::kSO, TripleIndex::Side::kOS}) {
+      TripleIndex::SlicePin pin = db.index().Slice(p, side);
+      EXPECT_EQ(pin->extent_copy.size(),
+                FindSliceLoc(clean, np, p, side).extent_words);
+    }
+  }
+
+  for (TripleIndex::Side side :
+       {TripleIndex::Side::kSO, TripleIndex::Side::kOS}) {
+    const TripleIndex::Side other = side == TripleIndex::Side::kSO
+                                        ? TripleIndex::Side::kOS
+                                        : TripleIndex::Side::kSO;
+    SCOPED_TRACE(side == TripleIndex::Side::kSO ? "S-O damaged"
+                                                : "O-S damaged");
+    const SnapSliceLocEntry loc = FindSliceLoc(clean, np, p, side);
+    ASSERT_GT(loc.extent_words, 0u);
+    std::string bytes = clean;
+    const uint64_t off = ext.offset + loc.extent_off + loc.extent_words * 2;
+    bytes[off] = static_cast<char>(bytes[off] ^ 0x5a);
+    WriteFileBytes(path, bytes);
+
+    // The sweep and a fully verified open both see the damaged side.
+    {
+      Database db = Database::OpenSnapshot(path);
+      EXPECT_EQ(db.VerifySnapshot().corrupt, std::vector<uint32_t>{p});
+    }
+    EXPECT_EQ(OpenErrorCode(path, verify), SnapshotErrorCode::kChecksum);
+
+    // Paranoid reads verify each side's copy when that side is read: the
+    // intact side serves, the damaged one fails, and from then on the
+    // predicate's quarantine fails both.
+    Database db = Database::OpenSnapshot(path, {}, paranoid);
+    EXPECT_NO_THROW(db.index().Slice(p, other));
+    try {
+      db.index().Slice(p, side);
+      FAIL() << "damaged side did not fail its checksum";
+    } catch (const SnapshotError& e) {
+      EXPECT_EQ(e.code(), SnapshotErrorCode::kChecksum);
+    }
+    EXPECT_EQ(db.index().QuarantinedSlices(), std::vector<uint32_t>{p});
+    EXPECT_THROW(db.index().Slice(p, other), SnapshotError);
+  }
+  std::remove(path.c_str());
+}
+
 TEST(SnapshotTest, ResaveFromMappedIndex) {
   // The writer must work from the mapped backend too (materializing each
   // slice as it streams out): snapshot -> open -> snapshot -> open.
@@ -211,8 +354,17 @@ TEST_F(SnapshotRejectTest, BadMagic) {
 
 TEST_F(SnapshotRejectTest, BadVersion) {
   // The version field sits right after the 8-byte magic; its check runs
-  // before the header crc so the code is specific, not kChecksum.
+  // before the header checksum so the code is specific, not kChecksum.
   FlipByte(8);
+  EXPECT_EQ(OpenErrorCode(path_), SnapshotErrorCode::kBadVersion);
+}
+
+TEST_F(SnapshotRejectTest, VersionOneIsRejected) {
+  // Version 1 checksummed with FNV-1a; this build reads only version 2.
+  std::string mutated = bytes_;
+  const uint32_t v1 = 1;
+  std::memcpy(&mutated[offsetof(SnapHeader, version)], &v1, sizeof(v1));
+  WriteFileBytes(path_, mutated);
   EXPECT_EQ(OpenErrorCode(path_), SnapshotErrorCode::kBadVersion);
 }
 
@@ -223,7 +375,7 @@ TEST_F(SnapshotRejectTest, TruncatedBody) {
 
 TEST_F(SnapshotRejectTest, HeaderCrc) {
   // A flipped section-table byte keeps magic/version intact but must trip
-  // the header crc before any section is trusted.
+  // the header checksum before any section is trusted.
   FlipByte(sizeof(SnapHeader) + 4);
   EXPECT_EQ(OpenErrorCode(path_), SnapshotErrorCode::kChecksum);
 }
@@ -245,7 +397,7 @@ TEST_F(SnapshotRejectTest, MetaChecksum) {
 TEST_F(SnapshotRejectTest, ExtentChecksumEager) {
   // verify_extents=true promotes the lazy per-slice checksums to open time.
   // Corrupt the section densely: a single flipped byte could land in the
-  // inter-slice page padding, which no slice's crc covers (dead bytes).
+  // inter-slice page padding, which no slice's checksum covers (dead bytes).
   SnapSectionEntry ext = FindSection(bytes_, kSnapSectionExtents);
   ASSERT_GT(ext.size, 8u);
   std::string mutated = bytes_;
@@ -369,6 +521,55 @@ TEST(SnapshotConcurrencyTest, ParallelQueriesUnderBudget) {
   }
 }
 
+TEST(SnapshotConcurrencyTest, BothSidesOfOnePredicateUnderTinyBudget) {
+  // Subject-bound TPs read memberOf's S-O side and object-bound ones its
+  // O-S side, concurrently, under a budget so small that every slice spills
+  // as soon as no runner pins it, so the two sides of one predicate
+  // materialize and spill independently of each other.
+  Database heap_db = SmallLubmDb();
+  const std::string path = TempPath("snap_sides_conc.snap");
+  heap_db.SaveSnapshot(path);
+  const std::string member_of = std::string("<") + lubm::kMemberOf + ">";
+  std::vector<std::string> queries;
+  for (uint32_t d = 0; d < 3; ++d) {
+    const std::string dept = LubmDepartmentIri(0, d);
+    queries.push_back("SELECT ?x WHERE { ?x " + member_of + " <" + dept +
+                      "> . }");
+    queries.push_back("SELECT ?d WHERE { <" + dept + "/GradStudent" +
+                      std::to_string(d) + "> " + member_of + " ?d . }");
+  }
+  queries.push_back("SELECT ?x ?d WHERE { ?x " + member_of + " ?d . }");
+  std::vector<std::vector<std::string>> expected;
+  for (const std::string& q : queries) {
+    expected.push_back(
+        testing::Canonicalize(heap_db.engine().ExecuteToTable(q)));
+    ASSERT_FALSE(expected.back().empty()) << q;
+  }
+
+  SnapshotOptions snap;
+  snap.memory_budget_bytes = 1;
+  Database db = Database::OpenSnapshot(path, {}, snap);
+  std::remove(path.c_str());
+  std::vector<std::string> stream;
+  std::vector<size_t> stream_qi;
+  for (size_t rep = 0; rep < 8; ++rep) {
+    for (size_t qi = 0; qi < queries.size(); ++qi) {
+      stream_qi.push_back((qi * 3 + rep) % queries.size());
+      stream.push_back(queries[stream_qi.back()]);
+    }
+  }
+  ThreadPool pool(4);
+  std::vector<BatchResult> results = db.ExecuteBatch(stream, &pool);
+  ASSERT_EQ(results.size(), stream.size());
+  for (size_t i = 0; i < results.size(); ++i) {
+    SCOPED_TRACE(stream[i]);
+    ASSERT_TRUE(results[i].ok()) << results[i].error;
+    EXPECT_EQ(testing::Canonicalize(results[i].table),
+              expected[stream_qi[i]]);
+  }
+  EXPECT_GT(db.index().snapshot_spills(), 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Fault injection (DESIGN.md §12): crash-safe writes, fail-closed taxonomy
 // per site, quarantine, and paranoid reads.
@@ -472,7 +673,7 @@ TEST_F(SnapshotFaultTest, ChecksumFaultQuarantinesOnlyThatPredicate) {
   // Force a checksum mismatch on predicate 0's first materialization.
   Arm("index.checksum", "once");
   try {
-    db.index().Slice(0);
+    db.index().Slice(0, TripleIndex::Side::kSO);
     FAIL() << "forced checksum mismatch did not throw";
   } catch (const SnapshotError& e) {
     EXPECT_EQ(e.code(), SnapshotErrorCode::kChecksum);
@@ -482,13 +683,14 @@ TEST_F(SnapshotFaultTest, ChecksumFaultQuarantinesOnlyThatPredicate) {
   // subsequent touch; other predicates keep serving.
   EXPECT_EQ(db.index().snapshot_quarantined(), 1u);
   try {
-    db.index().Slice(0);
+    db.index().Slice(0, TripleIndex::Side::kSO);
     FAIL() << "quarantined predicate did not fail fast";
   } catch (const SnapshotError& e) {
     EXPECT_EQ(e.code(), SnapshotErrorCode::kChecksum);
     EXPECT_NE(std::string(e.what()).find("quarantined"), std::string::npos);
   }
-  EXPECT_NO_THROW(db.index().Slice(1));
+  EXPECT_THROW(db.index().Slice(0, TripleIndex::Side::kOS), SnapshotError);
+  EXPECT_NO_THROW(db.index().Slice(1, TripleIndex::Side::kSO));
 
   // The verify report distinguishes quarantined (runtime state) from
   // corrupt (bytes on disk — none here, the mismatch was injected).

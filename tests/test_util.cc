@@ -2,6 +2,9 @@
 
 #include <algorithm>
 
+#include <gtest/gtest.h>
+#include <unistd.h>
+
 namespace lbr::testing {
 
 namespace {
@@ -94,6 +97,19 @@ std::vector<std::string> CanonicalizeProjected(
   }
   std::sort(out.begin(), out.end());
   return out;
+}
+
+std::string TempPath(const std::string& name) {
+  const ::testing::TestInfo* info =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  std::string unique;
+  if (info != nullptr) {
+    unique = std::string(info->test_suite_name()) + "." + info->name() + ".";
+  }
+  // Parameterized test names carry '/', which would name a subdirectory.
+  std::replace(unique.begin(), unique.end(), '/', '_');
+  return ::testing::TempDir() + "/" + unique +
+         std::to_string(static_cast<long>(::getpid())) + "." + name;
 }
 
 }  // namespace lbr::testing

@@ -34,6 +34,11 @@ std::vector<std::string> Canonicalize(const ResultTable& table);
 std::vector<std::string> CanonicalizeProjected(
     const ResultTable& table, const std::vector<std::string>& var_order);
 
+/// A scratch file path unique to the running test and process:
+/// `<gtest TempDir>/<suite>.<test>.<pid>.<name>`. Tests that ctest runs in
+/// parallel (one process per test) never share a file through it.
+std::string TempPath(const std::string& name);
+
 }  // namespace lbr::testing
 
 #endif  // LBR_TESTS_TEST_UTIL_H_

@@ -137,7 +137,7 @@ TEST(TripleIndexTest, SerializationRoundTrip) {
 TEST(TripleIndexTest, FileRoundTrip) {
   Graph g = SmallGraph();
   TripleIndex idx = TripleIndex::Build(g);
-  std::string path = ::testing::TempDir() + "/lbr_index_test.bin";
+  std::string path = testing::TempPath("lbr_index_test.bin");
   idx.SaveToFile(path);
   TripleIndex back = TripleIndex::LoadFromFile(path);
   EXPECT_EQ(back.num_triples(), idx.num_triples());
