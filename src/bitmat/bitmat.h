@@ -44,12 +44,11 @@ enum class Dim : uint8_t {
 /// ownership of the matrix. Concurrent *reads* — including `FoldInto`,
 /// which writes the mutable fold memo under const — are safe: the memo is
 /// published through a per-version atomic once-flag (DESIGN.md §7), so any
-/// number of threads may fold one matrix at a time, as the wave scheduler's
-/// shared-master semi-joins do. A writer must still be the only thread
-/// touching the matrix (the scheduler's conflict rule guarantees it), and
-/// the writer/reader handover needs external synchronization (the wave
-/// barrier). Sharing row payload across thread-confined BitMat copies is
-/// safe (handles are immutable and refcounts are atomic).
+/// number of threads may fold one matrix at a time. A writer must still be
+/// the only thread touching the matrix, and the writer/reader handover
+/// needs external synchronization. Sharing row payload across
+/// thread-confined BitMat copies is safe (handles are immutable and
+/// refcounts are atomic).
 class BitMat {
  public:
   /// A shared immutable row. Null means an empty row (no set bits); a
@@ -210,9 +209,9 @@ class BitMat {
 
   /// Records a bit-content change: bumps the version, drops the fold memo,
   /// and resets its once-flag to kIdle. Mutation requires exclusive
-  /// ownership (no concurrent reader — the scheduler's conflict rule), so
-  /// plain writes are safe here; the next readers observe the reset state
-  /// through whatever barrier handed them the matrix.
+  /// ownership (no concurrent reader), so plain writes are safe here; the
+  /// next readers observe the reset state through whatever barrier handed
+  /// them the matrix.
   void Touch() {
     ++version_;
     col_fold_.bits.reset();

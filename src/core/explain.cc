@@ -145,11 +145,6 @@ std::string ExplainCacheStats(const QueryStats& stats) {
   os << "  fold cache: " << stats.fold_cache_hits << " hit(s), "
      << stats.fold_cache_misses << " miss(es), " << stats.fold_once_publishes
      << " once-publish(es)\n";
-  if (stats.sched_tasks > 0) {
-    os << "  semi-join sched: " << stats.sched_tasks << " task(s) in "
-       << stats.sched_waves << " wave(s), " << stats.sched_conflicts
-       << " conflict(s), " << stats.sched_deduped << " deduped\n";
-  }
   if (stats.tp_cache_contention > 0 || stats.tp_cache_flight_waits > 0) {
     os << "  tp cache contention: " << stats.tp_cache_contention
        << " contended lock(s), " << stats.tp_cache_flight_waits

@@ -47,25 +47,12 @@ void ClusteredSemiJoin(const std::string& jvar,
 /// semi-join has changed (most of the second pass) are served from the
 /// BitMats' version-stamped fold memos without row iteration (DESIGN.md §4).
 ///
-/// Scheduling (DESIGN.md §7):
-///  - kSerial with a `pool`: the semi-join sequence stays ordered; each
-///    semi-join shards its fold/unfold row work across the pool's workers.
-///  - kWaves: each pass is compiled into a task DAG — a SemiJoin writes
-///    its slave TpState and reads its master; a ClusteredSemiJoin writes
-///    every member. Two tasks conflict iff they share a written TpState or
-///    a write/read pair; maximal non-conflicting waves run concurrently on
-///    the pool (ThreadPool::RunTaskGraph) with per-slot arenas, while
-///    conflicting tasks keep their serial relative order. Repeated
-///    (master, slave, jvar) tasks whose footprint no retained task wrote
-///    in between — provable no-ops — are dropped at compile time (the
-///    dedupe state spans both passes). Results are byte-identical to
-///    kSerial under both modes; `sched_stats` (optional) receives
-///    task/wave/conflict/dedupe counts under kWaves.
+/// With a `pool`, each semi-join shards its fold/unfold row work across the
+/// pool's workers; the semi-join sequence itself is always the ordered one
+/// above (DESIGN.md §5).
 void PruneTriples(const JvarOrder& order, const Gosn& gosn, const Goj& goj,
                   uint32_t num_common, std::vector<TpState>* tps,
-                  ExecContext* ctx = nullptr, ThreadPool* pool = nullptr,
-                  SemiJoinSched sched = SemiJoinSched::kSerial,
-                  PruneSchedStats* sched_stats = nullptr);
+                  ExecContext* ctx = nullptr, ThreadPool* pool = nullptr);
 
 }  // namespace lbr
 

@@ -28,27 +28,6 @@ enum class JoinEnumMode : uint8_t {
   kBlock = 2,
 };
 
-/// How PruneTriples executes the semi-joins of a jvar pass (the
-/// EngineOptions::semi_join_sched knob, DESIGN.md §7).
-enum class SemiJoinSched : uint8_t {
-  /// Algorithm 3.2's fully ordered sequence (default).
-  kSerial = 0,
-  /// Conflict-scheduled waves: the pass is compiled into a task DAG and
-  /// independent semi-joins run concurrently on the engine's thread pool.
-  /// Bit-identical to kSerial — conflicting tasks keep their serial order,
-  /// non-conflicting tasks touch disjoint TpStates and commute.
-  kWaves = 1,
-};
-
-/// Scheduler observability, filled by PruneTriples under kWaves and
-/// surfaced through QueryStats/ExplainCacheStats.
-struct PruneSchedStats {
-  uint64_t tasks = 0;      ///< Semi-join tasks compiled across both passes.
-  uint64_t waves = 0;      ///< Barrier-separated waves executed.
-  uint64_t conflicts = 0;  ///< Task pairs serialized by the conflict rule.
-  uint64_t deduped = 0;    ///< Duplicate (master, slave, jvar) tasks dropped.
-};
-
 /// Per-triple-pattern query state: the TP, its supernode, its loaded BitMat
 /// (with the variable/dimension mapping), and bookkeeping counters used by
 /// the evaluation metrics of Section 6 (#initial triples, #triples after

@@ -79,17 +79,6 @@ class ExecContext {
   uint64_t fold_cache_misses() const { return fold_cache_misses_; }
   uint64_t fold_once_publishes() const { return fold_once_publishes_; }
 
-  /// Folds another arena's counter deltas into this one. Used by the wave
-  /// executor (ThreadPool::RunTaskGraph) to surface the telemetry its
-  /// per-slot arenas accumulated back into the query's own arena, so
-  /// per-query stats still see scheduled work. Caller supplies deltas
-  /// (after - before), not absolute counts.
-  void AddFoldTelemetry(uint64_t hits, uint64_t misses, uint64_t once) {
-    fold_cache_hits_ += hits;
-    fold_cache_misses_ += misses;
-    fold_once_publishes_ += once;
-  }
-
   /// Query lifecycle control (DESIGN.md §9). The engine attaches the
   /// per-query control for the duration of one Execute; ThreadPool mirrors
   /// the caller's control onto its worker arenas for the duration of a
@@ -113,8 +102,8 @@ class ExecContext {
     control_->ThrowIfAborted();
   }
 
-  /// The forced variant for infrequent sites (per-TP load, per semi-join,
-  /// per wave): always reads the clock, so coarse-grained phases observe a
+  /// The forced variant for infrequent sites (per-TP load, per semi-join):
+  /// always reads the clock, so coarse-grained phases observe a
   /// deadline even when they never tick the stride.
   void CheckCancelNow() {
     if (control_ == nullptr) return;

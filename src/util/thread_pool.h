@@ -78,40 +78,10 @@ class ThreadPool {
   void ParallelFor(uint32_t begin, uint32_t end, uint32_t grain,
                    const ChunkFn& fn, ExecContext* caller_ctx = nullptr);
 
-  /// One task of a conflict-scheduled graph: runs with its execution
-  /// slot's scratch arena (DESIGN.md §7).
-  using TaskFn = std::function<void(ExecContext* ctx, int slot)>;
-
-  /// Wave executor for a conflict-scheduled task DAG. `waves` holds
-  /// indexes into `tasks`; each wave's tasks are fanned across the pool's
-  /// slots (one ParallelFor, grain 1), with a full barrier between waves —
-  /// wave k+1 starts only after every task of wave k returned, which is
-  /// also the synchronization that hands matrices written in wave k to
-  /// their readers in wave k+1. Tasks run out of their slot's private
-  /// arena; after the last wave, the fold-telemetry deltas the worker
-  /// arenas accumulated are merged into `caller_ctx` (when given) so
-  /// per-query stats still observe scheduled work. Runs inline — serial,
-  /// wave-major order, on `caller_ctx` — when the pool has no workers or
-  /// the call is nested inside another collective. Exceptions propagate
-  /// like ParallelFor's: the throwing wave drains (workers quiesce at its
-  /// barrier), the first exception wins, remaining waves are abandoned,
-  /// the telemetry merge still runs, and the exception is rethrown on the
-  /// caller — a failed graph never wedges the pool.
-  void RunTaskGraph(const std::vector<TaskFn>& tasks,
-                    const std::vector<std::vector<uint32_t>>& waves,
-                    ExecContext* caller_ctx = nullptr);
-
  private:
   void WorkerLoop(int slot);
   /// Claims and runs chunks of the active job until the range is drained.
   void RunChunks(const ChunkFn& fn, ExecContext* ctx, int slot);
-  /// The fan-out body of ParallelFor: publishes the job, drains chunks on
-  /// the calling thread, waits for worker quiescence, rethrows. Requires
-  /// `collective_mu_` held — ParallelFor takes it per call, RunTaskGraph
-  /// holds it across all waves so its worker-arena telemetry snapshot
-  /// cannot race another thread's collective.
-  void RunCollective(uint32_t begin, uint32_t end, uint32_t grain,
-                     const ChunkFn& fn, ExecContext* caller_ctx);
 
   std::vector<std::thread> workers_;
   /// One arena per slot: [0, num_workers) for workers, num_workers() for

@@ -1,6 +1,6 @@
 // Cancellation stress (DESIGN.md §9): a second thread flips the cancel
 // latch at staggered delays while a query runs, across every join
-// enumeration mode x semi-join scheduler combination. Each run must either
+// enumeration mode, and in rapid fire on a thread pool. Each run must either
 // finish cleanly with the full answer or abort kCancelled with ZERO rows
 // delivered to the sink (all-or-nothing: the sink only fires after the
 // last branch completes), and the engine must stay fully usable after an
@@ -67,12 +67,9 @@ std::vector<std::string>* CancelStressTest::expected_ = nullptr;
 
 void StressOneConfig(const TripleIndex* index, const Dictionary* dict,
                      const std::vector<std::string>& expected,
-                     JoinEnumMode enum_mode, SemiJoinSched sched,
-                     ThreadPool* pool) {
+                     JoinEnumMode enum_mode) {
   EngineOptions options;
   options.join_enum_mode = enum_mode;
-  options.semi_join_sched = sched;
-  options.pool = pool;
   Engine engine(index, dict, options);
   ParsedQuery query = Parser::Parse(kTriangleQuery);
 
@@ -121,18 +118,7 @@ TEST_F(CancelStressTest, AllEnumModesSerialSched) {
   for (JoinEnumMode mode : {JoinEnumMode::kBlock, JoinEnumMode::kIntersect,
                             JoinEnumMode::kPerBit}) {
     SCOPED_TRACE(static_cast<int>(mode));
-    StressOneConfig(index_, &graph_->dict(), *expected_, mode,
-                    SemiJoinSched::kSerial, /*pool=*/nullptr);
-  }
-}
-
-TEST_F(CancelStressTest, AllEnumModesWavesSched) {
-  ThreadPool pool(4);
-  for (JoinEnumMode mode : {JoinEnumMode::kBlock, JoinEnumMode::kIntersect,
-                            JoinEnumMode::kPerBit}) {
-    SCOPED_TRACE(static_cast<int>(mode));
-    StressOneConfig(index_, &graph_->dict(), *expected_, mode,
-                    SemiJoinSched::kWaves, &pool);
+    StressOneConfig(index_, &graph_->dict(), *expected_, mode);
   }
 }
 
@@ -141,7 +127,6 @@ TEST_F(CancelStressTest, AllEnumModesWavesSched) {
 TEST_F(CancelStressTest, RapidFireCancellationOnPool) {
   ThreadPool pool(4);
   EngineOptions options;
-  options.semi_join_sched = SemiJoinSched::kWaves;
   options.pool = &pool;
   Engine engine(index_, &graph_->dict(), options);
   ParsedQuery query = Parser::Parse(kTriangleQuery);

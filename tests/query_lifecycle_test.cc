@@ -3,8 +3,8 @@
 // admission control in the batch driver.
 //
 // The deadline test self-calibrates: it grows the LUBM dataset until an
-// unbounded run of a dense triangle query (per-bit enumeration, pruning
-// off) takes long enough that a 50 ms deadline must fire mid-join, then
+// unbounded run of a dense co-enrollment query (the default block
+// enumeration, pruning off) takes long enough that a 50 ms deadline must fire mid-join, then
 // asserts the bounded run terminates kDeadlineExceeded well under the
 // unbounded time.
 
@@ -255,7 +255,6 @@ TEST_F(QueryLifecycleTest, DeadlineTerminatesHeavyQueryPromptly) {
   EngineOptions options;
   options.enable_prune = false;
   options.enable_active_pruning = false;
-  options.join_enum_mode = JoinEnumMode::kPerBit;
   auto count_rows = [](const RawRow&) {};
 
   // Grow the dataset until the unbounded run is comfortably past the

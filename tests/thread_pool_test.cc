@@ -5,6 +5,7 @@
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace lbr {
@@ -131,62 +132,83 @@ TEST(ThreadPoolTest, ExceptionPropagatesToCaller) {
   EXPECT_EQ(count.load(), 100);
 }
 
-TEST(ThreadPoolTest, TaskGraphThrowingTaskDoesNotDeadlock) {
-  // Regression: a task throwing mid-wave (the way a cancelled or faulted
-  // semi-join does) must drain the wave, skip the remaining waves, and
-  // rethrow on the caller — never wedge the pool. Repeated many times so a
-  // latent lost-wakeup would actually hang the test rather than slip by.
+TEST(ThreadPoolTest, CallerQueryControlReachesWorkerChunks) {
+  // ParallelFor mirrors the caller's QueryControl onto the worker arenas
+  // for one collective and clears it afterwards (DESIGN.md §9).
   ThreadPool pool(4);
-  for (int round = 0; round < 50; ++round) {
-    std::atomic<int> ran{0};
-    std::vector<ThreadPool::TaskFn> tasks;
-    for (int t = 0; t < 8; ++t) {
-      tasks.push_back([&ran, t, round](ExecContext*, int) {
-        ran.fetch_add(1);
-        if (t == round % 8) {
-          throw std::runtime_error("semi-join task failure");
-        }
-      });
-    }
-    // Two waves of four; the throwing task lands in either wave.
-    std::vector<std::vector<uint32_t>> waves = {{0, 1, 2, 3}, {4, 5, 6, 7}};
-    EXPECT_THROW(pool.RunTaskGraph(tasks, waves), std::runtime_error)
-        << "round " << round;
-    // A throw abandons the rest of the throwing wave and all later waves,
-    // but every wave before it ran to completion; the thrower itself ran.
-    int expect_min = (round % 8 < 4) ? 1 : 5;
-    EXPECT_GE(ran.load(), expect_min) << "round " << round;
-    EXPECT_LE(ran.load(), 8) << "round " << round;
+  const int caller_slot = pool.num_workers();
+
+  // Already cancelled before the collective: the per-chunk pre-check
+  // aborts every chunk before its body runs, on workers and caller alike.
+  {
+    QueryControl control;
+    control.Cancel();
+    ExecContext caller;
+    caller.SetQueryControl(&control);
+    std::atomic<int> bodies{0};
+    EXPECT_THROW(pool.ParallelFor(0, 64, 1,
+                                  [&](uint32_t, uint32_t, ExecContext*, int) {
+                                    bodies.fetch_add(1);
+                                  },
+                                  &caller),
+                 QueryAbortedError);
+    EXPECT_EQ(bodies.load(), 0);
   }
-  // The pool stays usable afterwards.
+
+  // Cancelled by a worker chunk mid-collective: every chunk body sees the
+  // caller's control, and the worker's CheckCancelNow() throw reaches the
+  // caller. Caller-slot chunks hold their slot until a worker chunk has
+  // run, so the throw always comes from a worker.
+  for (int round = 0; round < 20; ++round) {
+    QueryControl control;
+    ExecContext caller;
+    caller.SetQueryControl(&control);
+    std::atomic<int> worker_chunks{0};
+    std::atomic<int> foreign_controls{0};
+    try {
+      pool.ParallelFor(
+          0, 64, 1,
+          [&](uint32_t, uint32_t, ExecContext* ctx, int slot) {
+            if (ctx->query_control() != &control) foreign_controls.fetch_add(1);
+            if (slot == caller_slot) {
+              while (worker_chunks.load() == 0) std::this_thread::yield();
+              return;
+            }
+            worker_chunks.fetch_add(1);
+            control.Cancel();
+            ctx->CheckCancelNow();
+          },
+          &caller);
+      ADD_FAILURE() << "no QueryAbortedError, round " << round;
+    } catch (const QueryAbortedError& e) {
+      EXPECT_EQ(e.code(), QueryTermination::kCancelled);
+    }
+    EXPECT_GE(worker_chunks.load(), 1) << "round " << round;
+    EXPECT_EQ(foreign_controls.load(), 0) << "round " << round;
+  }
+
+  // Afterwards the worker arenas carry no control: a collective without
+  // one runs to completion, and its worker chunks see a null control.
+  std::atomic<int> worker_chunks{0};
+  std::atomic<int> stale_controls{0};
   std::atomic<int> count{0};
-  pool.ParallelFor(0, 100, 10,
-                   [&](uint32_t b, uint32_t e, ExecContext*, int) {
+  pool.ParallelFor(0, 64, 1,
+                   [&](uint32_t b, uint32_t e, ExecContext* ctx, int slot) {
+                     if (slot == caller_slot) {
+                       while (worker_chunks.load() == 0) {
+                         std::this_thread::yield();
+                       }
+                     } else {
+                       worker_chunks.fetch_add(1);
+                       if (ctx->query_control() != nullptr) {
+                         stale_controls.fetch_add(1);
+                       }
+                     }
                      count.fetch_add(static_cast<int>(e - b));
                    });
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPoolTest, TaskGraphSingleTaskWaveThrowPropagates) {
-  // Single-task waves run inline on the caller; the same contract applies.
-  ThreadPool pool(3);
-  std::atomic<int> ran{0};
-  std::vector<ThreadPool::TaskFn> tasks = {
-      [&](ExecContext*, int) { ran.fetch_add(1); },
-      [&](ExecContext*, int) {
-        ran.fetch_add(1);
-        throw std::runtime_error("inline task failure");
-      },
-      [&](ExecContext*, int) { ran.fetch_add(1); },
-  };
-  std::vector<std::vector<uint32_t>> waves = {{0}, {1}, {2}};
-  EXPECT_THROW(pool.RunTaskGraph(tasks, waves), std::runtime_error);
-  EXPECT_EQ(ran.load(), 2);  // wave 3 abandoned
-  std::atomic<int> count{0};
-  pool.ParallelFor(0, 60, 6, [&](uint32_t b, uint32_t e, ExecContext*, int) {
-    count.fetch_add(static_cast<int>(e - b));
-  });
-  EXPECT_EQ(count.load(), 60);
+  EXPECT_EQ(count.load(), 64);
+  EXPECT_GE(worker_chunks.load(), 1);
+  EXPECT_EQ(stale_controls.load(), 0);
 }
 
 TEST(ThreadPoolTest, ReusableAcrossManyCollectives) {
