@@ -1,14 +1,14 @@
 // University-analytics scenario: runs the LUBM-like workload end to end —
-// generate data, build + persist the index, reload it, and execute a mix of
-// OPTIONAL queries while reporting the paper's evaluation metrics
-// (T_init / T_prune / T_total, triples before/after pruning, NULL rows).
+// generate data, build + snapshot the database, reopen the snapshot, and
+// execute a mix of OPTIONAL queries while reporting the paper's evaluation
+// metrics (T_init / T_prune / T_total, triples before/after pruning, NULL
+// rows).
 
 #include <cstdio>
+#include <filesystem>
 #include <iostream>
 
-#include "bitmat/triple_index.h"
-#include "core/engine.h"
-#include "rdf/graph.h"
+#include "core/database.h"
 #include "workload/lubm_gen.h"
 #include "workload/query_sets.h"
 #include "workload/table_printer.h"
@@ -16,30 +16,32 @@
 int main() {
   using namespace lbr;
 
-  // 1. Generate a campus network (~10 universities).
+  // 1. Generate a campus network (~10 universities) and build the database.
   LubmConfig cfg;
   cfg.num_universities = 10;
-  Graph graph = Graph::FromTriples(GenerateLubm(cfg));
-  Graph::Stats gs = graph.ComputeStats();
-  std::cout << "generated " << TablePrinter::Count(gs.num_triples)
-            << " triples over " << TablePrinter::Count(gs.num_subjects)
-            << " subjects / " << gs.num_predicates << " predicates\n";
+  Database built = Database::Build(GenerateLubm(cfg));
+  std::cout << "generated " << TablePrinter::Count(built.num_triples())
+            << " triples over "
+            << TablePrinter::Count(built.dict().num_subjects())
+            << " subjects / " << built.dict().num_predicates()
+            << " predicates\n";
 
-  // 2. Build the BitMat index, save it, and reload it from disk — the
-  //    deployment flow a real application would use.
-  TripleIndex built = TripleIndex::Build(graph);
-  const std::string path = "/tmp/lbr_lubm_example.idx";
-  built.SaveToFile(path);
-  TripleIndex index = TripleIndex::LoadFromFile(path);
-  std::remove(path.c_str());
-  TripleIndex::SizeReport size = index.ComputeSizeReport();
+  // 2. Save a snapshot and reopen it — the deployment flow a real
+  //    application would use: the reopened database maps the file and
+  //    loads each predicate's BitMats on first touch.
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "lbr_lubm_example.lbr")
+          .string();
+  built.SaveSnapshot(path);
+  Database db = Database::OpenSnapshot(path);
+  TripleIndex::SizeReport size = db.index().ComputeSizeReport();
   std::cout << "index: " << TablePrinter::Count(size.hybrid_bytes)
             << " B hybrid-compressed ("
             << TablePrinter::Count(size.rle_only_bytes)
             << " B if pure RLE)\n";
 
   // 3. Run the Appendix E.1 query set.
-  Engine engine(&index, &graph.dict());
+  Engine& engine = db.engine();
   TablePrinter table({"query", "Tinit", "Tprune", "Ttotal", "#initial",
                       "#aft prune", "#results", "#null rows", "best-match"});
   for (const BenchQuery& q : LubmQueries()) {
@@ -73,5 +75,6 @@ int main() {
   std::cout << "\nfull professors: " << profs.rows.size() << ", without a "
             << "listed research interest: " << stats.num_results_with_nulls
             << "\n";
+  std::remove(path.c_str());
   return 0;
 }

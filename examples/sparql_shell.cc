@@ -1,9 +1,8 @@
-// Interactive SPARQL shell: load an N-Triples file, a saved .lbr database,
-// or a built-in demo graph, then type queries at the prompt.
+// Interactive SPARQL shell: load an N-Triples file, a saved .lbr/.snap
+// snapshot, or a built-in demo graph, then type queries at the prompt.
 //   EXPLAIN <query>   print the GoSN/GoJ plan instead of executing
 //   .stats            toggle per-query metrics
 //   .format tsv|csv|table   switch the output serialization
-//   .save <path>      persist the loaded data as a single-file database
 //   .snapshot <path>  persist as an mmap-ready page-organized snapshot
 //                     (reopen with the same shell: predicates load lazily)
 //   .batch <path>     run a file of blank-line-separated queries across
@@ -147,13 +146,7 @@ int main(int argc, char** argv) {
         (EndsWith(data_path, ".lbr") || EndsWith(data_path, ".snap"))) {
       SnapshotOptions snap;
       snap.memory_budget_bytes = budget_bytes;
-      // Open() sniffs the magic: legacy files load eagerly, snapshots map
-      // lazily. A budget only makes sense for snapshots, so route through
-      // OpenSnapshot when one is requested (legacy files then fail with a
-      // clear bad-magic error).
-      Database opened = budget_bytes > 0
-                            ? Database::OpenSnapshot(data_path, options, snap)
-                            : Database::Open(data_path, options);
+      Database opened = Database::OpenSnapshot(data_path, options, snap);
       std::cerr << "opened database " << data_path << " ("
                 << opened.num_triples() << " triples"
                 << (opened.index().mapped() ? ", mapped" : "") << ") in "
@@ -250,7 +243,7 @@ int main(int argc, char** argv) {
   std::string format = "table";
   std::cerr << "enter SPARQL queries (end with a blank line); "
                "'EXPLAIN <query>' for plans; '.stats', '.format tsv|csv|"
-               "table', '.save <path>', '.snapshot <path>', '.batch <path>', '.timeout <ms>', "
+               "table', '.snapshot <path>', '.batch <path>', '.timeout <ms>', "
                "'.maxmem <bytes>', '.cancel <ms>', '.predstats', '.verify', "
                "'.quit'\n";
 
@@ -274,12 +267,6 @@ int main(int argc, char** argv) {
       if (text.rfind(".format ", 0) == 0) {
         format = text.substr(8);
         std::cout << "format: " << format << "\n";
-        return;
-      }
-      if (text.rfind(".save ", 0) == 0) {
-        std::string path = text.substr(6);
-        db.Save(path);
-        std::cout << "saved to " << path << "\n";
         return;
       }
       if (text.rfind(".snapshot ", 0) == 0) {
@@ -401,8 +388,7 @@ int main(int argc, char** argv) {
   while (std::getline(std::cin, line)) {
     if (line == ".quit") break;
     if (line == ".stats" || line.rfind(".format ", 0) == 0 ||
-        line.rfind(".save ", 0) == 0 || line.rfind(".snapshot ", 0) == 0 ||
-        line.rfind(".batch ", 0) == 0 ||
+        line.rfind(".snapshot ", 0) == 0 || line.rfind(".batch ", 0) == 0 ||
         line.rfind(".timeout ", 0) == 0 || line.rfind(".maxmem ", 0) == 0 ||
         line.rfind(".cancel ", 0) == 0 || line == ".predstats" ||
         line == ".verify" || StartsWithWord(line, "EXPLAIN")) {

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
-#include <istream>
 #include <mutex>
-#include <ostream>
 #include <utility>
 
 #include "util/thread_pool.h"
@@ -302,36 +300,6 @@ size_t BitMat::PayloadBytes() const {
     if (r != nullptr) bytes += r->PayloadBytes();
   }
   return bytes;
-}
-
-void BitMat::WriteTo(std::ostream* out) const {
-  out->write(reinterpret_cast<const char*>(&num_rows_), sizeof(num_rows_));
-  out->write(reinterpret_cast<const char*>(&num_cols_), sizeof(num_cols_));
-  // Only non-empty rows are written: (row_index, row) pairs.
-  uint32_t non_empty = 0;
-  for (uint32_t r = 0; r < num_rows_; ++r) {
-    if (rows_[r] != nullptr) ++non_empty;
-  }
-  out->write(reinterpret_cast<const char*>(&non_empty), sizeof(non_empty));
-  for (uint32_t r = 0; r < num_rows_; ++r) {
-    if (rows_[r] == nullptr) continue;
-    out->write(reinterpret_cast<const char*>(&r), sizeof(r));
-    rows_[r]->WriteTo(out);
-  }
-}
-
-BitMat BitMat::ReadFrom(std::istream* in) {
-  uint32_t num_rows = 0, num_cols = 0, non_empty = 0;
-  in->read(reinterpret_cast<char*>(&num_rows), sizeof(num_rows));
-  in->read(reinterpret_cast<char*>(&num_cols), sizeof(num_cols));
-  in->read(reinterpret_cast<char*>(&non_empty), sizeof(non_empty));
-  BitMat bm(num_rows, num_cols);
-  for (uint32_t i = 0; i < non_empty; ++i) {
-    uint32_t r = 0;
-    in->read(reinterpret_cast<char*>(&r), sizeof(r));
-    bm.SetRow(r, CompressedRow::ReadFrom(in));
-  }
-  return bm;
 }
 
 bool BitMat::operator==(const BitMat& other) const {

@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <vector>
 
@@ -194,10 +193,6 @@ class BitMat {
   /// Payload bytes across all rows (index-size accounting). Shared rows are
   /// counted once per referencing matrix (as-if-owned sizes).
   size_t PayloadBytes() const;
-
-  /// Binary serialization.
-  void WriteTo(std::ostream* out) const;
-  static BitMat ReadFrom(std::istream* in);
 
   bool operator==(const BitMat& other) const;
 

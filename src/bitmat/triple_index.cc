@@ -1,9 +1,6 @@
 #include "bitmat/triple_index.h"
 
 #include <algorithm>
-#include <cstring>
-#include <fstream>
-#include <stdexcept>
 
 #include "util/fault_injection.h"
 
@@ -11,31 +8,6 @@ namespace lbr {
 
 namespace {
 const CompressedRow kEmptyRow;
-
-constexpr char kMagic[8] = {'L', 'B', 'R', 'I', 'D', 'X', '0', '1'};
-
-void WriteRows(const std::vector<std::pair<uint32_t, CompressedRow>>& rows,
-               std::ostream* out) {
-  uint32_t n = static_cast<uint32_t>(rows.size());
-  out->write(reinterpret_cast<const char*>(&n), sizeof(n));
-  for (const auto& [id, row] : rows) {
-    out->write(reinterpret_cast<const char*>(&id), sizeof(id));
-    row.WriteTo(out);
-  }
-}
-
-void ReadRows(std::istream* in,
-              std::vector<std::pair<uint32_t, CompressedRow>>* rows) {
-  uint32_t n = 0;
-  in->read(reinterpret_cast<char*>(&n), sizeof(n));
-  rows->clear();
-  rows->reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    uint32_t id = 0;
-    in->read(reinterpret_cast<char*>(&id), sizeof(id));
-    rows->emplace_back(id, CompressedRow::ReadFrom(in));
-  }
-}
 
 // Heap bytes of a materialized slice: vector storage plus owned payload.
 // Views into the map own no payload, so a freshly materialized mapped
@@ -446,67 +418,6 @@ TripleIndex::SizeReport TripleIndex::ComputeSizeReport() const {
   report.hybrid_bytes = 2 * (report.so_bytes + report.os_bytes);
   report.rle_only_bytes = 2 * (rle_so + rle_os);
   return report;
-}
-
-void TripleIndex::WriteTo(std::ostream* out) const {
-  out->write(kMagic, sizeof(kMagic));
-  out->write(reinterpret_cast<const char*>(&num_subjects_), 4);
-  out->write(reinterpret_cast<const char*>(&num_predicates_), 4);
-  out->write(reinterpret_cast<const char*>(&num_objects_), 4);
-  out->write(reinterpret_cast<const char*>(&num_common_), 4);
-  out->write(reinterpret_cast<const char*>(&num_triples_), 8);
-  for (uint32_t p = 0; p < num_predicates_; ++p) {
-    out->write(reinterpret_cast<const char*>(&pred_counts_[p]), 8);
-    WriteRows(Slice(p, Side::kSO)->rows, out);
-    WriteRows(Slice(p, Side::kOS)->rows, out);
-  }
-}
-
-TripleIndex TripleIndex::ReadFrom(std::istream* in) {
-  char magic[8];
-  in->read(magic, sizeof(magic));
-  if (!std::equal(magic, magic + 8, kMagic)) {
-    throw std::runtime_error("TripleIndex: bad magic");
-  }
-  TripleIndex idx;
-  in->read(reinterpret_cast<char*>(&idx.num_subjects_), 4);
-  in->read(reinterpret_cast<char*>(&idx.num_predicates_), 4);
-  in->read(reinterpret_cast<char*>(&idx.num_objects_), 4);
-  in->read(reinterpret_cast<char*>(&idx.num_common_), 4);
-  in->read(reinterpret_cast<char*>(&idx.num_triples_), 8);
-  idx.pred_counts_.resize(idx.num_predicates_);
-  idx.non_empty_s_.resize(idx.num_predicates_);
-  idx.non_empty_o_.resize(idx.num_predicates_);
-  idx.slices_.resize(2 * static_cast<size_t>(idx.num_predicates_));
-  for (uint32_t p = 0; p < idx.num_predicates_; ++p) {
-    in->read(reinterpret_cast<char*>(&idx.pred_counts_[p]), 8);
-    idx.non_empty_s_[p].Resize(idx.num_subjects_);
-    idx.non_empty_o_[p].Resize(idx.num_objects_);
-    for (Side side : {Side::kSO, Side::kOS}) {
-      auto slice = std::make_shared<SliceRows>();
-      ReadRows(in, &slice->rows);
-      Bitvector& non_empty =
-          side == Side::kSO ? idx.non_empty_s_[p] : idx.non_empty_o_[p];
-      for (const auto& [id, row] : slice->rows) {
-        (void)row;
-        non_empty.Set(id);
-      }
-      idx.slices_[SlotOf(p, side)] = std::move(slice);
-    }
-  }
-  return idx;
-}
-
-void TripleIndex::SaveToFile(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw std::runtime_error("TripleIndex: cannot open " + path);
-  WriteTo(&out);
-}
-
-TripleIndex TripleIndex::LoadFromFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("TripleIndex: cannot open " + path);
-  return ReadFrom(&in);
 }
 
 }  // namespace lbr

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <iosfwd>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -42,7 +41,7 @@ namespace lbr {
 /// prefetches and meters, and every reader asks only for the side it reads.
 ///
 /// Two storage backends (DESIGN.md §11):
-///  - Heap mode (Build/ReadFrom): every slice is resident from the start.
+///  - Heap mode (Build): every slice is resident from the start.
 ///  - Mapped mode (a snapshot opened through Database::OpenSnapshot): the
 ///    file is mmap'd and slices materialize lazily on first touch as
 ///    vectors of zero-copy CompressedRow views into the mapped extents, so
@@ -56,8 +55,8 @@ namespace lbr {
 /// returns a shared_ptr pin that keeps a slice alive across spills, so
 /// concurrent readers and the spiller never race. The reference-returning
 /// accessors (SoRow/SoRows/...) stay valid until the slice is spilled —
-/// hot engine paths hold pins; admin paths (size report, WriteTo) assume
-/// no concurrent budget pressure.
+/// hot engine paths hold pins; admin paths (size report, snapshot writer)
+/// assume no concurrent budget pressure.
 class TripleIndex {
  public:
   /// Which of a predicate's two matrices: S-O (rows keyed by subject,
@@ -227,14 +226,6 @@ class TripleIndex {
     uint64_t num_rows = 0;      ///< Non-empty compressed rows stored.
   };
   SizeReport ComputeSizeReport() const;
-
-  /// Binary serialization of the whole index (the legacy eager format;
-  /// snapshots are written by Database::SaveSnapshot). Works from either
-  /// backend — a mapped index materializes each slice as it streams out.
-  void WriteTo(std::ostream* out) const;
-  static TripleIndex ReadFrom(std::istream* in);
-  void SaveToFile(const std::string& path) const;
-  static TripleIndex LoadFromFile(const std::string& path);
 
  private:
   friend class SnapshotIO;

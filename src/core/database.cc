@@ -7,10 +7,6 @@
 
 namespace lbr {
 
-namespace {
-constexpr char kDbMagic[8] = {'L', 'B', 'R', 'D', 'B', 'F', '0', '1'};
-}  // namespace
-
 void Database::InitEngine(EngineOptions options) {
   // Load-time stats pass: one popcount sweep over the index metadata,
   // wired into the engine so planner = kCost never collects privately.
@@ -54,36 +50,6 @@ Database Database::BuildFromNTriples(const std::string& path,
   std::ifstream in(path);
   if (!in) throw std::runtime_error("Database: cannot open " + path);
   return Build(NTriples::ParseStream(&in), options);
-}
-
-void Database::Save(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw std::runtime_error("Database: cannot open " + path);
-  out.write(kDbMagic, sizeof(kDbMagic));
-  dict_->WriteTo(&out);
-  index_->WriteTo(&out);
-  if (!out) throw std::runtime_error("Database: write failed for " + path);
-}
-
-Database Database::Open(const std::string& path, EngineOptions options) {
-  // Magic sniff: snapshot files dispatch to the mapped opener so existing
-  // Open() call sites (the shell, tools) transparently gain lazy loading.
-  if (SnapshotIO::SniffMagic(path)) {
-    return OpenSnapshot(path, std::move(options));
-  }
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("Database: cannot open " + path);
-  char magic[8];
-  in.read(magic, sizeof(magic));
-  if (!std::equal(magic, magic + 8, kDbMagic)) {
-    throw std::runtime_error("Database: " + path + " is not an LBR database");
-  }
-  Database db;
-  db.dict_ = std::make_unique<Dictionary>(Dictionary::ReadFrom(&in));
-  db.index_ = std::make_unique<TripleIndex>(TripleIndex::ReadFrom(&in));
-  if (!in) throw std::runtime_error("Database: truncated file " + path);
-  db.InitEngine(options);
-  return db;
 }
 
 void Database::SaveSnapshot(const std::string& path) const {

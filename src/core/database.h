@@ -14,14 +14,14 @@
 namespace lbr {
 
 /// The top-level deployment facade: a dictionary + BitMat index pair that
-/// can be built from triples, saved as a single file, and reopened in a
-/// fresh process — no re-parsing of the source data required.
+/// can be built from triples, saved as a single snapshot file, and reopened
+/// in a fresh process — no re-parsing of the source data required.
 ///
-/// Typical flows:
-///   auto db = Database::Build(triples);      // ingest
-///   db.Save("movies.lbr");                   // persist
+/// Typical flow:
+///   auto db = Database::Build(triples);                // ingest
+///   db.SaveSnapshot("movies.lbr");                     // persist
 ///   ...
-///   auto db = Database::Open("movies.lbr");  // later / elsewhere
+///   auto db = Database::OpenSnapshot("movies.lbr");    // later / elsewhere
 ///   db.engine().ExecuteToTable("SELECT ...");
 class Database {
  public:
@@ -32,14 +32,6 @@ class Database {
   /// Builds from an N-Triples file.
   static Database BuildFromNTriples(const std::string& path,
                                     EngineOptions options = {});
-
-  /// Saves dictionary + index as one file (the legacy eager format).
-  void Save(const std::string& path) const;
-
-  /// Opens a previously saved database. Sniffs the magic: legacy files
-  /// load eagerly as before; snapshot files (SaveSnapshot) open mapped with
-  /// default SnapshotOptions.
-  static Database Open(const std::string& path, EngineOptions options = {});
 
   /// Saves the database as a page-organized mmap-ready snapshot
   /// (DESIGN.md §11): dictionary + stats + row directories + page-aligned

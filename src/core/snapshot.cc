@@ -3,7 +3,6 @@
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <sstream>
 #include <vector>
 
@@ -318,13 +317,6 @@ void SnapshotIO::Write(const Dictionary& dict, const TripleIndex& index,
   }
 }
 
-bool SnapshotIO::SniffMagic(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  char magic[8] = {};
-  in.read(magic, 8);
-  return in.gcount() == 8 && std::memcmp(magic, kSnapMagic, 8) == 0;
-}
-
 SnapshotIO::OpenResult SnapshotIO::Open(const std::string& path,
                                         const SnapshotOptions& options) {
   if (FaultRegistry::Instance().ShouldInject(FaultSiteId::kSnapshotOpen)) {
@@ -430,6 +422,19 @@ SnapshotIO::OpenResult SnapshotIO::Open(const std::string& path,
   index->num_common_ = mr.Read<uint32_t>();
   index->num_triples_ = mr.Read<uint64_t>();
   const uint32_t np = index->num_predicates_;
+  // Each section checksums clean on its own; they must also describe the
+  // same graph, or the engine would index the stats table or decode ids
+  // out of bounds on the first query.
+  const Dictionary& dict = *result.dict;
+  if (dict.num_subjects() != index->num_subjects_ ||
+      dict.num_predicates() != np ||
+      dict.num_objects() != index->num_objects_ ||
+      dict.num_common() != index->num_common_ ||
+      result.stats->num_predicates() != np) {
+    throw SnapshotError(SnapshotErrorCode::kCorrupt,
+                        "dict, stats and meta sections disagree on the "
+                        "index dimensions in " + path);
+  }
   index->pred_counts_.resize(np);
   for (uint32_t p = 0; p < np; ++p) {
     index->pred_counts_[p] = mr.Read<uint64_t>();

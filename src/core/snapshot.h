@@ -64,10 +64,6 @@ class SnapshotIO {
   /// here (Database wires it together with the TpCache meter).
   static OpenResult Open(const std::string& path,
                          const SnapshotOptions& options);
-
-  /// True when `path` starts with the snapshot magic (so Database::Open
-  /// can dispatch legacy vs mapped formats).
-  static bool SniffMagic(const std::string& path);
 };
 
 }  // namespace lbr

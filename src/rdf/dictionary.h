@@ -61,9 +61,8 @@ class Dictionary {
   /// Decodes a triple back to string-level terms.
   TermTriple Decode(const Triple& t) const;
 
-  /// Binary serialization of a finalized dictionary (terms + ID layout).
-  /// Together with TripleIndex persistence this makes a saved database
-  /// usable across processes without re-reading the source triples.
+  /// Binary serialization of a finalized dictionary (terms + ID layout):
+  /// the encoding of a snapshot's dict section (DESIGN.md §11).
   void WriteTo(std::ostream* out) const;
   static Dictionary ReadFrom(std::istream* in);
 

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <istream>
-#include <ostream>
 
 #include "util/bitops.h"
 
@@ -333,37 +331,6 @@ bool CompressedRow::operator==(const CompressedRow& other) const {
   return encoding_ == other.encoding_ && first_bit_ == other.first_bit_ &&
          count_ == other.count_ && psize() == other.psize() &&
          std::equal(pdata(), pdata() + psize(), other.pdata());
-}
-
-void CompressedRow::WriteTo(std::ostream* out) const {
-  uint8_t tag = static_cast<uint8_t>(encoding_);
-  uint8_t fb = first_bit_ ? 1 : 0;
-  uint32_t n = static_cast<uint32_t>(psize());
-  out->write(reinterpret_cast<const char*>(&tag), 1);
-  out->write(reinterpret_cast<const char*>(&fb), 1);
-  out->write(reinterpret_cast<const char*>(&count_), sizeof(count_));
-  out->write(reinterpret_cast<const char*>(&n), sizeof(n));
-  if (n > 0) {
-    out->write(reinterpret_cast<const char*>(pdata()), n * sizeof(uint32_t));
-  }
-}
-
-CompressedRow CompressedRow::ReadFrom(std::istream* in) {
-  CompressedRow row;
-  uint8_t tag = 0, fb = 0;
-  uint32_t n = 0;
-  in->read(reinterpret_cast<char*>(&tag), 1);
-  in->read(reinterpret_cast<char*>(&fb), 1);
-  in->read(reinterpret_cast<char*>(&row.count_), sizeof(row.count_));
-  in->read(reinterpret_cast<char*>(&n), sizeof(n));
-  row.encoding_ = static_cast<Encoding>(tag);
-  row.first_bit_ = (fb != 0);
-  row.payload_.resize(n);
-  if (n > 0) {
-    in->read(reinterpret_cast<char*>(row.payload_.data()),
-             n * sizeof(uint32_t));
-  }
-  return row;
 }
 
 }  // namespace lbr

@@ -2,7 +2,6 @@
 #define LBR_UTIL_COMPRESSED_ROW_H_
 
 #include <cstdint>
-#include <iosfwd>
 #include <vector>
 
 #include "util/bitvector.h"
@@ -161,10 +160,6 @@ class CompressedRow {
   bool operator!=(const CompressedRow& other) const {
     return !(*this == other);
   }
-
-  /// Binary serialization (little-endian, self-delimiting).
-  void WriteTo(std::ostream* out) const;
-  static CompressedRow ReadFrom(std::istream* in);
 
  private:
   static CompressedRow EncodeOptimal(const std::vector<uint32_t>& positions,

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 namespace lbr {
 namespace {
 
@@ -139,22 +137,10 @@ TEST(BitMatTest, SetRowReplacesAndUpdatesCount) {
   EXPECT_TRUE(bm.NonEmptyRows().None());
 }
 
-TEST(BitMatTest, SerializationRoundTrip) {
-  BitMat bm = SampleBitMat();
-  std::stringstream ss;
-  bm.WriteTo(&ss);
-  BitMat back = BitMat::ReadFrom(&ss);
-  EXPECT_EQ(back, bm);
-  EXPECT_EQ(back.NonEmptyRows(), bm.NonEmptyRows());
-}
-
 TEST(BitMatTest, EmptyMatrix) {
   BitMat bm(0, 0);
   EXPECT_TRUE(bm.IsEmpty());
   EXPECT_EQ(bm.Fold(Dim::kCol).size(), 0u);
-  std::stringstream ss;
-  bm.WriteTo(&ss);
-  EXPECT_EQ(BitMat::ReadFrom(&ss), bm);
 }
 
 TEST(BitMatTest, PayloadBytesTracksCompression) {

@@ -62,9 +62,9 @@ TEST(DatabaseTest, SaveOpenRoundTrip) {
   std::string path = testing::TempPath("lbr_db_test.lbr");
   {
     Database db = Database::Build(SitcomTriples());
-    db.Save(path);
+    db.SaveSnapshot(path);
   }
-  Database reopened = Database::Open(path);
+  Database reopened = Database::OpenSnapshot(path);
   std::remove(path.c_str());
   ResultTable t = reopened.engine().ExecuteToTable(testing::SitcomQuery());
   auto canon = testing::Canonicalize(t);
@@ -86,12 +86,18 @@ TEST(DatabaseTest, BuildFromNTriplesFile) {
 }
 
 TEST(DatabaseTest, OpenRejectsNonDatabase) {
-  std::string path = testing::TempPath("lbr_not_a_db.bin");
+  // A file in the retired eager format (magic LBRDBF01) is not a snapshot.
+  std::string path = testing::TempPath("lbr_not_a_db.lbr");
   {
     std::ofstream out(path, std::ios::binary);
-    out << "plainly not a database";
+    out << "LBRDBF01 and the rest of a retired database file";
   }
-  EXPECT_THROW(Database::Open(path), std::runtime_error);
+  try {
+    Database::OpenSnapshot(path);
+    ADD_FAILURE() << "OpenSnapshot accepted a non-snapshot file";
+  } catch (const SnapshotError& e) {
+    EXPECT_EQ(e.code(), SnapshotErrorCode::kBadMagic);
+  }
   std::remove(path.c_str());
 }
 
@@ -100,8 +106,8 @@ TEST(DatabaseTest, WorkloadScaleRoundTrip) {
   cfg.num_universities = 2;
   Database db = Database::Build(GenerateLubm(cfg));
   std::string path = testing::TempPath("lbr_db_lubm.lbr");
-  db.Save(path);
-  Database reopened = Database::Open(path);
+  db.SaveSnapshot(path);
+  Database reopened = Database::OpenSnapshot(path);
   std::remove(path.c_str());
 
   const std::string q =

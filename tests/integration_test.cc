@@ -12,6 +12,7 @@
 #include "baseline/pairwise_engine.h"
 #include "baseline/reference_evaluator.h"
 #include "bitmat/triple_index.h"
+#include "core/database.h"
 #include "core/engine.h"
 #include "rdf/ntriples.h"
 #include "sparql/parser.h"
@@ -137,21 +138,18 @@ TEST(IntegrationTest, ReferenceOracleAgreesAtMicroScale) {
 }
 
 TEST(IntegrationTest, IndexPersistenceAtWorkloadScale) {
-  Graph g = Graph::FromTriples(GenerateLubm(TinyLubm()));
-  TripleIndex idx = TripleIndex::Build(g);
-  std::string path = testing::TempPath("lbr_integration_index.bin");
-  idx.SaveToFile(path);
-  TripleIndex loaded = TripleIndex::LoadFromFile(path);
+  Database db = Database::Build(GenerateLubm(TinyLubm()));
+  std::string path = testing::TempPath("lbr_integration_index.snap");
+  db.SaveSnapshot(path);
+  Database reopened = Database::OpenSnapshot(path);
   std::remove(path.c_str());
 
-  // The loaded index answers queries identically.
-  Engine fresh(&idx, &g.dict());
-  Engine reloaded(&loaded, &g.dict());
+  // The reopened snapshot answers queries identically.
   const std::string q =
       "PREFIX ub: <http://lubm/> SELECT * WHERE { ?x ub:worksFor ?d . "
       "OPTIONAL { ?x ub:emailAddress ?e . } }";
-  ResultTable a = fresh.ExecuteToTable(q);
-  ResultTable b = reloaded.ExecuteToTable(q);
+  ResultTable a = db.engine().ExecuteToTable(q);
+  ResultTable b = reopened.engine().ExecuteToTable(q);
   EXPECT_EQ(Canonicalize(a), Canonicalize(b));
   EXPECT_FALSE(a.rows.empty());
 }

@@ -58,6 +58,22 @@ SnapSectionEntry FindSection(const std::string& bytes, uint32_t kind) {
   return {};
 }
 
+/// Recomputes the checksum of section `kind` in its section-table entry,
+/// then the header checksum over the table, so an edited section passes
+/// every checksum and only semantic validation can reject it.
+void Reseal(std::string* bytes, uint32_t kind) {
+  uint8_t* base = reinterpret_cast<uint8_t*>(bytes->data());
+  for (uint32_t i = 0; i < kSnapNumSections; ++i) {
+    const uint64_t at = sizeof(SnapHeader) + i * sizeof(SnapSectionEntry);
+    SnapSectionEntry e = ReadPod<SnapSectionEntry>(base, at);
+    if (e.kind != kind) continue;
+    e.checksum = Checksum64(base + e.offset, e.size);
+    std::memcpy(base + at, &e, sizeof(e));
+  }
+  const uint64_t head = Checksum64(base, kSnapHeaderBytes - 8);
+  std::memcpy(base + kSnapHeaderBytes - 8, &head, sizeof(head));
+}
+
 /// The locator of side `side` of predicate `p`: the meta section ends with
 /// the locators, two per predicate in slot order (S-O, then O-S).
 SnapSliceLocEntry FindSliceLoc(const std::string& bytes, uint32_t np,
@@ -126,19 +142,6 @@ TEST(SnapshotTest, RoundTripDbpedia) {
   DbpediaConfig cfg;
   Database db = Database::Build(GenerateDbpedia(cfg));
   ExpectRoundTrip(db, DbpediaQueries(), "snap_dbpedia.snap");
-}
-
-TEST(SnapshotTest, OpenDispatchesOnMagic) {
-  const std::string path = TempPath("snap_sniff.snap");
-  {
-    Database db = SmallLubmDb();
-    db.SaveSnapshot(path);
-  }
-  // Plain Open() must sniff the magic and come back mapped.
-  Database db = Database::Open(path);
-  std::remove(path.c_str());
-  EXPECT_TRUE(db.index().mapped());
-  EXPECT_GT(db.num_triples(), 0u);
 }
 
 TEST(SnapshotTest, StatsSurviveWithoutCollect) {
@@ -330,6 +333,17 @@ class SnapshotRejectTest : public ::testing::Test {
   }
   void TearDown() override { std::remove(path_.c_str()); }
 
+  /// Rewrites the file with the uint32 at `off` inside section `kind`
+  /// replaced by `value`, with that section and the header re-sealed.
+  void RewriteSealed(uint32_t kind, uint64_t off, uint32_t value) {
+    SnapSectionEntry s = FindSection(bytes_, kind);
+    ASSERT_LE(off + sizeof(value), s.size);
+    std::string mutated = bytes_;
+    std::memcpy(&mutated[s.offset + off], &value, sizeof(value));
+    Reseal(&mutated, kind);
+    WriteFileBytes(path_, mutated);
+  }
+
   /// Rewrites the file with byte `off` flipped.
   void FlipByte(uint64_t off) {
     ASSERT_LT(off, bytes_.size());
@@ -392,6 +406,32 @@ TEST_F(SnapshotRejectTest, MetaChecksum) {
   ASSERT_GT(meta.size, 8u);
   FlipByte(meta.offset + meta.size / 2);
   EXPECT_EQ(OpenErrorCode(path_), SnapshotErrorCode::kChecksum);
+}
+
+// The sections below each checksum clean after the rewrite; they only
+// disagree with one another. Open must reject the file rather than hand the
+// engine a stats table or dictionary that does not match the index.
+
+TEST_F(SnapshotRejectTest, StatsPredicateCountDisagreesWithMeta) {
+  // The stats section opens with its predicate count; 0 decodes cleanly
+  // and would leave the cost planner reading past an empty table.
+  RewriteSealed(kSnapSectionStats, 0, 0);
+  EXPECT_EQ(OpenErrorCode(path_), SnapshotErrorCode::kCorrupt);
+}
+
+TEST_F(SnapshotRejectTest, MetaDimensionsDisagreeWithDict) {
+  // Meta opens with |Vs|, |Vp|, |Vo|, |Vso| as uint32s. Shrinking |Vs|,
+  // |Vo| or |Vso| keeps the meta section decodable but no longer matches
+  // the dictionary's id layout.
+  SnapSectionEntry meta = FindSection(bytes_, kSnapSectionMeta);
+  for (uint64_t off : {uint64_t{0}, uint64_t{8}, uint64_t{12}}) {
+    SCOPED_TRACE(off);
+    uint32_t dim = 0;
+    std::memcpy(&dim, &bytes_[meta.offset + off], sizeof(dim));
+    ASSERT_GT(dim, 1u);
+    RewriteSealed(kSnapSectionMeta, off, dim - 1);
+    EXPECT_EQ(OpenErrorCode(path_), SnapshotErrorCode::kCorrupt);
+  }
 }
 
 TEST_F(SnapshotRejectTest, ExtentChecksumEager) {

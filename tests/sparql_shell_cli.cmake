@@ -1,7 +1,8 @@
 # Checks that sparql_shell fails cleanly on a bad command line: an unknown
 # flag or a flag missing its value exits 2 with a one-line usage message,
-# and a data file that cannot be opened exits 1 with a one-line
-# "error: ..." message. An abort (std::terminate) fails every case.
+# and a data file that cannot be opened (missing, or a .lbr file that is
+# not a snapshot) exits 1 with a one-line "error: ..." message. An abort
+# (std::terminate) fails every case.
 #
 #   cmake -DSHELL=<path to sparql_shell> -P tests/sparql_shell_cli.cmake
 
@@ -29,3 +30,10 @@ expect_failure(2 "^--threads needs a value; usage: " --threads)
 expect_failure(2 "^--planner needs a value; usage: " --planner)
 expect_failure(1 "^error: .*no-such-file\\.nt" no-such-file.nt)
 expect_failure(1 "^error: .*no-such-file\\.lbr" no-such-file.lbr)
+
+# A file in the retired eager database format is rejected by its magic.
+set(legacy "${CMAKE_CURRENT_BINARY_DIR}/sparql_shell_cli_legacy.lbr")
+file(WRITE "${legacy}" "LBRDBF01 and the rest of a retired database file")
+expect_failure(1 "^error: .*sparql_shell_cli_legacy\\.lbr is not a snapshot"
+               "${legacy}")
+file(REMOVE "${legacy}")

@@ -2,9 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <sstream>
-
 #include "test_util.h"
 
 namespace lbr {
@@ -118,36 +115,6 @@ TEST(TripleIndexTest, SizeReportHybridSavesOverRle) {
   EXPECT_GT(report.num_rows, 0u);
   EXPECT_LE(report.hybrid_bytes, report.rle_only_bytes);
   EXPECT_EQ(report.hybrid_bytes, 2 * (report.so_bytes + report.os_bytes));
-}
-
-TEST(TripleIndexTest, SerializationRoundTrip) {
-  Graph g = SmallGraph();
-  TripleIndex idx = TripleIndex::Build(g);
-  std::stringstream ss;
-  idx.WriteTo(&ss);
-  TripleIndex back = TripleIndex::ReadFrom(&ss);
-  EXPECT_EQ(back.num_triples(), idx.num_triples());
-  EXPECT_EQ(back.num_subjects(), idx.num_subjects());
-  for (const Triple& t : g.triples()) {
-    EXPECT_TRUE(back.SoRow(t.p, t.s).Test(t.o));
-    EXPECT_TRUE(back.OsRow(t.p, t.o).Test(t.s));
-  }
-}
-
-TEST(TripleIndexTest, FileRoundTrip) {
-  Graph g = SmallGraph();
-  TripleIndex idx = TripleIndex::Build(g);
-  std::string path = testing::TempPath("lbr_index_test.bin");
-  idx.SaveToFile(path);
-  TripleIndex back = TripleIndex::LoadFromFile(path);
-  EXPECT_EQ(back.num_triples(), idx.num_triples());
-  std::remove(path.c_str());
-}
-
-TEST(TripleIndexTest, RejectsBadMagic) {
-  std::stringstream ss;
-  ss << "NOTANIDX garbage";
-  EXPECT_THROW(TripleIndex::ReadFrom(&ss), std::runtime_error);
 }
 
 }  // namespace
