@@ -50,30 +50,6 @@ struct OverheadRow {
   double ratio() const { return control_sec / nocontrol_sec; }
 };
 
-// Seconds per call: grows the iteration count until one timed sample is
-// long enough to trust the clock — the LUBM queries are sub-millisecond,
-// and averaging a handful of raw runs puts scheduler noise straight into
-// the gated entries (same protocol as ablation_join).
-template <typename Fn>
-double TimeMinSample(Fn&& fn, double min_sample_sec) {
-  fn();  // warm-up
-  uint64_t iters = 1;
-  for (;;) {
-    Stopwatch w;
-    for (uint64_t i = 0; i < iters; ++i) fn();
-    double s = w.Seconds();
-    if (s >= min_sample_sec || iters >= (1u << 20)) {
-      return s / static_cast<double>(iters);
-    }
-    iters *= 4;
-  }
-}
-
-double Median3(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  return v[v.size() / 2];
-}
-
 struct LatencyStats {
   double avg_ms = 0;
   double max_ms = 0;

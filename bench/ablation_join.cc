@@ -1,42 +1,27 @@
 // Ablation A5: candidate enumeration inside the multiway pipelined join
-// (Alg 5.4) — four configurations per query:
-//  - per_bit: the legacy path (every set bit of one candidate row recurses
-//    and is Test-probed by sibling TPs one level down);
-//  - intersect_scalar: the word-parallel intersected path (candidate row ∧
-//    the folds/bound rows of the unvisited absolute-master TPs sharing the
-//    variable, before any recursion; DESIGN.md §6) pinned to the scalar
-//    kernel table — the configuration of the pre-SIMD engine, the baseline
-//    the block acceptance criterion compares against;
-//  - intersect: the same path on the dispatched (SIMD) kernels;
-//  - block: block-at-a-time enumeration (DESIGN.md §8) on the dispatched
-//    kernels — surviving candidates extracted into a position block,
-//    binding setup hoisted out of the per-bit path, slave expansions
-//    memoized.
-// All paths emit the identical row stream — the join-equivalence suite
-// proves it — so the timing difference is pure enumeration cost.
+// (Alg 5.4). The join filters every free-dimension candidate set
+// word-parallel against the folds and bound rows of the unvisited
+// absolute-master TPs sharing the variable before recursing (DESIGN.md
+// §6). Two configurations per query:
+//  - intersect: that path on the dispatched (SIMD) kernels;
+//  - intersect_scalar: the same path pinned to the scalar kernel table.
+// Both emit the identical row stream — the join-equivalence suite proves
+// it — so the timing difference is pure kernel cost.
 //
 // Two timing levels per LUBM query (cyclic + OPTIONAL shapes):
 //  - join-only: states loaded (and optionally pruned) once, then
 //    MultiwayJoin::Run timed in isolation. The "pruned" variant shows the
 //    steady-state engine path; the "unpruned" variant shows the raw
-//    branching-factor reduction on multi-constraint jvars (prune_triples
-//    off, the candidate sets the intersection actually shrinks).
-//  - end-to-end: Engine::Execute with default options, per configuration.
+//    candidate sets on multi-constraint jvars (prune_triples off, the sets
+//    the intersection actually shrinks).
+//  - end-to-end: Engine::Execute with default options.
 //
 // With LBR_BENCH_JSON=<path> (or argv[1]) the results are written as a
-// google-benchmark-style JSON document for the CI perf trajectory. Two
-// aggregates, both over the multi-constraint master-web queries' join-only
-// unpruned pairs (every TP an absolute master, so every enumerated jvar is
-// multi-constraint — the slice the enumeration work targets): the legacy
-// intersect-over-per-bit geomean, and the acceptance-criterion geomean of
-// block+SIMD over intersect+scalar. LBR_JOIN_STATS=1 additionally prints
-// per-query enumeration telemetry.
+// google-benchmark-style JSON document for the CI perf trajectory.
+// LBR_JOIN_STATS=1 additionally prints per-query enumeration telemetry.
 
-#include <algorithm>
-#include <cmath>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -63,37 +48,10 @@ struct JoinTiming {
   std::string variant;  // "pruned", "unpruned", "e2e"
   bool cyclic = false;
   bool multi_constraint = false;  // some jvar shared by >=2 abs masters
-  bool master_web = false;        // every TP is an absolute master
   uint64_t rows = 0;
-  double per_bit_sec = 0;
-  double intersect_scalar_sec = 0;  // intersect mode, scalar kernels (PR-4)
+  double intersect_scalar_sec = 0;
   double intersect_sec = 0;
-  double block_sec = 0;
 };
-
-// Seconds per call: repeats `fn` with a geometrically growing iteration
-// count until one timed sample is long enough to trust the clock —
-// sub-millisecond queries would otherwise put scheduler noise straight
-// into the archived ratios (and the regression gate).
-template <typename Fn>
-double TimeMinSample(Fn&& fn, double min_sample_sec) {
-  fn();  // warm-up
-  uint64_t iters = 1;
-  for (;;) {
-    Stopwatch w;
-    for (uint64_t i = 0; i < iters; ++i) fn();
-    double s = w.Seconds();
-    if (s >= min_sample_sec || iters >= (1u << 20)) {
-      return s / static_cast<double>(iters);
-    }
-    iters *= 4;
-  }
-}
-
-inline double Median3(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  return v[v.size() / 2];
-}
 
 // Pipeline state up to the join, rebuilt per query/variant.
 struct JoinSetup {
@@ -105,7 +63,6 @@ struct JoinSetup {
   std::vector<int> stps;
   bool cyclic = false;
   bool multi_constraint = false;
-  bool master_web = false;
 
   JoinSetup(const TripleIndex& index, const Dictionary& dict,
             const std::string& sparql, bool prune)
@@ -140,10 +97,6 @@ struct JoinSetup {
         break;
       }
     }
-    master_web = true;
-    for (const TpState& st : states) {
-      if (!gosn.IsAbsoluteMaster(st.sn_id)) master_web = false;
-    }
     if (prune) {
       std::vector<uint64_t> cards;
       for (const TpState& st : states) cards.push_back(st.CurrentCount());
@@ -154,17 +107,16 @@ struct JoinSetup {
     for (size_t i = 0; i < states.size(); ++i) stps[i] = static_cast<int>(i);
   }
 
-  // Times MultiwayJoin::Run for one enumeration mode; the join object is
-  // kept across repetitions so transpose caches and fold memos are warm
-  // (the engine's steady state). Returns seconds per run; *rows gets the
-  // emission count (identical across modes — asserted by the caller).
-  double Time(JoinEnumMode mode, double min_sample_sec, uint64_t* rows,
+  // Times MultiwayJoin::Run; the join object is kept across repetitions so
+  // transpose caches and fold memos are warm (the engine's steady state).
+  // Returns seconds per run; *rows gets the emission count (identical on
+  // every kernel backend — asserted by the caller).
+  double Time(double min_sample_sec, uint64_t* rows,
               bool force_scalar = false) {
     if (force_scalar) {
       bitops::ForceKernelBackend(bitops::KernelBackend::kScalar);
     }
     MultiwayJoin::Options options;
-    options.enum_mode = mode;
     options.nullification = cyclic;
     options.filters = gosn.filters();
     MultiwayJoin join(gosn, ids, *dict_, &states, stps, options);
@@ -176,18 +128,11 @@ struct JoinSetup {
     double sec = TimeMinSample(run_once, min_sample_sec);
     if (force_scalar) bitops::ResetKernelBackend();
     *rows = n;
-    if (std::getenv("LBR_JOIN_STATS") != nullptr) {
-      if (mode == JoinEnumMode::kIntersect && !force_scalar) {
-        std::cerr << "  [stats] candidates=" << join.enum_candidates()
-                  << " pruned_static=" << join.enum_pruned_static()
-                  << " pruned_bound=" << join.enum_pruned_bound()
-                  << " emitted=" << n << "\n";
-      } else if (mode == JoinEnumMode::kBlock) {
-        std::cerr << "  [stats] blocks=" << join.enum_blocks()
-                  << " memo_hits=" << join.slave_memo_hits()
-                  << " memo_misses=" << join.slave_memo_misses()
-                  << " emitted=" << n << "\n";
-      }
+    if (!force_scalar && std::getenv("LBR_JOIN_STATS") != nullptr) {
+      std::cerr << "  [stats] candidates=" << join.enum_candidates()
+                << " pruned_static=" << join.enum_pruned_static()
+                << " pruned_bound=" << join.enum_pruned_bound()
+                << " emitted=" << n << "\n";
     }
     return sec;
   }
@@ -201,8 +146,8 @@ std::vector<JoinCase> Cases() {
   // absolute masters — the multi-constraint shape the intersection
   // targets. TRI is sparse (an advisor teaches a handful of courses);
   // PUBTRI and DEPTTRI join through the dense publication-author and
-  // department-membership predicates, where the per-bit path enumerates
-  // wide candidate rows that mostly roll back downstream.
+  // department-membership predicates, whose wide candidate rows mostly
+  // roll back downstream unless the intersection filters them first.
   cases.push_back(
       {"TRI",
        "PREFIX ub: <http://lubm/>\n"
@@ -258,9 +203,7 @@ std::vector<JoinCase> Cases() {
   return cases;
 }
 
-void WriteJson(const std::vector<JoinTiming>& rows, double geomean,
-               double block_geomean, int geomean_pairs,
-               const std::string& path) {
+void WriteJson(const std::vector<JoinTiming>& rows, const std::string& path) {
   std::ofstream out(path);
   if (!out) {
     std::cerr << "cannot write " << path << "\n";
@@ -271,33 +214,21 @@ void WriteJson(const std::vector<JoinTiming>& rows, double geomean,
       << ",\n  \"benchmarks\": [\n";
   bool first = true;
   for (const JoinTiming& r : rows) {
-    auto emit = [&](const std::string& mode, double sec) {
+    auto emit = [&](const std::string& config, double sec) {
       if (!first) out << ",\n";
       first = false;
       out << "    {\"name\": \"JoinEnum/" << r.id << "/" << r.variant << "/"
-          << mode << "\", \"run_type\": \"iteration\", \"real_time\": "
+          << config << "\", \"run_type\": \"iteration\", \"real_time\": "
           << ns(sec) << ", \"cpu_time\": " << ns(sec)
           << ", \"time_unit\": \"ns\", \"rows\": " << r.rows
           << ", \"cyclic\": " << (r.cyclic ? "true" : "false")
           << ", \"multi_constraint\": "
-          << (r.multi_constraint ? "true" : "false")
-          << ", \"master_web\": " << (r.master_web ? "true" : "false")
-          << "}";
+          << (r.multi_constraint ? "true" : "false") << "}";
     };
-    emit("per_bit", r.per_bit_sec);
     emit("intersect_scalar", r.intersect_scalar_sec);
     emit("intersect", r.intersect_sec);
-    emit("block", r.block_sec);
   }
-  out << ",\n    {\"name\": \"JoinEnum/geomean_speedup_intersect_over_"
-      << "per_bit\", \"run_type\": \"aggregate\", \"real_time\": " << geomean
-      << ", \"cpu_time\": " << geomean << ", \"time_unit\": \"x\", "
-      << "\"pairs\": " << geomean_pairs << "}";
-  out << ",\n    {\"name\": \"JoinEnum/geomean_speedup_block_simd_over_"
-      << "intersect_scalar\", \"run_type\": \"aggregate\", \"real_time\": "
-      << block_geomean << ", \"cpu_time\": " << block_geomean
-      << ", \"time_unit\": \"x\", \"pairs\": " << geomean_pairs << "}\n";
-  out << "  ]\n}\n";
+  out << "\n  ]\n}\n";
   std::cout << "join-enumeration JSON written to " << path << "\n";
 }
 
@@ -313,31 +244,45 @@ void Run(const char* json_path_arg) {
   TripleIndex index = TripleIndex::Build(graph);
   PrintDatasetHeader("LUBM-like (join-enumeration ablation)", graph);
 
-  std::vector<JoinTiming> results;
-
-  // Profiling hook: LBR_PROF=<query_id>:<block|intersect|scalar> runs ONE
-  // unpruned configuration in a tight loop for ~5 s and exits, so a -pg or
+  // Profiling hook: LBR_PROF=<query_id> runs that query's unpruned join on
+  // the dispatched kernels in a tight loop for ~5 s and exits, so a -pg or
   // perf-record build's profile covers exactly that configuration.
   if (const char* prof = std::getenv("LBR_PROF")) {
-    std::string spec(prof);
-    size_t colon = spec.find(':');
-    std::string qid = spec.substr(0, colon);
-    std::string mode = colon == std::string::npos ? "block"
-                                                  : spec.substr(colon + 1);
+    const std::string qid(prof);
     for (const JoinCase& c : Cases()) {
       if (c.id != qid) continue;
       JoinSetup setup(index, graph.dict(), c.sparql, /*prune=*/false);
       uint64_t rows = 0;
-      JoinEnumMode m = mode == "block" ? JoinEnumMode::kBlock
-                                       : JoinEnumMode::kIntersect;
-      setup.Time(m, 5.0, &rows, /*force_scalar=*/mode == "scalar");
-      std::cout << "prof " << qid << ":" << mode << " rows=" << rows << "\n";
+      setup.Time(5.0, &rows);
+      std::cout << "prof " << qid << " rows=" << rows << "\n";
       return;
     }
     std::cerr << "LBR_PROF: unknown query " << qid << "\n";
     std::exit(1);
   }
 
+  // Three interleaved samples per configuration, medians kept: scheduler
+  // drift on a shared box otherwise lands straight in the archived ratio.
+  // `time` runs one configuration and stores its row count.
+  auto measure = [](JoinTiming* t, auto&& time) {
+    uint64_t rows_scalar = 0, rows_simd = 0;
+    std::vector<double> scalar, simd;
+    for (int rep = 0; rep < 3; ++rep) {
+      scalar.push_back(time(&rows_scalar, /*force_scalar=*/true));
+      simd.push_back(time(&rows_simd, /*force_scalar=*/false));
+    }
+    if (rows_scalar != rows_simd) {
+      std::cerr << t->id << "/" << t->variant << ": kernel backends disagree ("
+                << rows_scalar << "/" << rows_simd
+                << " rows); ablation invalid\n";
+      std::exit(1);
+    }
+    t->rows = rows_simd;
+    t->intersect_scalar_sec = Median3(scalar);
+    t->intersect_sec = Median3(simd);
+  };
+
+  std::vector<JoinTiming> results;
   for (const JoinCase& c : Cases()) {
     for (bool prune : {true, false}) {
       JoinSetup setup(index, graph.dict(), c.sparql, prune);
@@ -346,130 +291,47 @@ void Run(const char* json_path_arg) {
       t.variant = prune ? "pruned" : "unpruned";
       t.cyclic = setup.cyclic;
       t.multi_constraint = setup.multi_constraint;
-      t.master_web = setup.master_web;
-      uint64_t rows_pb = 0, rows_is = 0, rows_ix = 0, rows_bl = 0;
-      // Three interleaved samples per configuration, medians kept:
-      // scheduler drift on a shared box otherwise lands straight in the
-      // archived ratio.
-      std::vector<double> pb, is, ix, bl;
-      for (int rep = 0; rep < 3; ++rep) {
-        pb.push_back(setup.Time(JoinEnumMode::kPerBit, min_sample, &rows_pb));
-        is.push_back(setup.Time(JoinEnumMode::kIntersect, min_sample,
-                                &rows_is, /*force_scalar=*/true));
-        ix.push_back(
-            setup.Time(JoinEnumMode::kIntersect, min_sample, &rows_ix));
-        bl.push_back(setup.Time(JoinEnumMode::kBlock, min_sample, &rows_bl));
-      }
-      t.per_bit_sec = Median3(pb);
-      t.intersect_scalar_sec = Median3(is);
-      t.intersect_sec = Median3(ix);
-      t.block_sec = Median3(bl);
-      if (rows_pb != rows_ix || rows_pb != rows_is || rows_pb != rows_bl) {
-        std::cerr << c.id << "/" << t.variant
-                  << ": enumeration configs disagree (" << rows_pb << "/"
-                  << rows_is << "/" << rows_ix << "/" << rows_bl
-                  << " rows); ablation invalid\n";
-        std::exit(1);
-      }
-      t.rows = rows_pb;
+      measure(&t, [&](uint64_t* rows, bool force_scalar) {
+        return setup.Time(min_sample, rows, force_scalar);
+      });
       results.push_back(t);
     }
 
-    // End-to-end with default engine options, per mode.
-    {
-      ParsedQuery parsed = Parser::Parse(c.sparql);
-      JoinTiming t;
-      t.id = c.id;
-      t.variant = "e2e";
-      uint64_t rows_pb = 0, rows_is = 0, rows_ix = 0, rows_bl = 0;
-      auto time_mode = [&](JoinEnumMode mode, uint64_t* rows,
-                           bool force_scalar = false) {
-        if (force_scalar) {
-          bitops::ForceKernelBackend(bitops::KernelBackend::kScalar);
-        }
-        EngineOptions options;
-        options.join_enum_mode = mode;
-        Engine engine(&index, &graph.dict(), options);
-        double sec = TimeMinSample(
-            [&] { *rows = engine.Execute(parsed, [](const RawRow&) {}); },
-            min_sample);
-        if (force_scalar) bitops::ResetKernelBackend();
-        return sec;
-      };
-      std::vector<double> pb, is, ix, bl;
-      for (int rep = 0; rep < 3; ++rep) {
-        pb.push_back(time_mode(JoinEnumMode::kPerBit, &rows_pb));
-        is.push_back(time_mode(JoinEnumMode::kIntersect, &rows_is,
-                               /*force_scalar=*/true));
-        ix.push_back(time_mode(JoinEnumMode::kIntersect, &rows_ix));
-        bl.push_back(time_mode(JoinEnumMode::kBlock, &rows_bl));
+    // End-to-end with default engine options.
+    ParsedQuery parsed = Parser::Parse(c.sparql);
+    JoinTiming t = results.back();
+    t.variant = "e2e";
+    measure(&t, [&](uint64_t* rows, bool force_scalar) {
+      if (force_scalar) {
+        bitops::ForceKernelBackend(bitops::KernelBackend::kScalar);
       }
-      t.per_bit_sec = Median3(pb);
-      t.intersect_scalar_sec = Median3(is);
-      t.intersect_sec = Median3(ix);
-      t.block_sec = Median3(bl);
-      if (rows_pb != rows_ix || rows_pb != rows_is || rows_pb != rows_bl) {
-        std::cerr << c.id << "/e2e: enumeration configs disagree; invalid\n";
-        std::exit(1);
-      }
-      t.rows = rows_pb;
-      t.cyclic = results.back().cyclic;
-      t.multi_constraint = results.back().multi_constraint;
-      t.master_web = results.back().master_web;
-      results.push_back(t);
-    }
+      Engine engine(&index, &graph.dict());
+      double sec = TimeMinSample(
+          [&] { *rows = engine.Execute(parsed, [](const RawRow&) {}); },
+          min_sample);
+      if (force_scalar) bitops::ResetKernelBackend();
+      return sec;
+    });
+    results.push_back(t);
   }
 
-  TablePrinter table({"query", "variant", "multi-constr", "rows", "per-bit",
-                      "ix-scalar", "intersect", "block", "blk-speedup"});
-  double log_speedup = 0, log_block_speedup = 0;
-  int pairs = 0;
+  TablePrinter table(
+      {"query", "variant", "multi-constr", "rows", "scalar", "dispatched"});
   for (const JoinTiming& r : results) {
-    double speedup = r.per_bit_sec / r.intersect_sec;
-    double block_speedup = r.intersect_scalar_sec / r.block_sec;
-    table.AddRow(
-        {r.id, r.variant, TablePrinter::YesNo(r.multi_constraint),
-         TablePrinter::Count(r.rows), TablePrinter::Seconds(r.per_bit_sec),
-         TablePrinter::Seconds(r.intersect_scalar_sec),
-         TablePrinter::Seconds(r.intersect_sec),
-         TablePrinter::Seconds(r.block_sec),
-         TablePrinter::Count(static_cast<uint64_t>(block_speedup * 100)) +
-             "%"});
-    // The acceptance-criterion aggregates: the multi-constraint master-web
-    // queries (every TP an absolute master, so every enumerated jvar is
-    // multi-constraint), join-only, on unpruned candidate sets — the
-    // branching factors the enumeration work exists to shrink. OPT queries
-    // stay in the table and the JSON for transparency, but their join time
-    // mixes in slave-group expansion that block mode only memoizes (a
-    // slave miss must surface as a NULL row, not be pruned), so they would
-    // measure slave expansion, not enumeration.
-    if (r.multi_constraint && r.master_web && r.variant == "unpruned") {
-      log_speedup += std::log(speedup);
-      log_block_speedup += std::log(block_speedup);
-      ++pairs;
-    }
+    table.AddRow({r.id, r.variant, TablePrinter::YesNo(r.multi_constraint),
+                  TablePrinter::Count(r.rows),
+                  TablePrinter::Seconds(r.intersect_scalar_sec),
+                  TablePrinter::Seconds(r.intersect_sec)});
   }
-  table.Print(
-      "Ablation A5: per-bit vs intersected vs block-SIMD join enumeration");
-  double geomean =
-      pairs > 0 ? std::exp(log_speedup / static_cast<double>(pairs)) : 1.0;
-  double block_geomean =
-      pairs > 0 ? std::exp(log_block_speedup / static_cast<double>(pairs))
-                : 1.0;
-  std::cout << "geomean intersect speedup over per-bit (multi-constraint "
-            << "master-web unpruned, " << pairs << " queries): " << geomean
-            << "x\n";
-  std::cout << "geomean block+" << bitops::ActiveKernelName()
-            << " speedup over intersect+scalar (same slice): "
-            << block_geomean << "x\n";
+  table.Print(std::string("Ablation A5: intersected join enumeration, scalar "
+                          "vs dispatched (") +
+              bitops::ActiveKernelName() + ") kernels");
 
   const char* env_path = std::getenv("LBR_BENCH_JSON");
   std::string json_path = json_path_arg != nullptr ? json_path_arg
                           : env_path != nullptr    ? env_path
                                                    : "";
-  if (!json_path.empty()) {
-    WriteJson(results, geomean, block_geomean, pairs, json_path);
-  }
+  if (!json_path.empty()) WriteJson(results, json_path);
 }
 
 }  // namespace

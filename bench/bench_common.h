@@ -8,7 +8,9 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <iostream>
 #include <sstream>
@@ -80,6 +82,32 @@ double TimeAvg(int runs, Fn&& fn) {
     total += w.Seconds();
   }
   return total / runs;
+}
+
+/// Seconds per call: repeats `fn` (after one warm-up call) with a
+/// geometrically growing iteration count until one timed sample lasts at
+/// least `min_sample_sec` — sub-millisecond queries would otherwise put
+/// scheduler noise straight into the archived ratios and the regression
+/// gate.
+template <typename Fn>
+double TimeMinSample(Fn&& fn, double min_sample_sec) {
+  fn();  // warm-up
+  uint64_t iters = 1;
+  for (;;) {
+    Stopwatch w;
+    for (uint64_t i = 0; i < iters; ++i) fn();
+    double s = w.Seconds();
+    if (s >= min_sample_sec || iters >= (1u << 20)) {
+      return s / static_cast<double>(iters);
+    }
+    iters *= 4;
+  }
+}
+
+/// Median of a small sample set (interleaved repetitions of one timing).
+inline double Median3(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
 }
 
 /// Runs one query on all three engines.

@@ -448,7 +448,6 @@ BranchPlan Engine::PlanBranch(const Algebra& branch,
   join_options.filters = rebound != nullptr && !rebound->filters.empty()
                              ? rebound->filters
                              : gosn.filters();
-  join_options.enum_mode = options_.join_enum_mode;
   MultiwayJoin join(gosn, ids, *dict_, &states, stps, join_options);
 
   // Collect FULL rows (every branch variable) so that phantom-row cleanup

@@ -48,12 +48,6 @@ struct EngineOptions {
   /// across threads. The engine itself stays single-threaded — the pool
   /// only parallelizes the interior of fold/unfold ops (DESIGN.md §5).
   ThreadPool* pool = nullptr;
-  /// Candidate enumeration inside the multiway join: block-at-a-time
-  /// descent over the intersected candidates (default), word-parallel
-  /// intersection with per-candidate descent, or the legacy per-bit
-  /// probing. Results are identical; the knob exists for
-  /// bench/ablation_join (DESIGN.md §6, §8).
-  JoinEnumMode join_enum_mode = JoinEnumMode::kBlock;
   /// Cardinality source for jvar ordering and TP load order (DESIGN.md
   /// §10). kHeuristic is the paper's per-query exact metadata estimation;
   /// kCost plans from the load-time PredicateStats table (O(1) per TP) and

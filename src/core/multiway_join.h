@@ -4,7 +4,6 @@
 #include <array>
 #include <functional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "bitmat/bitmat.h"
@@ -51,11 +50,6 @@ class MultiwayJoin {
     bool nullification = false;
     /// Scoped filters to apply FaN-style (innermost first).
     std::vector<ScopedFilter> filters;
-    /// Candidate enumeration strategy (ablation knob; results identical).
-    JoinEnumMode enum_mode = JoinEnumMode::kBlock;
-    /// Distinct columns of one TP extracted lazily before the transpose
-    /// cache falls forward to a full BitMat::Transposed() materialization.
-    uint32_t lazy_transpose_threshold = 64;
   };
 
   /// The join keeps its own per-emit scratch buffers (below), so
@@ -88,21 +82,12 @@ class MultiwayJoin {
   uint64_t transpose_cols_built() const { return transpose_cols_built_; }
   uint64_t transpose_full_builds() const { return transpose_full_builds_; }
 
-  /// Enumeration telemetry (cumulative over Runs, intersect/block modes):
-  /// candidates entering the constrained enumerations, and how many the
-  /// static fold masks / bound-master rows eliminated before recursion.
+  /// Enumeration telemetry (cumulative over Runs): candidates entering
+  /// the constrained enumerations, and how many the static fold masks /
+  /// bound-master rows eliminated before recursion.
   uint64_t enum_candidates() const { return enum_candidates_; }
   uint64_t enum_pruned_static() const { return enum_pruned_static_; }
   uint64_t enum_pruned_bound() const { return enum_pruned_bound_; }
-
-  /// Block-mode telemetry (cumulative over Runs): master blocks iterated,
-  /// and slave-expansion memo hits/misses (DESIGN.md §8).
-  uint64_t enum_blocks() const { return enum_blocks_; }
-  uint64_t slave_memo_hits() const { return slave_memo_hits_; }
-  uint64_t slave_memo_misses() const { return slave_memo_misses_; }
-  /// Child probes elided because the parent block's bound checks already
-  /// proved the exact bit (block mode only).
-  uint64_t probe_elisions() const { return probe_elisions_; }
 
  private:
   struct Entry {
@@ -122,8 +107,8 @@ class MultiwayJoin {
   struct StaticMask {
     bool built = false;
     /// Run sequence number of the last source-version validation: BitMats
-    /// never mutate mid-Run, so one check per Run covers every consult —
-    /// block descent otherwise re-validates once per block.
+    /// never mutate mid-Run, so one check per Run covers every consult
+    /// (otherwise every Recurse node would re-walk the source list).
     uint64_t validated_run = 0;
     bool restricted = false;  ///< At least one master constrains the var.
     /// Mask too dense to pay for itself: most of the domain survives, so
@@ -133,12 +118,6 @@ class MultiwayJoin {
     Bitvector mask;
     /// (tp_id, version at build time) of every folded contributor.
     std::vector<std::pair<int, uint64_t>> sources;
-    /// Single-variable contributors (tp_id < 64) whose fold was ANDed in.
-    /// A unit TP's fold over its variable dimension is exactly its bit
-    /// content at column 0 — the bit its fully-bound probe tests — so a
-    /// candidate passing this mask is a guaranteed probe hit for them and
-    /// they qualify for probe elision (see VisitBlock).
-    uint64_t unit_verified = 0;
   };
 
   /// One absolute-master TP constraining a variable, precomputed in the
@@ -154,7 +133,7 @@ class MultiwayJoin {
 
   /// Lazily built transpose of one TP's BitMat: only the columns the join
   /// actually visits are extracted (as shared row handles); past
-  /// `lazy_transpose_threshold` distinct columns the cache falls forward
+  /// kLazyTransposeThreshold distinct columns the cache falls forward
   /// to a full Transposed() matrix. Version-stamped like the fold memo —
   /// a mutation of the source BitMat between Runs orphans the entry.
   struct TransposeCache {
@@ -163,19 +142,11 @@ class MultiwayJoin {
     bool full = false;
     BitMat full_mat;  // when `full`
     /// Extracted columns, sorted by column index; at most
-    /// lazy_transpose_threshold entries ever exist (then the cache falls
+    /// kLazyTransposeThreshold entries ever exist (then the cache falls
     /// forward), so the structure stays O(visited columns), never
     /// O(num_cols). A present entry with a null handle is an extracted
     /// empty column.
     std::vector<std::pair<uint32_t, BitMat::RowHandle>> cols;
-  };
-
-  /// One (row_value, col_value) match of a TP's enumeration — the values
-  /// VisitWith would bind. Blocks and slave-memo entries are sequences of
-  /// these, in enumeration order.
-  struct BindingPair {
-    uint64_t row;
-    uint64_t col;
   };
 
   void Recurse(size_t visited_count);
@@ -183,14 +154,12 @@ class MultiwayJoin {
 
   /// The TP Recurse would descend on next: the first non-visited TP (in
   /// stps order) with at least one bound variable (Alg 5.4 lines 6-11).
-  /// Depends only on visited_ flags and binding *presence* — both invariant
-  /// across a block's iterations once its placeholder entries are pushed —
-  /// so block descent computes it once per block, not once per candidate.
   int ChooseNextTp() const;
 
   /// The Recurse body below the TP selection: enumerates `chosen`'s
-  /// matches under the current bindings and descends (per-pair, block, or
-  /// memoized-replay depending on mode and master/slave role).
+  /// matches under the current bindings and descends once per match; with
+  /// no match, an absolute master rolls the branch back and a slave binds
+  /// NULL (Alg 5.4 lines 27-28).
   void RecurseOn(int chosen, size_t visited_count);
 
   /// Enumerates every (row_value, col_value) match of `chosen` under the
@@ -204,34 +173,6 @@ class MultiwayJoin {
   void VisitWith(const TpState& tp, uint64_t row_value, uint64_t col_value,
                  size_t visited_count);
   void VisitNull(const TpState& tp, size_t visited_count);
-
-  /// Block-mode fast path for a TP whose variable dimensions are all bound:
-  /// at most one (row, col) pair can match, so the probe is a couple of
-  /// local-id translations and one bit test — the generic EnumerateMatches
-  /// frame (constraint resolution closures, candidate accounting, block
-  /// buffering) costs more than the probe itself. Emits the identical
-  /// match (or miss) the generic path would. Returns whether it matched;
-  /// the caller handles rollback/NULL. `re`/`ce` are the FirstEntry
-  /// bindings of the row/col variables (ce unused when cv < 0 or diagonal).
-  bool ProbeBoundAndVisit(const TpState& tp, int rv, int cv, const Entry* re,
-                          const Entry* ce, size_t visited_count);
-
-  /// Block descent (DESIGN.md §8): pushes `tp`'s entries once, resolves the
-  /// child TP once, then iterates the block in a tight loop rewriting the
-  /// entry values in place. Emission order is identical to per-pair
-  /// VisitWith calls. `block` must be non-empty. `verified_masters` is the
-  /// bit set of master TPs whose bound checks were applied to every pair of
-  /// this block during enumeration: if the child TP is among them and ends
-  /// up fully bound, its probe is guaranteed to hit (the check tested the
-  /// exact bit the probe would), so the loop binds the child's entries in
-  /// place and descends two levels per iteration with no probe at all.
-  void VisitBlock(const TpState& tp, const std::vector<BindingPair>& block,
-                  size_t visited_count, uint64_t verified_masters);
-
-  /// Replays a recorded slave expansion per-bit: VisitWith per pair, or
-  /// VisitNull when the expansion is empty (the NULL-row contract).
-  void ReplayPairs(const TpState& tp, const std::vector<BindingPair>& pairs,
-                   size_t visited_count);
 
   // First entry (master-most binding) for a variable; nullptr if no entry.
   const Entry* FirstEntry(int var) const;
@@ -270,7 +211,7 @@ class MultiwayJoin {
                          std::array<BoundCheck, kMaxBoundChecks>* out);
 
   /// True iff candidate `p` passes every prepared check — the exact Tests
-  /// the per-bit path would pay one recursion level down.
+  /// the candidate's probe would pay one recursion level down.
   bool PassesBoundChecks(const std::array<BoundCheck, kMaxBoundChecks>& checks,
                          int n, uint32_t p) const;
 
@@ -291,52 +232,6 @@ class MultiwayJoin {
                          const std::array<BoundCheck, kMaxBoundChecks>& checks,
                          int nchecks, Visit&& visit);
 
-  /// Per-block template for a child TP with exactly one free variable
-  /// dimension (DESIGN.md §8): everything about the child's enumeration
-  /// that cannot change across the parent block's iterations — the static
-  /// fold mask (one version check instead of one per pair), the
-  /// bound-check list structure, and the fully-resolved ancestor-bound
-  /// checks — is resolved once. Per pair only the pair-sourced values are
-  /// re-translated (one ToLocal for the bound dimension, one per
-  /// pair-dependent check). The child must be an absolute master: a miss
-  /// is a rollback of that pair, never a NULL row, so no slave bookkeeping
-  /// applies.
-  struct PreparedChildEnum {
-    int child = -1;
-    /// No pair can match: an ancestor-bound side or check is NULL,
-    /// unmappable, or empty — PrepareBoundChecks would return -1 (or
-    /// resolve() kImpossible) for every pair, and the child being an
-    /// absolute master, every pair rolls back.
-    bool impossible = false;
-    int bsrc = 2;  ///< Bound-dim source: 0 = pair.row, 1 = pair.col, 2 fixed.
-    Dim bound_dim = Dim::kRow;
-    DomainKind bound_kind = DomainKind::kSubject;
-    uint32_t bound_local = 0;  ///< When bsrc == 2.
-    Dim free_dim = Dim::kCol;
-    uint32_t free_size = 0;
-    const Bitvector* sm = nullptr;
-    /// Verified-master bits for the grandchild fusion: every check below
-    /// plus the mask's unit contributors (applied to every emitted pair).
-    uint64_t verified = 0;
-    int nchecks = 0;
-    std::array<BoundCheck, kMaxBoundChecks> bcs;
-    /// Per-check refresh info: src 0/1 re-resolves bound from the pair
-    /// (bcs[i].bound/.row rewritten), src 2 is final.
-    struct Src {
-      int src = 2;
-      DomainKind other_kind = DomainKind::kSubject;
-      Dim vdim = Dim::kRow;
-    };
-    std::array<Src, kMaxBoundChecks> srcs;
-  };
-
-  /// Builds the per-block template for `child` seen from a parent block
-  /// binding `parent_rv`/`parent_cv`. Returns false when the child's shape
-  /// is not the one-free-dimension absolute-master case (caller falls back
-  /// to per-pair RecurseOn).
-  bool PrepareChildEnum(int child, int parent_rv, int parent_cv,
-                        PreparedChildEnum* out);
-
   const Gosn& gosn_;
   GlobalIds ids_;
   const Dictionary& dict_;
@@ -356,56 +251,6 @@ class MultiwayJoin {
   std::vector<bool> visited_;
   std::vector<TransposeCache> transpose_cache_;  // per TP
 
-  /// Per-recursion-depth block buffers, reused across calls (cleared, never
-  /// shrunk) — the block path allocates nothing in steady state. Depth
-  /// indexes them, so nested descents never clobber an outer block.
-  std::vector<std::vector<BindingPair>> pair_blocks_;
-
-  /// Slave-expansion memo (block mode, DESIGN.md §8). Key: the FirstEntry
-  /// values (kFreeBinding when unbound) of the TP's influencer variables —
-  /// its own row/col vars plus the other-dimension vars of every absolute
-  /// master constraining them; those values fully determine the TP's
-  /// expansion within one Run (BitMats never mutate mid-Run). A master's
-  /// other-var is consulted only while the var it constrains is free
-  /// (bound dimensions are looked up, not filtered), so guarded entries
-  /// collapse to a placeholder once their guard is bound — without this
-  /// the key would split on bindings that cannot change the expansion.
-  /// Cleared at every Run start, so no version stamps are needed.
-  static constexpr uint64_t kFreeBinding = ~uint64_t{0} - 1;
-  static constexpr size_t kSlaveMemoMaxKeys = size_t{1} << 16;
-  static constexpr size_t kSlaveMemoMaxPairs = size_t{1} << 15;
-  struct MemoKeyHash {
-    size_t operator()(const std::vector<uint64_t>& key) const {
-      uint64_t h = 0x9e3779b97f4a7c15ull;
-      for (uint64_t v : key) {
-        h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-      }
-      return static_cast<size_t>(h);
-    }
-  };
-  using SlaveMemo = std::unordered_map<std::vector<uint64_t>,
-                                       std::vector<BindingPair>, MemoKeyHash>;
-  struct MemoVar {
-    int var;    ///< variable whose binding feeds the slave-memo key
-    int guard;  ///< include the value only while this var is free (-1: always)
-  };
-  /// Memoization only pays when binding signatures recur; a slave whose
-  /// keys are all distinct pays key-build + hash + expansion copy per miss
-  /// for nothing. Each TP gets a probation window: once it has accumulated
-  /// kSlaveMemoProbationMisses misses with fewer than misses/8 hits, its
-  /// memo is dropped for the rest of the Run and the TP streams per-pair.
-  static constexpr uint32_t kSlaveMemoProbationMisses = 64;
-  struct SlaveMemoState {
-    SlaveMemo map;
-    uint32_t hits = 0;
-    uint32_t misses = 0;
-    bool disabled = false;
-  };
-  std::vector<std::vector<MemoVar>> memo_vars_;  // per TP: influencer vars
-  std::vector<SlaveMemoState> slave_memo_;       // per TP
-  // Key scratch is a plain member: the key is consumed (find / moved into
-  // the map) before any recursion happens, so nesting cannot clobber it.
-  std::vector<uint64_t> memo_key_scratch_;
   // Per TP: the static fold masks of its row (index 0) and column (1)
   // dimensions, built lazily and version-stamped against their
   // contributors (the join never mutates BitMats mid-Run).
@@ -415,16 +260,8 @@ class MultiwayJoin {
   uint64_t enum_candidates_ = 0;
   uint64_t enum_pruned_static_ = 0;
   uint64_t enum_pruned_bound_ = 0;
-  uint64_t enum_blocks_ = 0;
-  uint64_t slave_memo_hits_ = 0;
-  uint64_t slave_memo_misses_ = 0;
-  uint64_t probe_elisions_ = 0;
   /// Monotonic Run() counter feeding StaticMask::validated_run.
   uint64_t run_seq_ = 0;
-  /// Set by EnumerateMatches: bit per master TP (tp_id < 64) whose bound
-  /// check was applied to every emitted pair of that enumeration. Scratch —
-  /// callers snapshot it before recursing (deeper enumerations overwrite).
-  uint64_t enum_verified_masters_ = 0;
 
   Sink sink_;
   ExecContext* ctx_ = nullptr;  // valid during Run

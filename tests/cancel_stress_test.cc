@@ -1,6 +1,6 @@
 // Cancellation stress (DESIGN.md §9): a second thread flips the cancel
-// latch at staggered delays while a query runs, across every join
-// enumeration mode, and in rapid fire on a thread pool. Each run must either
+// latch at staggered delays while a query runs, and in rapid fire on a
+// thread pool. Each run must either
 // finish cleanly with the full answer or abort kCancelled with ZERO rows
 // delivered to the sink (all-or-nothing: the sink only fires after the
 // last branch completes), and the engine must stay fully usable after an
@@ -66,11 +66,8 @@ TripleIndex* CancelStressTest::index_ = nullptr;
 std::vector<std::string>* CancelStressTest::expected_ = nullptr;
 
 void StressOneConfig(const TripleIndex* index, const Dictionary* dict,
-                     const std::vector<std::string>& expected,
-                     JoinEnumMode enum_mode) {
-  EngineOptions options;
-  options.join_enum_mode = enum_mode;
-  Engine engine(index, dict, options);
+                     const std::vector<std::string>& expected) {
+  Engine engine(index, dict);
   ParsedQuery query = Parser::Parse(kTriangleQuery);
 
   // Staggered delays target different phases: 0 hits the entry check,
@@ -114,12 +111,8 @@ void StressOneConfig(const TripleIndex* index, const Dictionary* dict,
   EXPECT_EQ(Canonicalize(after), expected);
 }
 
-TEST_F(CancelStressTest, AllEnumModesSerialSched) {
-  for (JoinEnumMode mode : {JoinEnumMode::kBlock, JoinEnumMode::kIntersect,
-                            JoinEnumMode::kPerBit}) {
-    SCOPED_TRACE(static_cast<int>(mode));
-    StressOneConfig(index_, &graph_->dict(), *expected_, mode);
-  }
+TEST_F(CancelStressTest, StaggeredCancellationIsAllOrNothing) {
+  StressOneConfig(index_, &graph_->dict(), *expected_);
 }
 
 // Hammer one configuration with rapid-fire cancellations to chase latch /

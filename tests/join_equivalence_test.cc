@@ -1,16 +1,18 @@
-// Join-equivalence suite for the candidate enumeration modes (DESIGN.md
-// §6, §8): the intersect and block-at-a-time modes of the multiway join
-// must emit the *exact ordered row stream* of the legacy per-bit mode —
-// intersection only removes candidates whose subtree rolls back, and block
-// descent only reorders *work*, never emissions — on every kernel backend
-// (scalar, sse4.2, avx2) the build and CPU can run. All modes must produce
-// the reference evaluator's row multiset end to end. Shapes covered:
-// cyclic master triangles (multi-constraint jvars), multi-jvar slaves
-// (nullification + best-match), FaN-filtered queries, and a random
-// well-designed sweep.
+// Join-equivalence suite for the multiway join's candidate enumeration
+// (DESIGN.md §6): the *exact ordered row stream* the join emits on the
+// scalar kernels is the reference, and every SIMD backend the build and
+// CPU can run (sse4.2, avx2) must reproduce it bit for bit, with pruning on
+// and off. End to end, the engine must produce the reference evaluator's
+// row multiset with pruning on and off — the unpruned run feeds the join
+// the large candidate sets the intersection filters hardest. Shapes
+// covered: cyclic master triangles (multi-constraint jvars), multi-jvar
+// slaves (nullification + best-match), FaN-filtered queries, the lazy
+// transpose cache's fall-forward boundary, and a random well-designed
+// sweep.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <utility>
 #include <vector>
@@ -40,13 +42,13 @@ using testing::T;
 // MultiwayJoin::Run emission.
 using Emission = std::pair<RawRow, bool>;
 
-// Runs the pipeline up to the multiway join with the given enumeration
-// mode and returns the ordered emission stream (no dedup, no best-match):
-// the strictest equivalence level, pinning enumeration order itself.
+// Runs the pipeline up to the multiway join and returns the ordered
+// emission stream (no dedup, no best-match): the strictest equivalence
+// level, pinning enumeration order itself. `full_transposes`, when given,
+// receives the join's count of full transpose materializations.
 std::vector<Emission> RunJoin(const Graph& graph, const std::string& group,
-                              JoinEnumMode mode, bool prune,
-                              bool nullification, bool use_filters,
-                              uint32_t lazy_transpose_threshold = 64) {
+                              bool prune, bool nullification, bool use_filters,
+                              uint64_t* full_transposes = nullptr) {
   TripleIndex index = TripleIndex::Build(graph);
   Gosn gosn = Gosn::Build(*Parser::ParseGroup(group, {}));
   Goj goj = Goj::Build(gosn.tps());
@@ -68,9 +70,7 @@ std::vector<Emission> RunJoin(const Graph& graph, const std::string& group,
   std::vector<int> stps(states.size());
   for (size_t i = 0; i < states.size(); ++i) stps[i] = static_cast<int>(i);
   MultiwayJoin::Options options;
-  options.enum_mode = mode;
   options.nullification = nullification;
-  options.lazy_transpose_threshold = lazy_transpose_threshold;
   if (use_filters) options.filters = gosn.filters();
   GlobalIds ids = GlobalIds::FromDictionary(graph.dict());
   MultiwayJoin join(gosn, ids, graph.dict(), &states, stps,
@@ -80,6 +80,9 @@ std::vector<Emission> RunJoin(const Graph& graph, const std::string& group,
   join.Run(
       [&out](const RawRow& row, bool nulled) { out.emplace_back(row, nulled); },
       &ctx);
+  if (full_transposes != nullptr) {
+    *full_transposes = join.transpose_full_builds();
+  }
   return out;
 }
 
@@ -94,60 +97,44 @@ std::vector<bitops::KernelBackend> AvailableBackends() {
   return backends;
 }
 
-// Asserts ordered emission equality across the full JoinEnumMode × kernel
-// backend matrix, for pruning on and off (off exercises nullification
-// paths and much larger candidate sets). Per-bit with the scalar backend
-// is the reference stream; intersect and block modes on every backend must
-// reproduce it bit-identically (DESIGN.md §8).
+// Asserts ordered emission equality across the kernel backends, for
+// pruning on and off (off exercises nullification paths and much larger
+// candidate sets). The scalar backend's stream is the reference; every
+// SIMD backend must reproduce it bit-identically (DESIGN.md §6, §8).
 void ExpectJoinStreamsIdentical(const Graph& graph, const std::string& group,
                                 bool nullification, bool use_filters) {
   for (bool prune : {true, false}) {
     ASSERT_TRUE(bitops::ForceKernelBackend(bitops::KernelBackend::kScalar));
     std::vector<Emission> reference =
-        RunJoin(graph, group, JoinEnumMode::kPerBit, prune, nullification,
-                use_filters);
+        RunJoin(graph, group, prune, nullification, use_filters);
     for (bitops::KernelBackend backend : AvailableBackends()) {
+      if (backend == bitops::KernelBackend::kScalar) continue;
       ASSERT_TRUE(bitops::ForceKernelBackend(backend));
-      for (JoinEnumMode mode : {JoinEnumMode::kPerBit, JoinEnumMode::kIntersect,
-                                JoinEnumMode::kBlock}) {
-        std::vector<Emission> got =
-            RunJoin(graph, group, mode, prune, nullification, use_filters);
-        EXPECT_EQ(reference, got)
-            << group << " (prune=" << prune
-            << ", mode=" << static_cast<int>(mode)
-            << ", backend=" << bitops::KernelsFor(backend)->name << ")";
-      }
+      std::vector<Emission> got =
+          RunJoin(graph, group, prune, nullification, use_filters);
+      EXPECT_EQ(reference, got)
+          << group << " (prune=" << prune
+          << ", backend=" << bitops::KernelsFor(backend)->name << ")";
     }
     bitops::ResetKernelBackend();
   }
 }
 
-// Full-engine multiset equivalence: both modes against each other (ordered)
-// and against the reference evaluator (bag).
+// Full-engine bag equivalence against the reference evaluator, with
+// prune_triples on and off.
 void ExpectEngineMatchesReference(const Graph& graph,
                                   const std::string& sparql) {
   TripleIndex index = TripleIndex::Build(graph);
   ParsedQuery parsed = Parser::Parse(sparql);
-
-  auto run_mode = [&](JoinEnumMode mode) {
-    EngineOptions options;
-    options.join_enum_mode = mode;
-    Engine engine(&index, &graph.dict(), options);
-    return engine.ExecuteToTable(parsed);
-  };
-  ResultTable per_bit = run_mode(JoinEnumMode::kPerBit);
-  ResultTable intersected = run_mode(JoinEnumMode::kIntersect);
-  ResultTable block = run_mode(JoinEnumMode::kBlock);
-  // The engine's output order is deterministic; all modes must agree
-  // row for row, not merely as a bag.
-  ASSERT_EQ(per_bit.rows.size(), intersected.rows.size()) << sparql;
-  ASSERT_EQ(per_bit.rows.size(), block.rows.size()) << sparql;
-  EXPECT_EQ(Canonicalize(per_bit), Canonicalize(intersected)) << sparql;
-  EXPECT_EQ(Canonicalize(per_bit), Canonicalize(block)) << sparql;
-
   ReferenceEvaluator reference(&graph);
-  EXPECT_EQ(Canonicalize(block), Canonicalize(reference.Execute(parsed)))
-      << sparql;
+  std::vector<std::string> expected = Canonicalize(reference.Execute(parsed));
+  for (bool prune : {true, false}) {
+    EngineOptions options;
+    options.enable_prune = prune;
+    Engine engine(&index, &graph.dict(), options);
+    EXPECT_EQ(Canonicalize(engine.ExecuteToTable(parsed)), expected)
+        << sparql << " (prune=" << prune << ")";
+  }
 }
 
 // A cyclic all-master triangle with shared endpoints — every enumeration
@@ -214,72 +201,57 @@ TEST(JoinEquivalenceTest, SitcomPaperExample) {
                              /*nullification=*/true, /*use_filters=*/false);
 }
 
-TEST(JoinEquivalenceTest, LazyTransposeThresholdsAgree) {
-  // Column-keyed enumeration through the lazy per-column cache must be
-  // identical whether every column is extracted lazily (huge threshold) or
-  // the cache falls forward to a full transpose immediately (threshold 0).
-  Graph g = TriangleGraph();
-  const std::string group = "{ ?x <p> ?y . ?y <q> ?z . ?z <r> ?x . }";
-  std::vector<Emission> lazy =
-      RunJoin(g, group, JoinEnumMode::kIntersect, /*prune=*/false,
-              /*nullification=*/false, /*use_filters=*/false,
-              /*lazy_transpose_threshold=*/~0u);
-  std::vector<Emission> eager =
-      RunJoin(g, group, JoinEnumMode::kIntersect, /*prune=*/false,
-              /*nullification=*/false, /*use_filters=*/false,
-              /*lazy_transpose_threshold=*/0);
-  EXPECT_EQ(lazy, eager);
+TEST(JoinEquivalenceTest, LazyTransposeFallForwardRowsExact) {
+  // Seventy ?y columns are looked up through the lazy transpose cache of
+  // ?w <q> ?y: the first 64 are extracted one by one, the rest are served
+  // by the full transpose the cache falls forward to. Every one of the 70
+  // expected rows must come out exactly once, on both sides of the switch.
+  std::vector<std::vector<std::string>> triples;
+  std::vector<std::string> expected;
+  for (int i = 0; i < 70; ++i) {
+    std::string n = std::to_string(i);
+    triples.push_back({"a", "p", "y" + n});
+    triples.push_back({"w" + n, "q", "y" + n});
+    expected.push_back("a w" + n + " y" + n);  // columns ?s ?w ?y
+  }
+  std::sort(expected.begin(), expected.end());
+  Graph g = MakeGraph(triples);
+  GlobalIds ids = GlobalIds::FromDictionary(g.dict());
+  const std::string group = "{ ?s <p> ?y . ?w <q> ?y . }";
+  for (bool prune : {true, false}) {
+    uint64_t full_transposes = 0;
+    std::vector<Emission> emitted =
+        RunJoin(g, group, prune, /*nullification=*/false,
+                /*use_filters=*/false, &full_transposes);
+    EXPECT_EQ(full_transposes, 1u) << "prune=" << prune;
+    std::vector<std::string> got;
+    for (const auto& [row, nulled] : emitted) {
+      EXPECT_FALSE(nulled);
+      std::string line;
+      for (uint64_t v : row) {
+        if (!line.empty()) line += ' ';
+        line += ids.Decode(g.dict(), v).value;
+      }
+      got.push_back(line);
+    }
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, expected) << "prune=" << prune;
+  }
 }
 
 TEST(JoinEquivalenceTest, PredicateObjectMixedVarDoesNotDiverge) {
   // ?p joins a predicate position with an object position — a shape the
   // engine rejects up front (ValidateVarPositions) but MultiwayJoin can be
-  // handed directly. The intersected mode must skip the unalignable
-  // cross-domain constraint and emit the per-bit stream, not throw.
+  // handed directly. The intersection must skip the unalignable
+  // cross-domain constraint instead of throwing; no triple binds ?p on
+  // both sides, so the stream is empty.
   Graph g = MakeGraph({{"a", "p", "b"}, {"c", "q", "p"}});
   const std::string group = "{ <a> ?p <b> . <c> ?x ?p . }";
-  std::vector<Emission> per_bit =
-      RunJoin(g, group, JoinEnumMode::kPerBit, /*prune=*/false,
-              /*nullification=*/false, /*use_filters=*/false);
-  std::vector<Emission> intersected =
-      RunJoin(g, group, JoinEnumMode::kIntersect, /*prune=*/false,
-              /*nullification=*/false, /*use_filters=*/false);
-  EXPECT_EQ(per_bit, intersected);
-}
-
-TEST(JoinEquivalenceTest, BlockModeTelemetry) {
-  // Three master bindings share one ?y, so the slave subtree for ?y is
-  // expanded once and replayed from the memo twice; the master TP itself
-  // is enumerated as blocks.
-  Graph g = MakeGraph({
-      {"a", "p", "y"}, {"b", "p", "y"}, {"c", "p", "y"},
-      {"y", "q", "z1"}, {"y", "q", "z2"},
-  });
-  const std::string group = "{ ?x <p> ?y . OPTIONAL { ?y <q> ?z . } }";
-  TripleIndex index = TripleIndex::Build(g);
-  Gosn gosn = Gosn::Build(*Parser::ParseGroup(group, {}));
-  std::vector<TpState> states;
-  for (size_t i = 0; i < gosn.tps().size(); ++i) {
-    TpState st;
-    st.tp = gosn.tps()[i];
-    st.tp_id = static_cast<int>(i);
-    st.sn_id = gosn.SupernodeOf(st.tp_id);
-    st.mat = LoadTpBitMat(index, g.dict(), st.tp, true);
-    states.push_back(std::move(st));
-  }
-  std::vector<int> stps(states.size());
-  for (size_t i = 0; i < states.size(); ++i) stps[i] = static_cast<int>(i);
-  MultiwayJoin::Options options;
-  options.enum_mode = JoinEnumMode::kBlock;
-  GlobalIds ids = GlobalIds::FromDictionary(g.dict());
-  MultiwayJoin join(gosn, ids, g.dict(), &states, stps, std::move(options));
-  ExecContext ctx;
-  size_t rows = 0;
-  join.Run([&rows](const RawRow&, bool) { ++rows; }, &ctx);
-  EXPECT_EQ(rows, 6u);  // 3 masters × 2 slave matches
-  EXPECT_GT(join.enum_blocks(), 0u);
-  EXPECT_EQ(join.slave_memo_misses(), 1u);
-  EXPECT_EQ(join.slave_memo_hits(), 2u);
+  std::vector<Emission> emitted;
+  EXPECT_NO_THROW(emitted = RunJoin(g, group, /*prune=*/false,
+                                    /*nullification=*/false,
+                                    /*use_filters=*/false));
+  EXPECT_TRUE(emitted.empty());
 }
 
 // Random sweep: small dense graphs and generated well-designed queries

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "bitmat/triple_index.h"
 #include "core/jvar_order.h"
 #include "core/prune.h"
@@ -185,36 +187,43 @@ TEST(MultiwayJoinTest, ExistenceGuardTp) {
 TEST(MultiwayJoinTest, TransposeCacheInvalidatedOnSourceMutation) {
   // One join object across two Runs: a mutation of a source BitMat between
   // them must orphan the lazily built transposed columns (version stamp),
-  // not serve stale bits. Per-bit mode keeps the column-keyed lookup on the
-  // transpose path (intersection would already prune via the empty fold).
+  // not serve stale bits. ?y = b is looked up through the transposed
+  // column b of ?w <q> ?y; dropping row c keeps b in that TP's fold, so
+  // the candidate intersection still passes b and only the transpose
+  // cache's version check can tell that column b lost a bit.
   JoinFixture f(testing::MakeGraph({
                     {"a", "p", "b"},
                     {"c", "q", "b"},
+                    {"e", "q", "b"},
                     {"d", "q", "x"},
                 }),
                 "{ ?s <p> ?y . ?w <q> ?y . }");
   std::vector<int> stps = {0, 1};
   GlobalIds ids = GlobalIds::FromDictionary(f.graph.dict());
-  MultiwayJoin::Options options;
-  options.enum_mode = JoinEnumMode::kPerBit;
-  MultiwayJoin join(f.gosn, ids, f.graph.dict(), &f.states, stps, options);
-  EXPECT_EQ(join.Run([](const RawRow&, bool) {}), 1u);
+  MultiwayJoin join(f.gosn, ids, f.graph.dict(), &f.states, stps, {});
+  EXPECT_EQ(join.Run([](const RawRow&, bool) {}), 2u);
   EXPECT_GT(join.transpose_cols_built(), 0u);
   EXPECT_EQ(join.transpose_full_builds(), 0u);
 
-  // Drop every triple of the ?w <q> ?y TP; the rerun must see it.
-  BitMat& qbm = f.states[1].mat.bm;
-  Bitvector none(qbm.num_rows());
-  qbm.Unfold(none, Dim::kRow);
-  EXPECT_EQ(join.Run([](const RawRow&, bool) {}), 0u);
+  // Unfold away row c of the ?w <q> ?y TP; the rerun must see it.
+  TpBitMat& q = f.states[1].mat;
+  ASSERT_EQ(q.row_var, "w");
+  std::optional<uint32_t> c = ids.ToLocal(
+      q.row_kind, *f.graph.dict().SubjectId(Term::Iri("c")));
+  ASSERT_TRUE(c.has_value());
+  Bitvector keep(q.bm.num_rows(), /*value=*/true);
+  keep.Set(*c, false);
+  q.bm.Unfold(keep, Dim::kRow);
+  EXPECT_EQ(join.Run([](const RawRow&, bool) {}), 1u);
 }
 
 TEST(MultiwayJoinTest, LazyTransposeFallsForwardPastThreshold) {
-  // Six distinct ?y bindings force six transposed-column visits on the
-  // ?w <q> ?y TP; with a threshold of 2 the cache extracts two columns
-  // lazily and then falls forward to one full materialization.
+  // Seventy distinct ?y bindings force seventy transposed-column visits on
+  // the ?w <q> ?y TP: the cache extracts 64 columns lazily (its fixed
+  // threshold) and then falls forward to one full materialization, which
+  // serves the remaining visits.
   std::vector<std::vector<std::string>> triples;
-  for (int i = 0; i < 6; ++i) {
+  for (int i = 0; i < 70; ++i) {
     std::string y = "y" + std::to_string(i);
     triples.push_back({"a", "p", y});
     triples.push_back({"w" + std::to_string(i), "q", y});
@@ -222,12 +231,9 @@ TEST(MultiwayJoinTest, LazyTransposeFallsForwardPastThreshold) {
   JoinFixture f(testing::MakeGraph(triples), "{ ?s <p> ?y . ?w <q> ?y . }");
   std::vector<int> stps = {0, 1};
   GlobalIds ids = GlobalIds::FromDictionary(f.graph.dict());
-  MultiwayJoin::Options options;
-  options.enum_mode = JoinEnumMode::kPerBit;
-  options.lazy_transpose_threshold = 2;
-  MultiwayJoin join(f.gosn, ids, f.graph.dict(), &f.states, stps, options);
-  EXPECT_EQ(join.Run([](const RawRow&, bool) {}), 6u);
-  EXPECT_EQ(join.transpose_cols_built(), 2u);
+  MultiwayJoin join(f.gosn, ids, f.graph.dict(), &f.states, stps, {});
+  EXPECT_EQ(join.Run([](const RawRow&, bool) {}), 70u);
+  EXPECT_EQ(join.transpose_cols_built(), 64u);
   EXPECT_EQ(join.transpose_full_builds(), 1u);
 }
 
