@@ -1,16 +1,7 @@
-// Ablation A4: the parallel execution layer. Two sweeps over 1/2/4/8
-// threads:
-//
-//  1. Prune+fold: PruneTriples (Alg 3.2) on the LUBM
-//     advisor/teacherOf/takesCourse triangle — the prune-heavy cyclic
-//     query shape — with the fold/unfold row work sharded across a
-//     ThreadPool. Each timed iteration prunes fresh CoW snapshots of the
-//     loaded TP BitMats, so the fixpoint does identical work at every
-//     thread count.
-//
-//  2. Shared-cache batch: Engine::ExecuteBatch fanning the LUBM query set
-//     (replicated) across the pool, every worker engine sharing one
-//     striped TpCache — the server deployment shape.
+// Ablation A4b: the parallel execution layer, whose unit is a whole
+// query. Engine::ExecuteBatch fans the LUBM query set (replicated) across
+// 1/2/4/8 runner threads, every runner engine sharing one striped
+// TpCache — the server deployment shape.
 //
 // With LBR_BENCH_JSON=<path> (or argv[1]) results are written as
 // google-benchmark-style JSON (the same schema as micro_bitops /
@@ -26,8 +17,6 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "core/prune.h"
-#include "core/selectivity.h"
 #include "util/thread_pool.h"
 #include "workload/lubm_gen.h"
 
@@ -40,71 +29,9 @@ struct SweepResult {
   int threads = 0;
   double sec = 0;
   double speedup_vs_1t = 0;
-  uint64_t cache_hits = 0;        // batch sweep only
-  uint64_t cache_contention = 0;  // batch sweep only
+  uint64_t cache_hits = 0;
+  uint64_t cache_contention = 0;
 };
-
-// --- Sweep 1: PruneTriples on the cyclic triangle. --------------------------
-
-struct PruneFixture {
-  Gosn gosn;
-  Goj goj;
-  JvarOrder order;
-  std::vector<TpState> base_states;
-  uint32_t num_common = 0;
-};
-
-PruneFixture BuildPruneFixture(const Graph& graph, const TripleIndex& index) {
-  // The Q4/Q5 triangle: every TP holds two jvars, so the fixpoint keeps
-  // folding and unfolding the three biggest student-centric slices.
-  ParsedQuery q = Parser::Parse(
-      "PREFIX ub: <http://lubm/> SELECT * WHERE {"
-      "  ?y ub:advisor ?x . ?x ub:teacherOf ?z . ?y ub:takesCourse ?z . }");
-  PruneFixture fx{Gosn::Build(*q.body), Goj(), JvarOrder(), {}, 0};
-  const std::vector<TriplePattern>& tps = fx.gosn.tps();
-  fx.goj = Goj::Build(tps);
-  std::vector<uint64_t> cards(tps.size());
-  for (size_t i = 0; i < tps.size(); ++i) {
-    cards[i] = EstimateTpCardinality(index, graph.dict(), tps[i]);
-  }
-  fx.order = GetJvarOrder(fx.gosn, fx.goj, cards);
-  fx.num_common = index.num_common();
-
-  fx.base_states.resize(tps.size());
-  for (size_t i = 0; i < tps.size(); ++i) {
-    TpState& st = fx.base_states[i];
-    st.tp = tps[i];
-    st.tp_id = static_cast<int>(i);
-    st.sn_id = fx.gosn.SupernodeOf(st.tp_id);
-    st.mat = LoadTpBitMat(index, graph.dict(), tps[i], true);
-    // Warm the fold memo so every thread count starts from the same
-    // memoized master folds (snapshots share the stored memo words).
-    st.mat.bm.MemoizeColFold();
-  }
-  return fx;
-}
-
-std::vector<SweepResult> RunPruneSweep(const PruneFixture& fx, int runs) {
-  std::vector<SweepResult> results;
-  for (int threads : kThreadSweep) {
-    ThreadPool pool(threads);
-    ExecContext ctx;
-    SweepResult r;
-    r.threads = threads;
-    r.sec = TimeAvg(runs, [&] {
-      // CoW snapshots: O(rows) handle bumps, so copy cost is noise next to
-      // the fixpoint and identical across thread counts.
-      std::vector<TpState> states = fx.base_states;
-      PruneTriples(fx.order, fx.gosn, fx.goj, fx.num_common, &states, &ctx,
-                   &pool);
-    });
-    r.speedup_vs_1t = results.empty() ? 1.0 : results.front().sec / r.sec;
-    results.push_back(r);
-  }
-  return results;
-}
-
-// --- Sweep 2: shared-cache batch execution. ---------------------------------
 
 std::vector<SweepResult> RunBatchSweep(const Graph& graph,
                                        const TripleIndex& index, int runs,
@@ -148,30 +75,21 @@ std::vector<SweepResult> RunBatchSweep(const Graph& graph,
 
 // --- Reporting. -------------------------------------------------------------
 
-void PrintSweep(const std::string& title,
-                const std::vector<SweepResult>& results, bool with_cache) {
-  std::vector<std::string> header = {"threads", "avg time", "speedup vs 1t"};
-  if (with_cache) {
-    header.push_back("cache hits");
-    header.push_back("contended locks");
-  }
-  TablePrinter table(header);
+void PrintSweep(const std::vector<SweepResult>& results) {
+  TablePrinter table({"threads", "avg time", "speedup vs 1t", "cache hits",
+                      "contended locks"});
   for (const SweepResult& r : results) {
-    std::vector<std::string> row = {
-        std::to_string(r.threads), TablePrinter::Seconds(r.sec),
-        TablePrinter::Count(static_cast<uint64_t>(r.speedup_vs_1t * 100)) +
-            "%"};
-    if (with_cache) {
-      row.push_back(TablePrinter::Count(r.cache_hits));
-      row.push_back(TablePrinter::Count(r.cache_contention));
-    }
-    table.AddRow(row);
+    table.AddRow(
+        {std::to_string(r.threads), TablePrinter::Seconds(r.sec),
+         TablePrinter::Count(static_cast<uint64_t>(r.speedup_vs_1t * 100)) +
+             "%",
+         TablePrinter::Count(r.cache_hits),
+         TablePrinter::Count(r.cache_contention)});
   }
-  table.Print(title);
+  table.Print("Ablation A4b: shared-cache batch thread sweep");
 }
 
-void WriteJson(const std::vector<SweepResult>& prune,
-               const std::vector<SweepResult>& batch,
+void WriteJson(const std::vector<SweepResult>& batch,
                const std::string& path) {
   std::ofstream out(path);
   if (!out) {
@@ -181,29 +99,18 @@ void WriteJson(const std::vector<SweepResult>& prune,
   auto ns = [](double sec) { return sec * 1e9; };
   out << "{\n  " << JsonContext("ablation_parallel", "LUBM-like")
       << ",\n  \"benchmarks\": [\n";
-  bool first = true;
-  auto emit_family = [&](const char* family,
-                         const std::vector<SweepResult>& results) {
-    double speedup_4t = 0;
-    for (const SweepResult& r : results) {
-      if (!first) out << ",\n";
-      first = false;
-      out << "    {\"name\": \"" << family << "/threads:" << r.threads
-          << "\", \"run_type\": \"iteration\", \"real_time\": " << ns(r.sec)
-          << ", \"cpu_time\": " << ns(r.sec)
-          << ", \"time_unit\": \"ns\", \"threads\": " << r.threads
-          << ", \"speedup_vs_1thread\": " << r.speedup_vs_1t << "}";
-      if (r.threads == 4) speedup_4t = r.speedup_vs_1t;
-    }
-    out << ",\n    {\"name\": \"" << family
-        << "/speedup_4t_vs_1t\", \"run_type\": \"aggregate\", "
-        << "\"real_time\": " << speedup_4t << ", \"cpu_time\": " << speedup_4t
-        << ", \"time_unit\": \"x\"}";
-  };
-  // `first` is false after the first family, so the second family's first
-  // entry emits its own separator.
-  emit_family("ParallelPruneFold", prune);
-  emit_family("SharedCacheBatch", batch);
+  double speedup_4t = 0;
+  for (const SweepResult& r : batch) {
+    out << "    {\"name\": \"SharedCacheBatch/threads:" << r.threads
+        << "\", \"run_type\": \"iteration\", \"real_time\": " << ns(r.sec)
+        << ", \"cpu_time\": " << ns(r.sec)
+        << ", \"time_unit\": \"ns\", \"threads\": " << r.threads
+        << ", \"speedup_vs_1thread\": " << r.speedup_vs_1t << "},\n";
+    if (r.threads == 4) speedup_4t = r.speedup_vs_1t;
+  }
+  out << "    {\"name\": \"SharedCacheBatch/speedup_4t_vs_1t\", "
+      << "\"run_type\": \"aggregate\", \"real_time\": " << speedup_4t
+      << ", \"cpu_time\": " << speedup_4t << ", \"time_unit\": \"x\"}";
   out << "\n  ]\n}\n";
   std::cout << "parallel-sweep JSON written to " << path << "\n";
 }
@@ -211,19 +118,6 @@ void WriteJson(const std::vector<SweepResult>& prune,
 void Run(const char* json_path_arg) {
   double scale = ScaleFromEnv();
   int runs = RunsFromEnv();
-
-  // Prune sweep wants big matrices (the row sharding needs rows to chew
-  // on); the batch sweep reuses the cache-ablation scale.
-  LubmConfig prune_cfg;
-  prune_cfg.num_universities = static_cast<uint32_t>(100 * scale);
-  Graph prune_graph = Graph::FromTriples(GenerateLubm(prune_cfg));
-  TripleIndex prune_index = TripleIndex::Build(prune_graph);
-  PrintDatasetHeader("LUBM-like (parallel prune+fold)", prune_graph);
-
-  PruneFixture fx = BuildPruneFixture(prune_graph, prune_index);
-  std::vector<SweepResult> prune = RunPruneSweep(fx, runs);
-  PrintSweep("Ablation A4a: PruneTriples thread sweep (triangle query)",
-             prune, /*with_cache=*/false);
 
   LubmConfig batch_cfg;
   batch_cfg.num_universities = static_cast<uint32_t>(40 * scale);
@@ -233,14 +127,13 @@ void Run(const char* json_path_arg) {
 
   std::vector<SweepResult> batch =
       RunBatchSweep(batch_graph, batch_index, runs, /*replicas=*/4);
-  PrintSweep("Ablation A4b: shared-cache batch thread sweep", batch,
-             /*with_cache=*/true);
+  PrintSweep(batch);
 
   const char* env_path = std::getenv("LBR_BENCH_JSON");
   std::string json_path = json_path_arg != nullptr ? json_path_arg
                           : env_path != nullptr    ? env_path
                                                    : "";
-  if (!json_path.empty()) WriteJson(prune, batch, json_path);
+  if (!json_path.empty()) WriteJson(batch, json_path);
 }
 
 }  // namespace

@@ -5,8 +5,8 @@
 //   .format tsv|csv|table   switch the output serialization
 //   .snapshot <path>  persist as an mmap-ready page-organized snapshot
 //                     (reopen with the same shell: predicates load lazily)
-//   .batch <path>     run a file of blank-line-separated queries across
-//                     the thread pool (shared warm TP cache)
+//   .batch <path>     run a file of blank-line-separated queries on the
+//                     batch runners (shared warm TP cache)
 //   .timeout <ms>     per-query deadline for subsequent queries (0 clears);
 //                     also applied to .batch queries
 //   .maxmem <bytes>   per-query memory budget (0 clears); also for .batch
@@ -23,9 +23,10 @@
 // usage line and exits 2; a data file that cannot be opened or built
 // prints "error: <reason>" and exits 1.
 //
-// --threads N (default 1) sizes the worker pool: interactive queries shard
-// their prune/fold row work across it, and .batch fans whole queries over
-// it with one engine per worker against the shared TP cache.
+// --threads N (default 1; 0 = one per hardware thread) sizes the .batch
+// runner pool: .batch runs whole queries side by side, one engine per
+// runner against the shared TP cache. Interactive queries always run on
+// one thread.
 // --budget=BYTES caps the resident memory of a reopened snapshot.
 // --planner cost orders jvars and TP loads from the load-time
 // PredicateStats densities (DESIGN.md §10) instead of the per-query
@@ -135,9 +136,7 @@ int main(int argc, char** argv) {
       planner == "cost" ? PlannerMode::kCost : PlannerMode::kHeuristic;
   if (num_threads > 1) {
     pool = std::make_unique<ThreadPool>(num_threads);
-    options.pool = pool.get();
-    std::cerr << "thread pool: " << num_threads << " slots ("
-              << pool->num_workers() << " workers + caller)\n";
+    std::cerr << ".batch runners: " << num_threads << " thread(s)\n";
   }
 
   auto open_database = [&] {

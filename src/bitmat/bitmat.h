@@ -1,7 +1,6 @@
 #ifndef LBR_BITMAT_BITMAT_H_
 #define LBR_BITMAT_BITMAT_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -11,8 +10,6 @@
 #include "util/exec_context.h"
 
 namespace lbr {
-
-class ThreadPool;
 
 /// Which BitMat dimension to retain in a fold / mask in an unfold.
 enum class Dim : uint8_t {
@@ -39,15 +36,14 @@ enum class Dim : uint8_t {
 /// stamped with the version lets `FoldInto(kCol)` return the memoized fold
 /// without row iteration while the matrix is unchanged.
 ///
-/// Thread confinement: mutating ops (`SetRow`, `Unfold`) require exclusive
-/// ownership of the matrix. Concurrent *reads* — including `FoldInto`,
-/// which writes the mutable fold memo under const — are safe: the memo is
-/// published through a per-version atomic once-flag (DESIGN.md §7), so any
-/// number of threads may fold one matrix at a time. A writer must still be
-/// the only thread touching the matrix, and the writer/reader handover
-/// needs external synchronization. Sharing row payload across
-/// thread-confined BitMat copies is safe (handles are immutable and
-/// refcounts are atomic).
+/// Thread confinement: a BitMat object belongs to one thread at a time,
+/// and that includes its const folds — `FoldInto` writes the mutable
+/// column-fold memo, so two threads must not fold one instance
+/// concurrently. Handing a matrix to another thread needs external
+/// synchronization. Sharing row payload across thread-confined BitMat
+/// copies is safe (handles are immutable and refcounts are atomic), which
+/// is how every engine folds its own CoW snapshots of a shared TpCache
+/// entry (DESIGN.md §5).
 class BitMat {
  public:
   /// A shared immutable row. Null means an empty row (no set bits); a
@@ -106,33 +102,20 @@ class BitMat {
   /// version(): the first fold after a mutation only records that it
   /// happened (fold-once-then-mutate patterns like the semi-join slave pay
   /// no memo cost), the second stores the result, and later calls copy the
-  /// memo's words without touching any row. Concurrent callers are safe:
-  /// the memo is published through an atomic once-flag, so racing folds
-  /// either word-copy the published memo or compute into their own output
-  /// (DESIGN.md §7). `ctx` (optional) only receives hit/miss/once
-  /// telemetry. Row folds are the incrementally maintained
-  /// NonEmptyRows() metadata and are always O(words); they bypass the
-  /// cache counters.
-  ///
-  /// With a `pool`, a memo-miss column fold shards its row range across the
-  /// pool's workers (per-worker partial folds merged with word-wide ORs);
-  /// memo hits and row folds stay serial word copies. The matrix itself
-  /// must still be confined to the calling thread — the workers only read
-  /// the immutable row payload.
-  void FoldInto(Dim retain, Bitvector* out, ExecContext* ctx = nullptr,
-                ThreadPool* pool = nullptr) const;
+  /// memo's words without touching any row (DESIGN.md §4). `ctx`
+  /// (optional) only receives hit/miss telemetry. Row folds are the
+  /// incrementally maintained NonEmptyRows() metadata and are always
+  /// O(words); they bypass the cache counters.
+  void FoldInto(Dim retain, Bitvector* out, ExecContext* ctx = nullptr) const;
 
   /// True iff the next FoldInto(kCol) would be served from the memo.
-  bool ColFoldMemoized() const {
-    return col_fold_.state.load(std::memory_order_acquire) ==
-           FoldMemo::kPublished;
-  }
+  bool ColFoldMemoized() const { return col_fold_.bits != nullptr; }
 
   /// Computes and stores the column-fold memo immediately, bypassing the
   /// second-touch policy — for owners that know the fold will be reused
   /// (TpCache warms entries before inserting them so every snapshot of a
   /// warm cache starts memoized). No-op when already memoized.
-  void MemoizeColFold(ThreadPool* pool = nullptr) const;
+  void MemoizeColFold() const;
 
   /// Masks a non-null row handle: returns `row` itself when the mask drops
   /// no bit (callers keep sharing), null when nothing survives, or a fresh
@@ -147,14 +130,7 @@ class BitMat {
   /// Copy-on-write: rows that lose no bit keep their shared handle (copies
   /// of this matrix stay aliased to them); only changed rows are re-encoded
   /// into fresh handles, through pooled `ctx` scratch when given.
-  ///
-  /// With a `pool`, the per-row masking is sharded across workers in
-  /// 64-row-aligned chunks (so the non-empty-row bit array's words are
-  /// never shared between workers); each chunk masks through its worker's
-  /// own scratch arena. The count/version bookkeeping is merged on the
-  /// calling thread.
-  void Unfold(const Bitvector& mask, Dim retain, ExecContext* ctx = nullptr,
-              ThreadPool* pool = nullptr);
+  void Unfold(const Bitvector& mask, Dim retain, ExecContext* ctx = nullptr);
 
   /// Condensed representation of the non-empty rows (Appendix D metadata);
   /// equal to Fold(Dim::kRow) but maintained incrementally.
@@ -174,11 +150,9 @@ class BitMat {
   /// A copy whose rows are freshly allocated instead of shared — the
   /// pre-CoW copying behavior. Kept for the ablation bench that quantifies
   /// what the CoW snapshot saves, and for callers that want to sever all
-  /// payload aliasing. Note that severing aliasing does NOT make a BitMat
-  /// shareable across threads: even const reads (FoldInto) update the
-  /// mutable fold memo, so a BitMat object must stay confined to one
-  /// thread (or be externally synchronized) regardless of how it was
-  /// copied. Per-thread engines each load/copy their own matrices.
+  /// payload aliasing. Severing aliasing does not change thread
+  /// confinement: the copy is one more BitMat object, folded by one
+  /// thread at a time like any other.
   BitMat DeepCopy() const;
 
   /// Calls fn(row, col) for every set bit in row-major order.
@@ -198,19 +172,14 @@ class BitMat {
 
  private:
   /// The raw column fold (resize + clear + OR of every non-empty row),
-  /// shared by the miss path of FoldInto and by MemoizeColFold. Sharded
-  /// across `pool` when given and the matrix is large enough to pay.
-  void ComputeColFoldInto(Bitvector* out, ThreadPool* pool = nullptr) const;
+  /// shared by the miss path of FoldInto and by MemoizeColFold.
+  void ComputeColFoldInto(Bitvector* out) const;
 
-  /// Records a bit-content change: bumps the version, drops the fold memo,
-  /// and resets its once-flag to kIdle. Mutation requires exclusive
-  /// ownership (no concurrent reader), so plain writes are safe here; the
-  /// next readers observe the reset state through whatever barrier handed
-  /// them the matrix.
+  /// Records a bit-content change: bumps the version and drops the fold
+  /// memo, so the next fold starts the second-touch count afresh.
   void Touch() {
     ++version_;
-    col_fold_.bits.reset();
-    col_fold_.state.store(FoldMemo::kIdle, std::memory_order_relaxed);
+    col_fold_ = FoldMemo();
   }
 
   uint32_t num_rows_ = 0;
@@ -220,45 +189,13 @@ class BitMat {
   std::vector<RowHandle> rows_;
   Bitvector non_empty_rows_;
 
-  /// Memoized column fold behind a per-version atomic once-flag
-  /// (DESIGN.md §7). The state machine encodes the second-touch policy:
-  ///
-  ///   kIdle ──fold──> kMissed ──fold──> kComputing ──publish──> kPublished
-  ///
-  /// The kIdle→kMissed and kMissed→kComputing edges are CAS transitions,
-  /// so exactly one fold per version records the miss and exactly one
-  /// computes + stores the memo; concurrent losers fold into their own
-  /// output without touching the memo (compute-locally, never blocking).
-  /// `bits` is written only by the kComputing winner and read only after
-  /// an acquire-load observes kPublished — release/acquire on `state` is
-  /// the publication fence. Any mutation resets to kIdle under exclusive
-  /// ownership (Touch), so matrices folded once and then mutated still
-  /// never pay the memo's allocation + copy.
+  /// Memoized column fold at the current version (second-touch policy):
+  /// the first fold only sets `seen`, the second stores `bits`, and later
+  /// folds word-copy `bits`. Reset by every mutation (Touch). Copies of
+  /// the matrix inherit it; the stored bits are immutable and shared.
   struct FoldMemo {
-    enum State : uint32_t {
-      kIdle = 0,       ///< No fold at the current version yet.
-      kMissed = 1,     ///< One fold ran; the next one stores the memo.
-      kComputing = 2,  ///< A thread is computing + storing the memo.
-      kPublished = 3,  ///< `bits` is valid for the current version.
-    };
+    bool seen = false;
     std::shared_ptr<const Bitvector> bits;
-    std::atomic<uint32_t> state{kIdle};
-
-    FoldMemo() = default;
-    /// Copies are taken under exclusive ownership of the source's owner
-    /// (thread-confined snapshots), but tolerate a racing publisher by
-    /// only reading `bits` behind an acquire-load of kPublished; an
-    /// observed in-flight kComputing degrades to kMissed in the copy.
-    FoldMemo& operator=(const FoldMemo& other) {
-      uint32_t s = other.state.load(std::memory_order_acquire);
-      bits = s == kPublished ? other.bits : nullptr;
-      if (s == kComputing) s = kMissed;
-      state.store(s, std::memory_order_relaxed);
-      return *this;
-    }
-    FoldMemo(const FoldMemo& other) { *this = other; }
-    FoldMemo(FoldMemo&& other) noexcept { *this = other; }
-    FoldMemo& operator=(FoldMemo&& other) noexcept { return *this = other; }
   };
   mutable FoldMemo col_fold_;
 };

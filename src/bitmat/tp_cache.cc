@@ -1,7 +1,5 @@
 #include "bitmat/tp_cache.h"
 
-#include <cstdio>
-#include <cstdlib>
 #include <functional>
 #include <stdexcept>
 
@@ -64,38 +62,6 @@ TpCache::TpCache(uint64_t triple_budget, size_t num_shards)
   shards_.reserve(num_shards);
   for (size_t i = 0; i < num_shards; ++i) {
     shards_.push_back(std::make_unique<Shard>());
-  }
-  // Legacy LBR_FAULT=<n> form: fail every n-th load of *this* cache
-  // instance (per-instance counters, read at construction — older chaos
-  // scripts rely on both). The site:spec syntax is the registry's to
-  // parse; anything else that is not a clean positive integer is rejected
-  // loudly instead of the silent strtol it used to be.
-  if (const char* fault = std::getenv("LBR_FAULT")) {
-    uint32_t rate = 0;
-    if (FaultRegistry::LooksLikeSiteSpec(fault)) {
-      // Site-spec syntax — handled (and validated) by FaultRegistry.
-    } else if (FaultRegistry::ParseLegacyRate(fault, &rate)) {
-      fault_rate_.store(rate, std::memory_order_relaxed);
-    } else {
-      std::fprintf(stderr,
-                   "[lbr] LBR_FAULT: rejecting legacy rate '%s': not a "
-                   "positive integer\n",
-                   fault);
-    }
-  }
-}
-
-void TpCache::MaybeInjectFault() {
-  // Global registry site first (armed via LBR_FAULT=tp_cache.load:... or
-  // the test API), then the per-instance legacy rate.
-  FaultRegistry::Instance().MaybeInject(FaultSiteId::kTpCacheLoad);
-  uint32_t rate = fault_rate_.load(std::memory_order_relaxed);
-  if (rate == 0) return;
-  uint64_t seq = load_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (seq % rate == 0) {
-    faults_injected_.fetch_add(1, std::memory_order_relaxed);
-    throw FaultInjectedError(FaultSiteId::kTpCacheLoad, "tp_cache.load",
-                             /*transient=*/true);
   }
 }
 
@@ -191,11 +157,11 @@ TpBitMat TpCache::LoadAndPublish(Shard* shard,
 
   TpBitMat loaded;
   try {
-    // Transient-fault boundary: an injected cache-load fault (site or
-    // legacy per-instance rate) is retried with bounded backoff. Nothing
-    // partial escapes a failed attempt — the load builds into a local.
+    // Transient-fault boundary: an injected `tp_cache.load` fault is
+    // retried with bounded backoff. Nothing partial escapes a failed
+    // attempt — the load builds into a local.
     loaded = RetryTransient([&] {
-      MaybeInjectFault();
+      FaultRegistry::Instance().MaybeInject(FaultSiteId::kTpCacheLoad);
       TpBitMat fresh = LoadTpBitMat(index, dict, tp, prefer_subject_rows);
       // Warm the column-fold memo before publication: entries are frozen
       // once visible to other threads (even const folds write the memo),

@@ -127,23 +127,6 @@ class TpCache {
     return flight_waits_.load(std::memory_order_relaxed);
   }
 
-  /// Legacy per-instance fault-injection hook (also armed by the bare
-  /// LBR_FAULT=<n> environment form at construction; the site:spec syntax
-  /// belongs to util/fault_injection): every `rate`-th single-flight cache
-  /// load of this instance throws a transient FaultInjectedError — rate 1
-  /// fails every load, 0 disables. Loads are wrapped in RetryTransient, so
-  /// rate >= 2 faults are absorbed after a backoff (each attempt still
-  /// counted in faults_injected()); rate 1 exhausts the retry budget and
-  /// surfaces, exercising the error path of the single-flight protocol:
-  /// waiters must wake, observe no entry, and fall through to a direct
-  /// load, leaving no poisoned entry behind. Thread-safe.
-  void set_fault_rate(uint32_t rate) {
-    fault_rate_.store(rate, std::memory_order_relaxed);
-  }
-  uint64_t faults_injected() const {
-    return faults_injected_.load(std::memory_order_relaxed);
-  }
-
  private:
   struct Entry {
     TpBitMat mat;
@@ -177,8 +160,6 @@ class TpCache {
                           const std::string& key, const TripleIndex& index,
                           const Dictionary& dict, const TriplePattern& tp,
                           bool prefer_subject_rows);
-  /// Throws on the loads the configured fault rate selects (test hook).
-  void MaybeInjectFault();
 
   uint64_t budget_;
   /// Snapshot-tier accounting (null = not wired). `meter_` is charged and
@@ -193,9 +174,6 @@ class TpCache {
   std::atomic<uint64_t> misses_{0};
   std::atomic<uint64_t> contention_{0};
   std::atomic<uint64_t> flight_waits_{0};
-  std::atomic<uint32_t> fault_rate_{0};
-  std::atomic<uint64_t> load_seq_{0};
-  std::atomic<uint64_t> faults_injected_{0};
 };
 
 }  // namespace lbr

@@ -313,8 +313,7 @@ BranchPlan Engine::PlanBranch(const Algebra& branch,
           if (!can_restrict) continue;
           // O(prev-TPs) folds per loaded TP: the version-stamped memo makes
           // refolds of not-yet-pruned previous TPs word copies.
-          prev.mat.bm.FoldInto(prev.mat.DimOf(var), fold_s.get(), &exec_ctx_,
-                               options_.pool);
+          prev.mat.bm.FoldInto(prev.mat.DimOf(var), fold_s.get(), &exec_ctx_);
           AlignMaskInto(*fold_s, prev.mat.KindOf(var), kind,
                         index_->num_common(), size, aligned_s.get());
           if (!restricted) {
@@ -405,8 +404,7 @@ BranchPlan Engine::PlanBranch(const Algebra& branch,
   // --- prune_triples (Alg 3.2).
   Stopwatch prune_watch;
   if (options_.enable_prune) {
-    PruneTriples(order, gosn, goj, index_->num_common(), &states, &exec_ctx_,
-                 options_.pool);
+    PruneTriples(order, gosn, goj, index_->num_common(), &states, &exec_ctx_);
   }
   if (stats != nullptr) stats->t_prune_sec += prune_watch.Seconds();
 
@@ -600,7 +598,6 @@ uint64_t Engine::ExecutePlanned(const CompiledPlan& plan,
   const uint64_t tp_waits0 = tp_cache_->single_flight_waits();
   const uint64_t fold_hits0 = exec_ctx_.fold_cache_hits();
   const uint64_t fold_misses0 = exec_ctx_.fold_cache_misses();
-  const uint64_t fold_once0 = exec_ctx_.fold_once_publishes();
   const uint64_t snap_mat0 = index_->snapshot_materializations();
   const uint64_t snap_spill0 = index_->snapshot_spills();
   const uint64_t snap_pref0 = index_->snapshot_prefetches();
@@ -627,7 +624,6 @@ uint64_t Engine::ExecutePlanned(const CompiledPlan& plan,
   st->tp_cache_flight_waits = tp_cache_->single_flight_waits() - tp_waits0;
   st->fold_cache_hits = exec_ctx_.fold_cache_hits() - fold_hits0;
   st->fold_cache_misses = exec_ctx_.fold_cache_misses() - fold_misses0;
-  st->fold_once_publishes = exec_ctx_.fold_once_publishes() - fold_once0;
   st->snapshot_materializations =
       index_->snapshot_materializations() - snap_mat0;
   st->snapshot_spills = index_->snapshot_spills() - snap_spill0;
@@ -862,9 +858,6 @@ std::vector<BatchResult> Engine::ExecuteBatch(
   if (queries.empty()) return results;
 
   EngineOptions engine_options = options.engine;
-  // Queries are the unit of parallelism here; intra-query sharding would
-  // only fight the batch for the same workers (nested collectives inline).
-  engine_options.pool = nullptr;
 
   std::shared_ptr<TpCache> cache = options.shared_cache;
   if (cache == nullptr && engine_options.enable_tp_cache) {
@@ -947,7 +940,7 @@ std::vector<BatchResult> Engine::ExecuteBatch(
   std::atomic<uint32_t> next_query{0};
   options.pool->ParallelFor(
       0, static_cast<uint32_t>(runners), /*grain=*/1,
-      [&](uint32_t begin, uint32_t end, ExecContext* /*ctx*/, int slot) {
+      [&](uint32_t begin, uint32_t end, int slot) {
         for (uint32_t r = begin; r < end; ++r) {
           for (;;) {
             uint32_t qi =

@@ -44,10 +44,6 @@ struct EngineOptions {
   uint64_t tp_cache_budget = 4u << 20;
   /// Lock stripes for the TP cache (concurrent engines sharing one cache).
   size_t tp_cache_shards = 8;
-  /// Worker pool (not owned; may be null) for sharding prune/fold row work
-  /// across threads. The engine itself stays single-threaded — the pool
-  /// only parallelizes the interior of fold/unfold ops (DESIGN.md §5).
-  ThreadPool* pool = nullptr;
   /// Cardinality source for jvar ordering and TP load order (DESIGN.md
   /// §10). kHeuristic is the paper's per-query exact metadata estimation;
   /// kCost plans from the load-time PredicateStats table (O(1) per TP) and
@@ -118,9 +114,6 @@ struct QueryStats {
   // another thread's load of the same pattern, during this query.
   uint64_t tp_cache_contention = 0;
   uint64_t tp_cache_flight_waits = 0;
-  // Fold memos published through the once-flag during this query
-  // (DESIGN.md §7).
-  uint64_t fold_once_publishes = 0;
   // Planning observability (the compiled-plan cache, DESIGN.md §10).
   // t_plan_sec covers canonicalize + (on miss) parse/rewrite/GoSN/jvar
   // order + constant rebinding. The planning_* counters record how many
@@ -181,9 +174,7 @@ struct BatchResult {
 
 /// Configuration for Engine::ExecuteBatch / Database::ExecuteBatch.
 struct BatchOptions {
-  /// Per-worker engine configuration. `engine.pool` is ignored — worker
-  /// threads are already parallel, and nested collectives would inline
-  /// anyway; intra-query sharding is a single-client optimization.
+  /// Per-runner engine configuration.
   EngineOptions engine;
   /// Fan-out pool; null runs the batch serially on the calling thread.
   ThreadPool* pool = nullptr;

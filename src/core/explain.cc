@@ -143,8 +143,7 @@ std::string ExplainCacheStats(const QueryStats& stats) {
      << stats.tp_cache_misses << " miss(es), " << stats.tp_cache_held_triples
      << " triple(s) held\n";
   os << "  fold cache: " << stats.fold_cache_hits << " hit(s), "
-     << stats.fold_cache_misses << " miss(es), " << stats.fold_once_publishes
-     << " once-publish(es)\n";
+     << stats.fold_cache_misses << " miss(es)\n";
   if (stats.tp_cache_contention > 0 || stats.tp_cache_flight_waits > 0) {
     os << "  tp cache contention: " << stats.tp_cache_contention
        << " contended lock(s), " << stats.tp_cache_flight_waits

@@ -26,7 +26,7 @@ std::vector<int> CanonicalPeerGroups(const Gosn& gosn) {
 }  // namespace
 
 void SemiJoin(const std::string& jvar, TpState* slave, const TpState& master,
-              uint32_t num_common, ExecContext* ctx, ThreadPool* pool) {
+              uint32_t num_common, ExecContext* ctx) {
   // Cancellation granularity of the prune phase: one check per semi-join
   // (DESIGN.md §9).
   if (ctx != nullptr) ctx->CheckCancelNow();
@@ -35,14 +35,14 @@ void SemiJoin(const std::string& jvar, TpState* slave, const TpState& master,
 
   ScratchBits beta_s(ctx), mfold_s(ctx), aligned_s(ctx);
   Bitvector& beta = *beta_s;
-  slave->mat.bm.FoldInto(slave->mat.DimOf(jvar), &beta, ctx, pool);
+  slave->mat.bm.FoldInto(slave->mat.DimOf(jvar), &beta, ctx);
   size_t before = beta.Count();
 
   // fold(BM_master, dim_j) aligned to the slave's domain. Across the
   // fixpoint's two passes most masters are refolded unchanged — the
   // version-stamped memo turns those into word copies.
   Bitvector& mfold = *mfold_s;
-  master.mat.bm.FoldInto(master.mat.DimOf(jvar), &mfold, ctx, pool);
+  master.mat.bm.FoldInto(master.mat.DimOf(jvar), &mfold, ctx);
   DomainKind master_kind = master.mat.KindOf(jvar);
   const Bitvector* master_fold = &mfold;
   if (master_kind != slave_kind || mfold.size() != slave_size) {
@@ -59,14 +59,13 @@ void SemiJoin(const std::string& jvar, TpState* slave, const TpState& master,
   // Unfold only when the intersection actually removed bindings (beta is a
   // subset of the slave's fold, so equal counts mean equal sets).
   if (beta.Count() != before) {
-    slave->mat.bm.Unfold(beta, slave->mat.DimOf(jvar), ctx, pool);
+    slave->mat.bm.Unfold(beta, slave->mat.DimOf(jvar), ctx);
   }
 }
 
 void ClusteredSemiJoin(const std::string& jvar,
                        const std::vector<TpState*>& cluster,
-                       uint32_t num_common, ExecContext* ctx,
-                       ThreadPool* pool) {
+                       uint32_t num_common, ExecContext* ctx) {
   if (cluster.size() < 2) return;
   if (ctx != nullptr) ctx->CheckCancelNow();
   // Fold every member once; alignment to each target is a cheap word copy.
@@ -78,8 +77,7 @@ void ClusteredSemiJoin(const std::string& jvar,
   kinds.reserve(cluster.size());
   for (const TpState* member : cluster) {
     folds.emplace_back(ctx);
-    member->mat.bm.FoldInto(member->mat.DimOf(jvar), folds.back().get(), ctx,
-                            pool);
+    member->mat.bm.FoldInto(member->mat.DimOf(jvar), folds.back().get(), ctx);
     kinds.push_back(member->mat.KindOf(jvar));
   }
   ScratchBits beta_s(ctx), aligned_s(ctx);
@@ -106,14 +104,14 @@ void ClusteredSemiJoin(const std::string& jvar,
       beta.TruncateBitsFrom(num_common);
     }
     if (beta.Count() != before) {
-      target->mat.bm.Unfold(beta, target->mat.DimOf(jvar), ctx, pool);
+      target->mat.bm.Unfold(beta, target->mat.DimOf(jvar), ctx);
     }
   }
 }
 
 void PruneTriples(const JvarOrder& order, const Gosn& gosn, const Goj& goj,
                   uint32_t num_common, std::vector<TpState>* tps,
-                  ExecContext* ctx, ThreadPool* pool) {
+                  ExecContext* ctx) {
   const std::vector<int> canon_group = CanonicalPeerGroups(gosn);
 
   auto pass = [&](const std::vector<int>& jvar_order) {
@@ -128,7 +126,7 @@ void PruneTriples(const JvarOrder& order, const Gosn& gosn, const Goj& goj,
           if (master_id == slave_id) continue;
           if (!gosn.TpIsMasterOf(master_id, slave_id)) continue;
           SemiJoin(jvar, &(*tps)[slave_id], (*tps)[master_id], num_common,
-                   ctx, pool);
+                   ctx);
         }
       }
 
@@ -144,7 +142,7 @@ void PruneTriples(const JvarOrder& order, const Gosn& gosn, const Goj& goj,
             cluster.push_back(&(*tps)[other]);
           }
         }
-        ClusteredSemiJoin(jvar, cluster, num_common, ctx, pool);
+        ClusteredSemiJoin(jvar, cluster, num_common, ctx);
       }
     }
   };

@@ -10,7 +10,6 @@
 #include "core/jvar_order.h"
 #include "core/tp_state.h"
 #include "util/exec_context.h"
-#include "util/thread_pool.h"
 
 namespace lbr {
 
@@ -20,19 +19,15 @@ namespace lbr {
 /// Folds over different dimension domains (subject vs object position) are
 /// aligned through AlignMask, truncating at the Vso bound. Only the slave's
 /// BitMat is modified. All fold/mask buffers come from `ctx` when given.
-/// With a `pool`, the memo-miss folds and the unfold shard their row ranges
-/// across the pool's workers (DESIGN.md §5).
 void SemiJoin(const std::string& jvar, TpState* slave, const TpState& master,
-              uint32_t num_common, ExecContext* ctx = nullptr,
-              ThreadPool* pool = nullptr);
+              uint32_t num_common, ExecContext* ctx = nullptr);
 
 /// Clustered semi-join (Definition 3.1, Algorithm 5.3): intersects the
 /// `jvar` bindings of every TP in the cluster and unfolds each TP with the
 /// intersection.
 void ClusteredSemiJoin(const std::string& jvar,
                        const std::vector<TpState*>& cluster,
-                       uint32_t num_common, ExecContext* ctx = nullptr,
-                       ThreadPool* pool = nullptr);
+                       uint32_t num_common, ExecContext* ctx = nullptr);
 
 /// prune_triples (Algorithm 3.2): walks order_bu then order_td; for each
 /// jvar, first semi-joins every master/slave TP pair sharing it (slave takes
@@ -46,13 +41,9 @@ void ClusteredSemiJoin(const std::string& jvar,
 /// mask buffers — no per-iteration Bitvector allocations. Folds of TPs no
 /// semi-join has changed (most of the second pass) are served from the
 /// BitMats' version-stamped fold memos without row iteration (DESIGN.md §4).
-///
-/// With a `pool`, each semi-join shards its fold/unfold row work across the
-/// pool's workers; the semi-join sequence itself is always the ordered one
-/// above (DESIGN.md §5).
 void PruneTriples(const JvarOrder& order, const Gosn& gosn, const Goj& goj,
                   uint32_t num_common, std::vector<TpState>* tps,
-                  ExecContext* ctx = nullptr, ThreadPool* pool = nullptr);
+                  ExecContext* ctx = nullptr);
 
 }  // namespace lbr
 

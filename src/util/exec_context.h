@@ -69,21 +69,17 @@ class ExecContext {
 
   /// Fold-memoization telemetry: BitMat::FoldInto reports here whether a
   /// column fold was served from the version-stamped cache (hit) or had to
-  /// iterate rows (miss), and when a miss published the memo through the
-  /// once-flag (once). Counters are cumulative; the engine snapshots them
-  /// around a query to derive per-query deltas for QueryStats.
+  /// iterate rows (miss). Counters are cumulative; the engine snapshots
+  /// them around a query to derive per-query deltas for QueryStats.
   void CountFoldHit() { ++fold_cache_hits_; }
   void CountFoldMiss() { ++fold_cache_misses_; }
-  void CountFoldOnce() { ++fold_once_publishes_; }
   uint64_t fold_cache_hits() const { return fold_cache_hits_; }
   uint64_t fold_cache_misses() const { return fold_cache_misses_; }
-  uint64_t fold_once_publishes() const { return fold_once_publishes_; }
 
   /// Query lifecycle control (DESIGN.md §9). The engine attaches the
-  /// per-query control for the duration of one Execute; ThreadPool mirrors
-  /// the caller's control onto its worker arenas for the duration of a
-  /// collective. Null (the default, and the state every bench runs in)
-  /// makes every check below a single pointer test.
+  /// per-query control for the duration of one Execute. Null (the
+  /// default, and the state every bench runs in) makes every check below a
+  /// single pointer test.
   void SetQueryControl(QueryControl* control) {
     control_ = control;
     check_tick_ = 0;
@@ -124,7 +120,6 @@ class ExecContext {
   size_t positions_created_ = 0;
   uint64_t fold_cache_hits_ = 0;
   uint64_t fold_cache_misses_ = 0;
-  uint64_t fold_once_publishes_ = 0;
   QueryControl* control_ = nullptr;
   uint32_t check_tick_ = 0;
 };

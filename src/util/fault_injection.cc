@@ -75,11 +75,7 @@ FaultRegistry::FaultRegistry() : seed_(0x9E3779B97F4A7C15ull) {
                    seed_env);
     }
   }
-  if (const char* spec = std::getenv("LBR_FAULT")) {
-    // The legacy bare-integer form is TpCache's (per-instance, validated
-    // there); everything else is the site:spec syntax.
-    if (LooksLikeSiteSpec(spec)) ArmFromString(spec);
-  }
+  if (const char* spec = std::getenv("LBR_FAULT")) ArmFromString(spec);
 }
 
 FaultRegistry& FaultRegistry::Instance() {
@@ -96,22 +92,6 @@ FaultSiteId FaultRegistry::SiteByName(const std::string& name) {
     if (name == kSites[i].name) return static_cast<FaultSiteId>(i);
   }
   return FaultSiteId::kNumSites;
-}
-
-bool FaultRegistry::ParseLegacyRate(const char* text, uint32_t* rate) {
-  if (text == nullptr) return false;
-  uint64_t v = 0;
-  if (!ParseUint(text, 0xFFFFFFFFull, &v)) return false;
-  *rate = static_cast<uint32_t>(v);
-  return true;
-}
-
-bool FaultRegistry::LooksLikeSiteSpec(const char* text) {
-  if (text == nullptr) return false;
-  for (const char* p = text; *p != '\0'; ++p) {
-    if (!std::isdigit(static_cast<unsigned char>(*p))) return true;
-  }
-  return false;
 }
 
 bool FaultRegistry::ParseSpec(const std::string& spec, Mode* mode,

@@ -31,9 +31,7 @@ namespace lbr {
 /// system must absorb: retried or degraded, with query results unchanged);
 /// `all` arms every site including the permanent ones whose injections make
 /// operations fail by design. `LBR_FAULT_SEED=<u64>` seeds the rate
-/// trigger. The legacy bare-integer form (`LBR_FAULT=3` = fail every 3rd
-/// TpCache load) is still honored, by TpCache itself (per-instance, as
-/// before); the registry recognizes and skips it.
+/// trigger.
 ///
 /// Classification (DESIGN.md §12):
 ///  - transient sites simulate recoverable failures (a flaky read); the
@@ -122,9 +120,9 @@ class FaultRegistry {
            std::string* error = nullptr);
 
   /// Parses the LBR_FAULT syntax: comma-separated `site:spec` entries.
-  /// Malformed entries are skipped with a warning on stderr (never
-  /// half-applied); the legacy bare-integer form is recognized and left to
-  /// TpCache. Returns the number of sites armed.
+  /// Malformed entries (a bare integer included) are skipped with a
+  /// warning on stderr, never half-applied. Returns the number of sites
+  /// armed.
   int ArmFromString(const std::string& specs);
 
   void Disarm(FaultSiteId id);
@@ -165,14 +163,6 @@ class FaultRegistry {
   bool armed_anywhere() const {
     return armed_sites_.load(std::memory_order_relaxed) != 0;
   }
-
-  /// Strict parse of the legacy LBR_FAULT=<n> form (the whole string must
-  /// be a positive integer that fits uint32). Returns false on anything
-  /// else — including the overflow/garbage strtol used to accept silently.
-  static bool ParseLegacyRate(const char* text, uint32_t* rate);
-  /// True when `text` looks like the site:spec syntax rather than the
-  /// legacy bare integer.
-  static bool LooksLikeSiteSpec(const char* text);
 
  private:
   FaultRegistry();

@@ -34,9 +34,8 @@ struct QueryOutcome {
 };
 
 /// Thrown by the cooperative cancellation checks to unwind a query off the
-/// engine's recursion/loops (and across ThreadPool collectives, which
-/// propagate the first exception of a job). Carries the termination code so
-/// catch sites can build a QueryOutcome without string matching.
+/// engine's recursion/loops. Carries the termination code so catch sites
+/// can build a QueryOutcome without string matching.
 class QueryAbortedError : public std::runtime_error {
  public:
   QueryAbortedError(QueryTermination code, const std::string& what)
@@ -137,8 +136,9 @@ class QueryControl {
   [[noreturn]] void ThrowAborted() const;
 
   std::atomic<uint32_t> abort_code_{0};  ///< 0 = running; else the code.
-  /// Deadline is set before execution starts and read-only afterwards;
-  /// workers inherit visibility through the pool's job-publication locks.
+  /// Deadline is set before execution starts and read-only afterwards; a
+  /// query runs on one thread, which either configured the control or
+  /// received it through a synchronizing handoff.
   std::chrono::steady_clock::time_point deadline_{};
   bool has_deadline_ = false;
   uint64_t mem_budget_ = 0;

@@ -6,28 +6,10 @@
 
 namespace lbr {
 
-namespace {
-/// Set while the current thread runs inside a ParallelFor chunk (of any
-/// pool); nested collectives observe it and run inline.
-thread_local bool tl_in_parallel_region = false;
-
-struct ParallelRegionGuard {
-  bool prev;
-  ParallelRegionGuard() : prev(tl_in_parallel_region) {
-    tl_in_parallel_region = true;
-  }
-  ~ParallelRegionGuard() { tl_in_parallel_region = prev; }
-};
-}  // namespace
-
 ThreadPool::ThreadPool(int num_threads) {
-  int slots = std::max(1, num_threads);
-  contexts_.reserve(slots);
-  for (int i = 0; i < slots; ++i) {
-    contexts_.push_back(std::make_unique<ExecContext>());
-  }
-  workers_.reserve(slots - 1);
-  for (int i = 0; i < slots - 1; ++i) {
+  int workers = std::max(1, num_threads) - 1;
+  workers_.reserve(workers);
+  for (int i = 0; i < workers; ++i) {
     workers_.emplace_back([this, i] { WorkerLoop(i); });
   }
 }
@@ -46,10 +28,7 @@ int ThreadPool::HardwareThreads() {
   return n == 0 ? 1 : static_cast<int>(n);
 }
 
-bool ThreadPool::InParallelRegion() { return tl_in_parallel_region; }
-
-void ThreadPool::RunChunks(const ChunkFn& fn, ExecContext* ctx, int slot) {
-  ParallelRegionGuard region;
+void ThreadPool::RunChunks(const ChunkFn& fn, int slot) {
   for (;;) {
     uint64_t b = next_.fetch_add(job_grain_, std::memory_order_relaxed);
     if (b >= job_end_) break;
@@ -57,10 +36,6 @@ void ThreadPool::RunChunks(const ChunkFn& fn, ExecContext* ctx, int slot) {
     uint32_t end = static_cast<uint32_t>(std::min<uint64_t>(
         job_end_, b + job_grain_));
     try {
-      // Per-chunk cancellation check: an aborted query's remaining chunks
-      // drain as first-exception captures instead of running to completion,
-      // so a collective's abort latency is one chunk, not the whole range.
-      if (ctx != nullptr) ctx->CheckCancel();
       // Dispatch fault site: fires before the chunk body runs, so a retry
       // (nothing partial has executed) just re-checks the trigger after
       // backoff. Exhaustion propagates through job_error_ like any chunk
@@ -68,7 +43,7 @@ void ThreadPool::RunChunks(const ChunkFn& fn, ExecContext* ctx, int slot) {
       RetryTransient([] {
         FaultRegistry::Instance().MaybeInject(FaultSiteId::kThreadPoolDispatch);
       });
-      fn(begin, end, ctx, slot);
+      fn(begin, end, slot);
     } catch (...) {
       std::lock_guard<std::mutex> lk(mu_);
       if (job_error_ == nullptr) job_error_ = std::current_exception();
@@ -90,7 +65,7 @@ void ThreadPool::WorkerLoop(int slot) {
       seen_epoch = job_epoch_;
       fn = job_fn_;
     }
-    RunChunks(*fn, contexts_[slot].get(), slot);
+    RunChunks(*fn, slot);
     {
       std::lock_guard<std::mutex> lk(mu_);
       if (--workers_remaining_ == 0) done_cv_.notify_all();
@@ -99,31 +74,18 @@ void ThreadPool::WorkerLoop(int slot) {
 }
 
 void ThreadPool::ParallelFor(uint32_t begin, uint32_t end, uint32_t grain,
-                             const ChunkFn& fn, ExecContext* caller_ctx) {
+                             const ChunkFn& fn) {
   if (begin >= end) return;
   grain = std::max<uint32_t>(1, grain);
-  // Inline when there is nothing to fan out to, the range is one chunk
-  // anyway, or we are already inside a collective (nesting would deadlock
-  // on collective_mu_ and oversubscribe the machine).
-  if (num_workers() == 0 || InParallelRegion() ||
-      static_cast<uint64_t>(end) - begin <= grain) {
-    ParallelRegionGuard region;
-    fn(begin, end, caller_ctx, num_workers());
+  // Inline when there is nothing to fan out to or the range is one chunk.
+  if (num_workers() == 0 || static_cast<uint64_t>(end) - begin <= grain) {
+    fn(begin, end, num_workers());
     return;
   }
 
   std::lock_guard<std::mutex> collective(collective_mu_);
-  // Mirror the caller's query control onto the worker arenas for the
-  // duration of this job, so chunks running on workers observe the same
-  // deadline/cancel/budget state as the caller (DESIGN.md §9). The job
-  // mutex publishes the stores to the workers.
-  QueryControl* control =
-      caller_ctx != nullptr ? caller_ctx->query_control() : nullptr;
   {
     std::lock_guard<std::mutex> lk(mu_);
-    for (int w = 0; w < num_workers(); ++w) {
-      contexts_[w]->SetQueryControl(control);
-    }
     job_fn_ = &fn;
     job_error_ = nullptr;
     job_end_ = end;
@@ -135,15 +97,11 @@ void ThreadPool::ParallelFor(uint32_t begin, uint32_t end, uint32_t grain,
   work_cv_.notify_all();
 
   // The calling thread is the last slot and drains chunks like any worker.
-  RunChunks(fn, caller_ctx != nullptr ? caller_ctx : contexts_.back().get(),
-            num_workers());
+  RunChunks(fn, num_workers());
 
   std::unique_lock<std::mutex> lk(mu_);
   done_cv_.wait(lk, [&] { return workers_remaining_ == 0; });
   job_fn_ = nullptr;
-  for (int w = 0; w < num_workers(); ++w) {
-    contexts_[w]->SetQueryControl(nullptr);
-  }
   if (job_error_ != nullptr) std::rethrow_exception(job_error_);
 }
 

@@ -1,10 +1,10 @@
 // Cancellation stress (DESIGN.md §9): a second thread flips the cancel
-// latch at staggered delays while a query runs, and in rapid fire on a
-// thread pool. Each run must either
-// finish cleanly with the full answer or abort kCancelled with ZERO rows
-// delivered to the sink (all-or-nothing: the sink only fires after the
-// last branch completes), and the engine must stay fully usable after an
-// abort. Runs in the TSan CI leg to certify the cross-thread latch.
+// latch at staggered delays while a query runs, and in rapid fire. Each
+// run must either finish cleanly with the full answer or abort kCancelled
+// with ZERO rows delivered to the sink (all-or-nothing: the sink only
+// fires after the last branch completes), and the engine must stay fully
+// usable after an abort. Runs in the TSan CI leg to certify the
+// cross-thread latch.
 
 #include <gtest/gtest.h>
 
@@ -21,7 +21,6 @@
 #include "sparql/parser.h"
 #include "test_util.h"
 #include "util/query_control.h"
-#include "util/thread_pool.h"
 #include "workload/lubm_gen.h"
 
 namespace lbr {
@@ -115,13 +114,11 @@ TEST_F(CancelStressTest, StaggeredCancellationIsAllOrNothing) {
   StressOneConfig(index_, &graph_->dict(), *expected_);
 }
 
-// Hammer one configuration with rapid-fire cancellations to chase latch /
-// worker-arena races (this is the hot test for the TSan leg).
-TEST_F(CancelStressTest, RapidFireCancellationOnPool) {
-  ThreadPool pool(4);
-  EngineOptions options;
-  options.pool = &pool;
-  Engine engine(index_, &graph_->dict(), options);
+// Hammer one engine with rapid-fire cancellations from a second thread to
+// chase races on the cross-thread latch (this is the hot test for the TSan
+// leg).
+TEST_F(CancelStressTest, RapidFireCancellation) {
+  Engine engine(index_, &graph_->dict());
   ParsedQuery query = Parser::Parse(kTriangleQuery);
 
   for (int round = 0; round < 30; ++round) {

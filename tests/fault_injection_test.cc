@@ -131,8 +131,12 @@ TEST_F(FaultInjectionTest, MalformedSpecsAreRejectedNotHalfApplied) {
   EXPECT_FALSE(reg.armed_anywhere());
 
   // ArmFromString skips malformed entries and arms the valid ones.
+  // A bare integer (the retired per-cache rate form) is one more
+  // malformed entry.
+  EXPECT_EQ(reg.ArmFromString("3"), 0);
+  EXPECT_FALSE(reg.armed_anywhere());
   int armed = reg.ArmFromString(
-      "tp_cache.load:nth=2,garbage,missing-colon-entry=1,"
+      "tp_cache.load:nth=2,garbage,missing-colon-entry=1,7,"
       "index.checksum:rate=2.0,snapshot.open:once");
   EXPECT_EQ(armed, 2);  // tp_cache.load + snapshot.open
   std::vector<FaultSiteStats> stats = FaultRegistry::Instance().Stats();
@@ -147,27 +151,6 @@ TEST_F(FaultInjectionTest, MalformedSpecsAreRejectedNotHalfApplied) {
       EXPECT_TRUE(st.spec.empty());
     }
   }
-}
-
-TEST_F(FaultInjectionTest, LegacyRateParsesStrictly) {
-  uint32_t rate = 0;
-  EXPECT_TRUE(FaultRegistry::ParseLegacyRate("3", &rate));
-  EXPECT_EQ(rate, 3u);
-  EXPECT_TRUE(FaultRegistry::ParseLegacyRate("4294967295", &rate));
-  // The silent-strtol failure modes the satellite hardened away:
-  EXPECT_FALSE(FaultRegistry::ParseLegacyRate("0", &rate));
-  EXPECT_FALSE(FaultRegistry::ParseLegacyRate("-1", &rate));
-  EXPECT_FALSE(FaultRegistry::ParseLegacyRate("+1", &rate));
-  EXPECT_FALSE(FaultRegistry::ParseLegacyRate(" 3", &rate));
-  EXPECT_FALSE(FaultRegistry::ParseLegacyRate("3x", &rate));
-  EXPECT_FALSE(FaultRegistry::ParseLegacyRate("", &rate));
-  EXPECT_FALSE(FaultRegistry::ParseLegacyRate("4294967296", &rate));
-  EXPECT_FALSE(FaultRegistry::ParseLegacyRate(nullptr, &rate));
-
-  // The dispatcher between the two syntaxes:
-  EXPECT_FALSE(FaultRegistry::LooksLikeSiteSpec("3"));
-  EXPECT_TRUE(FaultRegistry::LooksLikeSiteSpec("tp_cache.load:nth=1"));
-  EXPECT_TRUE(FaultRegistry::LooksLikeSiteSpec("3x"));
 }
 
 TEST_F(FaultInjectionTest, WildcardArmsOnlyChaosSafeSites) {

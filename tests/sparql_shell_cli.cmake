@@ -2,7 +2,8 @@
 # flag or a flag missing its value exits 2 with a one-line usage message,
 # and a data file that cannot be opened (missing, or a .lbr file that is
 # not a snapshot) exits 1 with a one-line "error: ..." message. An abort
-# (std::terminate) fails every case.
+# (std::terminate) fails every case. Also checks that --threads N sizes the
+# .batch runner pool: a .batch file exits 0 and reports N thread(s).
 #
 #   cmake -DSHELL=<path to sparql_shell> -P tests/sparql_shell_cli.cmake
 
@@ -37,3 +38,25 @@ file(WRITE "${legacy}" "LBRDBF01 and the rest of a retired database file")
 expect_failure(1 "^error: .*sparql_shell_cli_legacy\\.lbr is not a snapshot"
                "${legacy}")
 file(REMOVE "${legacy}")
+
+# --threads 2 runs a .batch file on two runners over the demo graph.
+set(batch "${CMAKE_CURRENT_BINARY_DIR}/sparql_shell_cli.batch")
+set(input "${CMAKE_CURRENT_BINARY_DIR}/sparql_shell_cli.input")
+file(WRITE "${batch}"
+     "SELECT * WHERE { ?who <hasFriend> ?f . }\n\n"
+     "SELECT * WHERE { ?who <hasFriend> ?f . ?f <actedIn> ?show . }\n")
+file(WRITE "${input}" ".batch ${batch}\n")
+execute_process(COMMAND "${SHELL}" --threads 2
+                INPUT_FILE "${input}"
+                RESULT_VARIABLE code
+                OUTPUT_VARIABLE out
+                ERROR_VARIABLE err)
+file(REMOVE "${batch}" "${input}")
+if(NOT code STREQUAL "0")
+  message(FATAL_ERROR "sparql_shell --threads 2 .batch: exit '${code}', "
+                      "expected 0; stderr:\n${err}")
+endif()
+if(NOT out MATCHES "batch: 2 queries \\(0 failed\\), [0-9]+ rows in [^\n]* on 2 thread\\(s\\)")
+  message(FATAL_ERROR "sparql_shell --threads 2 .batch: no 'batch: ... on 2 "
+                      "thread(s)' line in:\n${out}")
+endif()

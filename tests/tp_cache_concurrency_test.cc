@@ -10,9 +10,9 @@
 
 #include <atomic>
 #include <condition_variable>
-#include <cstdlib>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -51,6 +51,22 @@ class StartGate {
   std::condition_variable cv_;
   int arrived_ = 0;
   int expected_;
+};
+
+/// Arms one fault site, and nothing else, for the guard's lifetime:
+/// disarms every site (including any LBR_FAULT arming) and zeroes the
+/// registry counters first, so a test can assert exact counts.
+class OnlyArmedSite {
+ public:
+  OnlyArmedSite(const std::string& site, const std::string& spec) {
+    FaultRegistry& faults = FaultRegistry::Instance();
+    faults.DisarmAll();
+    faults.ResetCounters();
+    EXPECT_TRUE(faults.Arm(site, spec));
+  }
+  ~OnlyArmedSite() { FaultRegistry::Instance().DisarmAll(); }
+  OnlyArmedSite(const OnlyArmedSite&) = delete;
+  OnlyArmedSite& operator=(const OnlyArmedSite&) = delete;
 };
 
 class TpCacheConcurrencyTest : public ::testing::Test {
@@ -134,10 +150,18 @@ TEST_F(TpCacheConcurrencyTest, SnapshotIsolationAcrossThreads) {
       cache.GetOrLoad(*index_, graph_->dict(), tp, true).bm.Count();
   ASSERT_GT(full_count, 0u);
 
-  // Every thread mutates its own snapshot (wipes a distinct row range);
-  // the cached entry and the other threads' snapshots must be unaffected.
+  // The entry was memoized before publication; every snapshot shares that
+  // memo, and each thread folds its own copy (BitMats are thread-confined).
+  const Bitvector serial_fold =
+      cache.GetOrLoad(*index_, graph_->dict(), tp, true).bm.DeepCopy().Fold(
+          Dim::kCol);
+
+  // Every thread folds its snapshot twice and mutates it (wipes a distinct
+  // row range); the cached entry and the other threads' snapshots must be
+  // unaffected.
   StartGate gate(kThreads);
   std::atomic<int> isolation_failures{0};
+  std::atomic<int> fold_mismatches{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
@@ -147,6 +171,11 @@ TEST_F(TpCacheConcurrencyTest, SnapshotIsolationAcrossThreads) {
         if (snap.bm.Count() != full_count) {
           isolation_failures.fetch_add(1);
           return;
+        }
+        for (int fold = 0; fold < 2; ++fold) {
+          Bitvector cols;
+          snap.bm.FoldInto(Dim::kCol, &cols);
+          if (cols != serial_fold) fold_mismatches.fetch_add(1);
         }
         // Keep only rows in this thread's stripe, then wipe everything.
         Bitvector keep(snap.bm.num_rows());
@@ -164,8 +193,10 @@ TEST_F(TpCacheConcurrencyTest, SnapshotIsolationAcrossThreads) {
   for (std::thread& t : threads) t.join();
 
   EXPECT_EQ(isolation_failures.load(), 0);
+  EXPECT_EQ(fold_mismatches.load(), 0);
   TpBitMat after = cache.GetOrLoad(*index_, graph_->dict(), tp, true);
   EXPECT_EQ(after.bm.Count(), full_count);
+  EXPECT_TRUE(after.bm.ColFoldMemoized());
 }
 
 TEST_F(TpCacheConcurrencyTest, MaskedCopyOutUnderConcurrentHits) {
@@ -315,35 +346,33 @@ TEST_F(TpCacheConcurrencyTest, SharedCacheEnginesAgreeWithPrivateEngines) {
 }
 
 TEST_F(TpCacheConcurrencyTest, InjectedFaultFailsEveryNthLoad) {
-  // LBR_FAULT-style chaos hook, set programmatically: with rate 2 the
-  // second claiming load faults, the RetryTransient boundary absorbs it
-  // (the backoff retry gets a fresh sequence number and lands), and the
-  // caller never observes the failure — transient faults at rate >= 2 are
-  // recovered, not surfaced.
-  const uint64_t retries0 = FaultRegistry::Instance().retries_total();
+  // The `tp_cache.load` site at nth=2: the second claiming load faults,
+  // the RetryTransient boundary absorbs it (the backoff retry is the
+  // third crossing and lands), and the caller never observes the failure.
+  OnlyArmedSite site("tp_cache.load", "nth=2");
+  FaultRegistry& faults = FaultRegistry::Instance();
   TpCache cache(/*triple_budget=*/~uint64_t{0});
-  cache.set_fault_rate(2);
   TriplePattern a = VarPredVar(lubm::kTakesCourse);
   TriplePattern b = VarPredVar(lubm::kAdvisor);
   EXPECT_NO_THROW(cache.GetOrLoad(*index_, graph_->dict(), a, true));
   EXPECT_NO_THROW(cache.GetOrLoad(*index_, graph_->dict(), b, true));
-  EXPECT_EQ(cache.faults_injected(), 1u);
-  EXPECT_EQ(FaultRegistry::Instance().retries_total() - retries0, 1u);
-  // Both entries published despite the fault; hits bypass the hook.
+  EXPECT_EQ(faults.injected(FaultSiteId::kTpCacheLoad), 1u);
+  EXPECT_EQ(faults.retries_total(), 1u);
+  // Both entries published despite the fault; hits bypass the site.
   EXPECT_NO_THROW(cache.GetOrLoad(*index_, graph_->dict(), b, true));
   EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.faults_injected(), 1u);
+  EXPECT_EQ(faults.injected(FaultSiteId::kTpCacheLoad), 1u);
 }
 
 TEST_F(TpCacheConcurrencyTest, FaultedLoadDoesNotPoisonSingleFlight) {
-  // Satellite hardening: the single-flight claimer throws (injected fault)
-  // while waiters sleep on the shard CV. Every waiter must observe the
-  // failure — wake, find no entry, and fall through to a direct load that
-  // bypasses the cache — with no hang and no key left marked in-flight.
-  // The test completing at all is the no-hang assertion.
+  // The single-flight claimer throws (injected fault) while waiters sleep
+  // on the shard CV. Every waiter must observe the failure — wake, find no
+  // entry, and fall through to a direct load that bypasses the cache —
+  // with no hang and no key left marked in-flight. The test completing at
+  // all is the no-hang assertion.
   constexpr int kThreads = 8;
+  OnlyArmedSite site("tp_cache.load", "nth=1");  // every claiming load
   TpCache cache(/*triple_budget=*/~uint64_t{0});
-  cache.set_fault_rate(1);  // every claiming load faults
   TriplePattern tp = VarPredVar(lubm::kTakesCourse);
 
   StartGate gate(kThreads);
@@ -370,35 +399,15 @@ TEST_F(TpCacheConcurrencyTest, FaultedLoadDoesNotPoisonSingleFlight) {
   EXPECT_EQ(successes.load() + failures.load(), kThreads);
   EXPECT_GE(failures.load(), 1);       // at least the first claimer faulted
   EXPECT_EQ(wrong_counts.load(), 0);   // fallback loads saw the full matrix
-  EXPECT_GE(cache.faults_injected(), 1u);
+  EXPECT_GE(FaultRegistry::Instance().injected(FaultSiteId::kTpCacheLoad),
+            1u);
   EXPECT_EQ(cache.size(), 0u);         // nothing was published
 
-  // No poisoned entry: with the hook off, the key loads and publishes.
-  cache.set_fault_rate(0);
+  // No poisoned entry: with the site disarmed, the key loads and publishes.
+  FaultRegistry::Instance().Disarm(FaultSiteId::kTpCacheLoad);
   TpBitMat after = cache.GetOrLoad(*index_, graph_->dict(), tp, true);
   EXPECT_EQ(after.bm.Count(), full_count);
   EXPECT_EQ(cache.size(), 1u);
-}
-
-TEST_F(TpCacheConcurrencyTest, FaultRateReadFromEnvironment) {
-  // The LBR_FAULT env var arms the hook at construction (the chaos-testing
-  // entry point when the cache is buried inside an engine).
-  ASSERT_EQ(setenv("LBR_FAULT", "1", /*overwrite=*/1), 0);
-  TpCache cache(/*triple_budget=*/~uint64_t{0});
-  ASSERT_EQ(unsetenv("LBR_FAULT"), 0);
-  TriplePattern tp = VarPredVar(lubm::kTakesCourse);
-  // Rate 1 fires on every attempt, so the retry budget exhausts and the
-  // fault surfaces; each attempt counts an injection.
-  EXPECT_THROW(cache.GetOrLoad(*index_, graph_->dict(), tp, true),
-               std::runtime_error);
-  EXPECT_GE(cache.faults_injected(), 1u);
-  cache.set_fault_rate(0);
-  EXPECT_NO_THROW(cache.GetOrLoad(*index_, graph_->dict(), tp, true));
-
-  // A fresh cache without the env var never faults.
-  TpCache clean(/*triple_budget=*/~uint64_t{0});
-  EXPECT_NO_THROW(clean.GetOrLoad(*index_, graph_->dict(), tp, true));
-  EXPECT_EQ(clean.faults_injected(), 0u);
 }
 
 TEST_F(TpCacheConcurrencyTest, SmallGraphSanity) {
