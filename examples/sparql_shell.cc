@@ -12,14 +12,13 @@
 //   .maxmem <bytes>   per-query memory budget (0 clears); also for .batch
 //   .cancel <ms>      arm a one-shot canceller: the NEXT query is cancelled
 //                     from a second thread after <ms> milliseconds
-//   .predstats        print the load-time per-predicate statistics table
 //   .quit             exit
 //
-// Usage:  sparql_shell [--threads N] [--planner heuristic|cost]
-//                      [--budget=BYTES] [data.nt | data.lbr | data.snap]
+// Usage:  sparql_shell [--threads N] [--budget=BYTES]
+//                      [data.nt | data.lbr | data.snap]
 //         echo 'SELECT ...' | sparql_shell data.nt
 //
-// An unknown --flag, or --threads/--planner without a value, prints the
+// An unknown --flag, or --threads without a value, prints the
 // usage line and exits 2; a data file that cannot be opened or built
 // prints "error: <reason>" and exits 1.
 //
@@ -28,9 +27,6 @@
 // runner against the shared TP cache. Interactive queries always run on
 // one thread.
 // --budget=BYTES caps the resident memory of a reopened snapshot.
-// --planner cost orders jvars and TP loads from the load-time
-// PredicateStats densities (DESIGN.md §10) instead of the per-query
-// exact metadata counts; results are identical, planning is O(1) per TP.
 
 #include <chrono>
 #include <cstdlib>
@@ -87,8 +83,8 @@ bool StartsWithWord(const std::string& line, const std::string& word) {
 }
 
 constexpr const char* kUsage =
-    "usage: sparql_shell [--threads N] [--planner heuristic|cost] "
-    "[--budget=BYTES] [data.nt | data.lbr | data.snap]";
+    "usage: sparql_shell [--threads N] [--budget=BYTES] "
+    "[data.nt | data.lbr | data.snap]";
 
 }  // namespace
 
@@ -98,10 +94,9 @@ int main(int argc, char** argv) {
   int num_threads = 1;
   uint64_t budget_bytes = 0;  // snapshot resident-memory budget (--budget=)
   std::string data_path;
-  std::string planner = "heuristic";
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    if ((arg == "--threads" || arg == "--planner") && i + 1 == argc) {
+    if (arg == "--threads" && i + 1 == argc) {
       std::cerr << arg << " needs a value; " << kUsage << "\n";
       return 2;
     }
@@ -109,10 +104,6 @@ int main(int argc, char** argv) {
       num_threads = std::atoi(argv[++i]);
     } else if (arg.rfind("--threads=", 0) == 0) {
       num_threads = std::atoi(arg.c_str() + 10);
-    } else if (arg == "--planner") {
-      planner = argv[++i];
-    } else if (arg.rfind("--planner=", 0) == 0) {
-      planner = arg.substr(10);
     } else if (arg.rfind("--budget=", 0) == 0) {
       budget_bytes = std::strtoull(arg.c_str() + 9, nullptr, 10);
     } else if (arg.rfind("--", 0) == 0) {
@@ -123,17 +114,10 @@ int main(int argc, char** argv) {
     }
   }
   if (num_threads < 1) num_threads = ThreadPool::HardwareThreads();
-  if (planner != "heuristic" && planner != "cost") {
-    std::cerr << "unknown --planner mode '" << planner
-              << "' (expected heuristic or cost)\n";
-    return 1;
-  }
 
   std::unique_ptr<ThreadPool> pool;
   EngineOptions options;
   options.enable_tp_cache = true;  // shell reruns queries: cache pays off
-  options.planner =
-      planner == "cost" ? PlannerMode::kCost : PlannerMode::kHeuristic;
   if (num_threads > 1) {
     pool = std::make_unique<ThreadPool>(num_threads);
     std::cerr << ".batch runners: " << num_threads << " thread(s)\n";
@@ -243,7 +227,7 @@ int main(int argc, char** argv) {
   std::cerr << "enter SPARQL queries (end with a blank line); "
                "'EXPLAIN <query>' for plans; '.stats', '.format tsv|csv|"
                "table', '.snapshot <path>', '.batch <path>', '.timeout <ms>', "
-               "'.maxmem <bytes>', '.cancel <ms>', '.predstats', '.verify', "
+               "'.maxmem <bytes>', '.cancel <ms>', '.verify', "
                "'.quit'\n";
 
   std::string buffer;
@@ -254,8 +238,7 @@ int main(int argc, char** argv) {
     buffer.clear();
     try {
       if (StartsWithWord(text, "EXPLAIN")) {
-        std::cout << ExplainQuery(db.index(), db.dict(), text.substr(7))
-                  << "\n";
+        std::cout << ExplainQuery(engine, text.substr(7)) << "\n";
         return;
       }
       if (text == ".stats") {
@@ -297,10 +280,6 @@ int main(int argc, char** argv) {
         cancel_after_ms = std::strtoll(text.c_str() + 8, nullptr, 10);
         std::cout << "canceller armed: next query cancelled after "
                   << cancel_after_ms << " ms\n";
-        return;
-      }
-      if (text == ".predstats") {
-        std::cout << db.predicate_stats().Summary(db.dict());
         return;
       }
       if (text == ".verify") {
@@ -389,8 +368,8 @@ int main(int argc, char** argv) {
     if (line == ".stats" || line.rfind(".format ", 0) == 0 ||
         line.rfind(".snapshot ", 0) == 0 || line.rfind(".batch ", 0) == 0 ||
         line.rfind(".timeout ", 0) == 0 || line.rfind(".maxmem ", 0) == 0 ||
-        line.rfind(".cancel ", 0) == 0 || line == ".predstats" ||
-        line == ".verify" || StartsWithWord(line, "EXPLAIN")) {
+        line.rfind(".cancel ", 0) == 0 || line == ".verify" ||
+        StartsWithWord(line, "EXPLAIN")) {
       buffer = line;
       run_buffer();
       continue;

@@ -38,11 +38,10 @@ class SnapshotError : public std::runtime_error {
   SnapshotErrorCode code_;
 };
 
-/// On-disk snapshot layout (version 2, little-endian, DESIGN.md §11):
+/// On-disk snapshot layout (version 3, little-endian, DESIGN.md §11):
 ///
 ///   [SnapHeader | SectionEntry x num_sections | u64 header_checksum]
 ///   dict section     — Dictionary::WriteTo bytes (verified at open)
-///   stats section    — PredicateStats::WriteTo bytes (verified at open)
 ///   rowdir section   — concatenated RowDirEntry arrays, one array per
 ///                      (predicate, orientation); each verified at every
 ///                      materialization of its slice
@@ -53,24 +52,24 @@ class SnapshotError : public std::runtime_error {
 ///
 /// Every checksum is Checksum64 (util/checksum.h) with seed 0. The header
 /// checksum covers the SnapHeader and the section table as one contiguous
-/// byte range. Version 1 used a byte-serial FNV-1a instead and is rejected
-/// as kBadVersion.
+/// byte range. Older versions are rejected as kBadVersion: version 1
+/// checksummed with a byte-serial FNV-1a, and version 2 carried a
+/// per-predicate statistics section between dict and rowdir.
 ///
 /// Rows are stored as raw payload words in the extents plus a fixed-size
 /// directory entry, so a materialized slice is a vector of zero-copy
 /// CompressedRow *views* into the mapped extent — both kPositions and kRuns
 /// payloads are position-independent 4-byte word arrays, usable in place.
 inline constexpr char kSnapMagic[8] = {'L', 'B', 'R', 'S', 'N', 'P', '0', '1'};
-inline constexpr uint32_t kSnapVersion = 2;
+inline constexpr uint32_t kSnapVersion = 3;
 
 enum SnapSectionKind : uint32_t {
   kSnapSectionDict = 1,
-  kSnapSectionStats = 2,
-  kSnapSectionRowDir = 3,
-  kSnapSectionMeta = 4,
-  kSnapSectionExtents = 5,
+  kSnapSectionRowDir = 2,
+  kSnapSectionMeta = 3,
+  kSnapSectionExtents = 4,
 };
-inline constexpr uint32_t kSnapNumSections = 5;
+inline constexpr uint32_t kSnapNumSections = 4;
 
 #pragma pack(push, 1)
 struct SnapHeader {

@@ -7,14 +7,6 @@
 
 namespace lbr {
 
-void Database::InitEngine(EngineOptions options) {
-  // Load-time stats pass: one popcount sweep over the index metadata,
-  // wired into the engine so planner = kCost never collects privately.
-  stats_ = std::make_unique<PredicateStats>(PredicateStats::Collect(*index_));
-  options.predicate_stats = stats_.get();
-  engine_ = std::make_unique<Engine>(index_.get(), dict_.get(), options);
-}
-
 std::vector<BatchResult> Database::ExecuteBatch(
     const std::vector<std::string>& queries, ThreadPool* pool) {
   BatchOptions options;
@@ -26,10 +18,9 @@ std::vector<BatchResult> Database::ExecuteBatch(
     const std::vector<std::string>& queries, BatchOptions options) {
   options.engine = engine_->options();
   options.shared_cache = engine_->shared_tp_cache();
-  // Batch workers share the interactive engine's plan cache and stats
-  // table, so shapes warmed by either side serve the other.
+  // Batch workers share the interactive engine's plan cache, so shapes
+  // warmed by either side serve the other.
   options.engine.plan_cache = engine_->shared_plan_cache();
-  options.engine.predicate_stats = stats_.get();
   return Engine::ExecuteBatch(*index_, *dict_, queries, options);
 }
 
@@ -41,7 +32,8 @@ Database Database::Build(const std::vector<TermTriple>& triples,
   // is not retained (the index is the store).
   db.dict_ = std::make_unique<Dictionary>(graph.dict());
   db.index_ = std::make_unique<TripleIndex>(TripleIndex::Build(graph));
-  db.InitEngine(options);
+  db.engine_ =
+      std::make_unique<Engine>(db.index_.get(), db.dict_.get(), options);
   return db;
 }
 
@@ -53,7 +45,7 @@ Database Database::BuildFromNTriples(const std::string& path,
 }
 
 void Database::SaveSnapshot(const std::string& path) const {
-  SnapshotIO::Write(*dict_, *index_, *stats_, path);
+  SnapshotIO::Write(*dict_, *index_, path);
 }
 
 Database::SnapshotVerifyReport Database::VerifySnapshot() const {
@@ -72,9 +64,7 @@ Database Database::OpenSnapshot(const std::string& path, EngineOptions options,
   Database db;
   db.dict_ = std::move(opened.dict);
   db.index_ = std::move(opened.index);
-  db.stats_ = std::move(opened.stats);
 
-  options.predicate_stats = db.stats_.get();
   options.snapshot_prefetch = snap.prefetch;
   db.engine_ = std::make_unique<Engine>(db.index_.get(), db.dict_.get(),
                                         options);

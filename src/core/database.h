@@ -7,7 +7,6 @@
 
 #include "bitmat/triple_index.h"
 #include "core/engine.h"
-#include "core/predicate_stats.h"
 #include "core/snapshot.h"
 #include "rdf/graph.h"
 
@@ -34,7 +33,7 @@ class Database {
                                     EngineOptions options = {});
 
   /// Saves the database as a page-organized mmap-ready snapshot
-  /// (DESIGN.md §11): dictionary + stats + row directories + page-aligned
+  /// (DESIGN.md §11): dictionary + row directories + page-aligned
   /// payload extents, all checksummed. Works from either backend.
   void SaveSnapshot(const std::string& path) const;
 
@@ -53,11 +52,6 @@ class Database {
   const TripleIndex& index() const { return *index_; }
   Engine& engine() { return *engine_; }
   const Engine& engine() const { return *engine_; }
-
-  /// Load-time per-predicate statistics (DESIGN.md §10), collected once in
-  /// InitEngine from index metadata and wired into the engine as the cost
-  /// planner's cardinality source.
-  const PredicateStats& predicate_stats() const { return *stats_; }
 
   /// Version-stamped plan invalidation: compiled plans cached before this
   /// call recompile on next use. The hook future incremental updates call
@@ -100,12 +94,10 @@ class Database {
 
  private:
   Database() = default;
-  void InitEngine(EngineOptions options);
 
   // Heap-held so Database stays movable while Engine keeps stable pointers.
   std::unique_ptr<Dictionary> dict_;
   std::unique_ptr<TripleIndex> index_;
-  std::unique_ptr<PredicateStats> stats_;
   /// The snapshot tier's shared memory meter (mapped databases with a
   /// budget): charged by the index's materialized slices and the TP cache's
   /// entries, drained by their spill passes. Budget stays 0 — it is an

@@ -14,7 +14,6 @@
 #include "core/gosn.h"
 #include "core/jvar_order.h"
 #include "core/multiway_join.h"
-#include "core/predicate_stats.h"
 #include "core/prune.h"
 #include "core/selectivity.h"
 #include "core/tp_state.h"
@@ -76,8 +75,6 @@ Engine::Engine(const TripleIndex* index, const Dictionary* dict,
                EngineOptions options)
     : Engine(index, dict, options, nullptr) {}
 
-Engine::~Engine() = default;
-
 Engine::Engine(const TripleIndex* index, const Dictionary* dict,
                EngineOptions options, std::shared_ptr<TpCache> shared_cache)
     : index_(index),
@@ -93,18 +90,9 @@ Engine::Engine(const TripleIndex* index, const Dictionary* dict,
                             options.plan_cache_capacity,
                             options.plan_cache_shards)) {}
 
-const PredicateStats& Engine::predicate_stats() {
-  if (options_.predicate_stats != nullptr) return *options_.predicate_stats;
-  if (own_stats_ == nullptr) {
-    own_stats_ =
-        std::make_unique<PredicateStats>(PredicateStats::Collect(*index_));
-  }
-  return *own_stats_;
-}
-
 BranchPlan Engine::PlanBranch(const Algebra& branch,
                               const std::vector<Term>* slot_constants,
-                              QueryStats* stats) {
+                              QueryStats* stats) const {
   BranchPlan plan;
 
   // --- GoSN / GoJ (Alg 5.1 lines 1-2).
@@ -156,23 +144,19 @@ BranchPlan Engine::PlanBranch(const Algebra& branch,
     }
   }
 
-  // --- Selectivity estimates. A template compile estimates on the
-  // triggering query's concrete constants (markers are not in the
-  // dictionary and would read as impossible TPs).
+  // --- Selectivity estimates: exact index metadata counts (Appendix D). A
+  // template compile estimates on the triggering query's concrete
+  // constants (markers are not in the dictionary and would read as
+  // impossible TPs).
   plan.estimated_cards.resize(tps.size());
   for (size_t i = 0; i < tps.size(); ++i) {
-    TriplePattern tp =
-        slot_constants != nullptr ? BindTp(tps[i], *slot_constants) : tps[i];
-    plan.estimated_cards[i] =
-        options_.planner == PlannerMode::kCost
-            ? EstimateTpCardinalityFromStats(predicate_stats(), *dict_, tp)
-            : EstimateTpCardinality(*index_, *dict_, tp);
+    plan.estimated_cards[i] = EstimateTpCardinality(
+        *index_, *dict_,
+        slot_constants != nullptr ? BindTp(tps[i], *slot_constants) : tps[i]);
   }
   const std::vector<uint64_t>& cards = plan.estimated_cards;
 
-  // --- get_jvar_order (Alg 3.1 / ablation strategies). Both planner modes
-  // run the same ordering algorithm; they differ only in where `cards`
-  // came from, so any Alg-3.1-structured order stays result-correct.
+  // --- get_jvar_order (Alg 3.1 / ablation strategies).
   if (stats != nullptr) ++stats->planning_jvar_orders;
   switch (options_.order_strategy) {
     case JvarOrderStrategy::kPaper:
@@ -204,25 +188,22 @@ BranchPlan Engine::PlanBranch(const Algebra& branch,
     }
   }
 
-  // --- Load order. The heuristic planner loads in serialization order
-  // (the paper's behavior); the cost planner loads masters first (so their
-  // active-pruning masks exist before slaves load), then smallest
-  // estimate first within a depth. Loading order only affects which masks
-  // apply during init — prune_triples reaches the same fixpoint either
-  // way — so this is a cost knob, not a correctness one.
+  // --- Load order: masters first (so their active-pruning masks exist
+  // before slaves load), then smallest estimate first within a master
+  // depth, ties in serialization order. Loading order only affects which
+  // masks apply during init — prune_triples reaches the same fixpoint
+  // either way — so it changes cost, not answers.
   plan.load_order.resize(tps.size());
   for (size_t i = 0; i < tps.size(); ++i) {
     plan.load_order[i] = static_cast<int>(i);
   }
-  if (options_.planner == PlannerMode::kCost) {
-    std::stable_sort(plan.load_order.begin(), plan.load_order.end(),
-                     [&](int a, int b) {
-                       int da = gosn.MasterDepth(gosn.SupernodeOf(a));
-                       int db = gosn.MasterDepth(gosn.SupernodeOf(b));
-                       if (da != db) return da < db;
-                       return cards[a] < cards[b];
-                     });
-  }
+  std::stable_sort(plan.load_order.begin(), plan.load_order.end(),
+                   [&](int a, int b) {
+                     int da = gosn.MasterDepth(gosn.SupernodeOf(a));
+                     int db = gosn.MasterDepth(gosn.SupernodeOf(b));
+                     if (da != db) return da < db;
+                     return cards[a] < cards[b];
+                   });
   return plan;
 }
 
@@ -529,10 +510,9 @@ uint64_t Engine::Execute(const ParsedQuery& query, const RowSink& sink,
 
 CompiledPlan Engine::CompilePlan(const ParsedQuery& query,
                                  const std::vector<Term>* slot_constants,
-                                 QueryStats* stats) {
+                                 QueryStats* stats) const {
   CompiledPlan plan;
   plan.projection = query.EffectiveProjection();
-  plan.planner = options_.planner;
 
   // Cheap filter optimization, then UNF rewrite (Section 5.2).
   if (stats != nullptr) ++stats->planning_rewrites;

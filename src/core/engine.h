@@ -21,7 +21,6 @@ namespace lbr {
 
 class ThreadPool;
 class Stopwatch;
-class PredicateStats;
 
 /// Strategy knob for the jvar-ordering ablation (Table/figure A2).
 enum class JvarOrderStrategy {
@@ -44,18 +43,6 @@ struct EngineOptions {
   uint64_t tp_cache_budget = 4u << 20;
   /// Lock stripes for the TP cache (concurrent engines sharing one cache).
   size_t tp_cache_shards = 8;
-  /// Cardinality source for jvar ordering and TP load order (DESIGN.md
-  /// §10). kHeuristic is the paper's per-query exact metadata estimation;
-  /// kCost plans from the load-time PredicateStats table (O(1) per TP) and
-  /// additionally loads masters-first / smallest-first so active-pruning
-  /// masks from selective TPs exist before large TPs load. Result streams
-  /// are identical either way (the jvar order changes cost, not answers);
-  /// kHeuristic stays the differential oracle.
-  PlannerMode planner = PlannerMode::kHeuristic;
-  /// Stats table for the cost planner (not owned; Database wires its own).
-  /// Null with planner = kCost makes the engine collect a private table
-  /// lazily on first use.
-  const PredicateStats* predicate_stats = nullptr;
   /// Cache compiled plan skeletons keyed by query shape, so parameterized
   /// traffic pays parse/rewrite/GoSN/jvar-order once per shape. Only the
   /// text entry points (Execute(std::string), ExecuteToTable(std::string))
@@ -219,10 +206,6 @@ class Engine {
   Engine(const TripleIndex* index, const Dictionary* dict,
          EngineOptions options, std::shared_ptr<TpCache> shared_cache);
 
-  // Out-of-line so `own_stats_`'s unique_ptr<PredicateStats> destructor
-  // instantiates where the type is complete (engine.cc).
-  ~Engine();
-
   /// Row callback: bindings follow `projection` order; kNullBinding slots
   /// are OPTIONAL misses.
   using RowSink = std::function<void(const RawRow&)>;
@@ -297,9 +280,14 @@ class Engine {
   /// call are recompiled on next use (for future incremental updates).
   void InvalidatePlans() { plan_cache_->BumpEpoch(); }
 
-  /// The cost planner's stats table: the wired one, or a lazily collected
-  /// private table.
-  const PredicateStats& predicate_stats();
+  /// Whole-query planning, bypassing the plan cache: rewrite to UNF, then
+  /// PlanBranch per branch. The one planner behind every execution and
+  /// ExplainQuery. Throws UnsupportedQueryError for shapes Execute rejects.
+  /// `slot_constants` (nullable) binds a shape template's markers for
+  /// cardinality estimation; `stats` (nullable) counts planning phases.
+  CompiledPlan CompilePlan(const ParsedQuery& query,
+                           const std::vector<Term>* slot_constants = nullptr,
+                           QueryStats* stats = nullptr) const;
 
  private:
   struct BranchResult;
@@ -317,11 +305,7 @@ class Engine {
   /// compile plans with the triggering query's real constants.
   BranchPlan PlanBranch(const Algebra& branch,
                         const std::vector<Term>* slot_constants,
-                        QueryStats* stats);
-  /// Whole-query planning: rewrite to UNF, plan each branch.
-  CompiledPlan CompilePlan(const ParsedQuery& query,
-                           const std::vector<Term>* slot_constants,
-                           QueryStats* stats);
+                        QueryStats* stats) const;
   /// Execution half of a branch: init/prune/join/best-match. `rebound`
   /// (nullable) overlays concrete constants on a plan-cache hit; null (or
   /// empty members) means plan.gosn's own Terms are already concrete. The
@@ -352,9 +336,6 @@ class Engine {
   EngineOptions options_;
   std::shared_ptr<TpCache> tp_cache_;
   std::shared_ptr<PlanCache> plan_cache_;
-  /// Lazily collected stats when the cost planner runs without a wired
-  /// table (options_.predicate_stats == nullptr).
-  std::unique_ptr<PredicateStats> own_stats_;
   /// Scratch arena threaded through init/prune/join; buffer capacity is
   /// retained across queries, so a warm engine's hot path stays off the
   /// heap. Makes the engine single-threaded per instance (as before).

@@ -1,36 +1,26 @@
 #include "core/explain.h"
 
-#include <set>
 #include <sstream>
 
 #include "core/engine.h"
-#include "core/goj.h"
-#include "core/gosn.h"
-#include "core/jvar_order.h"
-#include "core/selectivity.h"
 #include "sparql/parser.h"
-#include "sparql/rewrite.h"
-#include "sparql/well_designed.h"
 
 namespace lbr {
 
 namespace {
 
-void ExplainBranch(const TripleIndex& index, const Dictionary& dict,
-                   const Algebra& branch, int branch_no, std::ostream* os) {
-  *os << "branch " << branch_no << ": " << branch.ToString() << "\n";
-
-  Gosn gosn = Gosn::Build(branch);
+void ExplainBranch(const BranchPlan& plan, int branch_no, std::ostream* os) {
+  const Gosn& gosn = plan.gosn;
+  const Goj& goj = plan.goj;
   const auto& tps = gosn.tps();
+  *os << "branch " << branch_no << ":\n";
 
   // Well-designedness and the Appendix B conversion.
-  auto violations = gosn.ComputeWdViolationPairs();
-  if (violations.empty()) {
+  if (plan.well_designed) {
     *os << "  well-designed: yes\n";
   } else {
-    *os << "  well-designed: NO — converting " << violations.size()
-        << " violation pair(s) to inner joins (Appendix B)\n";
-    gosn.ConvertViolationPairs(violations);
+    *os << "  well-designed: NO — violating OPTIONAL edges converted to "
+           "inner joins (Appendix B)\n";
   }
 
   // Supernodes and edges.
@@ -40,9 +30,8 @@ void ExplainBranch(const TripleIndex& index, const Dictionary& dict,
         << (gosn.IsAbsoluteMaster(sn.id) ? " [absolute master]" : "")
         << " depth=" << gosn.MasterDepth(sn.id) << ":\n";
     for (int tp_id : sn.tp_ids) {
-      uint64_t card = EstimateTpCardinality(index, dict, tps[tp_id]);
       *os << "      tp" << tp_id << "  " << tps[tp_id].ToString() << "  (~"
-          << card << " triples)\n";
+          << plan.estimated_cards[tp_id] << " triples)\n";
     }
   }
   for (const auto& [a, b] : gosn.uni_edges()) {
@@ -59,13 +48,7 @@ void ExplainBranch(const TripleIndex& index, const Dictionary& dict,
     *os << "}\n";
   }
 
-  // GoJ and orders.
-  Goj goj = Goj::Build(tps);
-  std::vector<uint64_t> cards;
-  cards.reserve(tps.size());
-  for (const TriplePattern& tp : tps) {
-    cards.push_back(EstimateTpCardinality(index, dict, tp));
-  }
+  // GoJ, orders and the init load order.
   *os << "  GoJ: " << goj.num_jvars() << " jvar(s)"
       << (goj.IsCyclic() ? ", CYCLIC" : ", acyclic") << " {";
   for (int j = 0; j < goj.num_jvars(); ++j) {
@@ -73,61 +56,48 @@ void ExplainBranch(const TripleIndex& index, const Dictionary& dict,
   }
   *os << "}\n";
 
-  JvarOrder order = GetJvarOrder(gosn, goj, cards);
   auto print_order = [&](const char* label, const std::vector<int>& ord) {
     *os << "  " << label << ":";
     for (int j : ord) *os << " ?" << goj.jvars()[j];
     *os << "\n";
   };
+  const JvarOrder& order = plan.order;
   print_order(order.greedy ? "order (greedy)" : "order_bu", order.order_bu);
   if (!order.greedy) print_order("order_td", order.order_td);
+  *os << "  load order:";
+  for (int tp_id : plan.load_order) *os << " tp" << tp_id;
+  *os << "\n";
 
   // Lemma 3.4 decision.
-  bool nb = false;
-  if (goj.IsCyclic()) {
-    for (int sn : gosn.SlaveSupernodes()) {
-      std::set<int> jvars_in_sn;
-      for (int tp_id : gosn.supernode(sn).tp_ids) {
-        for (const std::string& v : tps[tp_id].Vars()) {
-          if (goj.IsJvar(v)) jvars_in_sn.insert(goj.JvarIndex(v));
-        }
-      }
-      if (jvars_in_sn.size() > 1) nb = true;
-    }
-  }
   *os << "  nullification/best-match: "
-      << (nb ? "REQUIRED (cyclic GoJ with a multi-jvar slave)"
-             : "not required (Lemmas 3.3/3.4)")
+      << (plan.nb_reqd ? "REQUIRED (minimality not guaranteed)"
+                       : "not required (Lemmas 3.3/3.4)")
       << "\n";
 }
 
 }  // namespace
 
-std::string ExplainQuery(const TripleIndex& index, const Dictionary& dict,
-                         const ParsedQuery& query) {
+std::string ExplainQuery(const Engine& engine, const ParsedQuery& query) {
+  const CompiledPlan plan = engine.CompilePlan(query);
   std::ostringstream os;
-  std::unique_ptr<Algebra> body = EliminateVarEqualities(*query.body);
-  os << "query: " << body->ToString() << "\n";
+  os << "query: " << query.body->ToString() << "\n";
   os << "projection:";
-  for (const std::string& v : query.EffectiveProjection()) os << " ?" << v;
+  for (const std::string& v : plan.projection) os << " ?" << v;
   os << "\n";
-
-  UnfResult unf = ToUnionNormalForm(*body);
-  os << "UNF branches: " << unf.branches.size()
-     << (unf.may_have_spurious
+  os << "UNF branches: " << plan.branches.size()
+     << (plan.may_have_spurious
              ? " (rule-3 used: cross-branch best-match will run)"
              : "")
      << "\n";
   int n = 0;
-  for (const auto& branch : unf.branches) {
-    ExplainBranch(index, dict, *branch, n++, &os);
+  for (const BranchPlan& branch : plan.branches) {
+    ExplainBranch(branch, n++, &os);
   }
   return os.str();
 }
 
-std::string ExplainQuery(const TripleIndex& index, const Dictionary& dict,
-                         const std::string& sparql) {
-  return ExplainQuery(index, dict, Parser::Parse(sparql));
+std::string ExplainQuery(const Engine& engine, const std::string& sparql) {
+  return ExplainQuery(engine, Parser::Parse(sparql));
 }
 
 std::string ExplainCacheStats(const QueryStats& stats) {

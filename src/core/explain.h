@@ -3,31 +3,31 @@
 
 #include <string>
 
-#include "bitmat/triple_index.h"
-#include "rdf/dictionary.h"
 #include "sparql/ast.h"
 
 namespace lbr {
 
+class Engine;
 struct QueryStats;
 
 /// Produces a human-readable query plan — the "explain" view of what
-/// Algorithm 5.1 will do for this query:
-///   - the serialized algebra and the UNF branch count,
-///   - per branch: supernodes with their TPs, GoSN edges, master/peer
-///     relations, well-designedness (and any Appendix B conversions),
-///   - the GoJ (jvars, edges, cyclicity) and the Alg 3.1 orders,
-///   - estimated per-TP cardinalities and the nullification/best-match
-///     decision (Lemma 3.4).
+/// Algorithm 5.1 will do for this query. It renders the CompiledPlan that
+/// `engine` itself would execute (Engine::CompilePlan, bypassing the plan
+/// cache):
+///   - the parsed algebra, the projection and the UNF branch count,
+///   - per branch: supernodes with their TPs and estimated cardinalities,
+///     GoSN edges, scoped filters, well-designedness (and any Appendix B
+///     conversion),
+///   - the GoJ (jvars, cyclicity), the Alg 3.1 orders, the TP load order
+///     and the nullification/best-match decision (Lemma 3.4).
 ///
-/// Purely analytical: nothing is loaded or executed, so explaining is cheap
-/// even for queries whose evaluation would be large.
-std::string ExplainQuery(const TripleIndex& index, const Dictionary& dict,
-                         const ParsedQuery& query);
+/// Nothing is loaded or executed, so explaining is cheap even for queries
+/// whose evaluation would be large. Throws UnsupportedQueryError for the
+/// shapes Execute rejects.
+std::string ExplainQuery(const Engine& engine, const ParsedQuery& query);
 
 /// Convenience overload: parses `sparql` first.
-std::string ExplainQuery(const TripleIndex& index, const Dictionary& dict,
-                         const std::string& sparql);
+std::string ExplainQuery(const Engine& engine, const std::string& sparql);
 
 /// Post-execution companion to ExplainQuery: renders the caching behavior a
 /// query actually exhibited — TpCache hits/misses and held triples, and the

@@ -20,12 +20,6 @@
 
 namespace lbr {
 
-/// Which cardinality source drives jvar ordering and TP load order.
-enum class PlannerMode {
-  kHeuristic,  ///< Exact per-TP metadata counts (Appendix D), per query.
-  kCost,       ///< Load-time PredicateStats densities (O(1) per TP).
-};
-
 /// One parameterized term position inside a branch's TP list: rebinding
 /// writes constants[slot] into tps[tp]'s subject (field 0), predicate (1),
 /// or object (2).
@@ -63,10 +57,9 @@ struct BranchPlan {
   std::vector<uint64_t> estimated_cards;
   /// Chosen BitMat orientation per TP (parallel to gosn.tps()).
   std::vector<bool> prefer_subject_rows;
-  /// TP ids in initialization order. The heuristic planner loads in
-  /// serialization order; the cost planner loads masters first, then by
-  /// ascending estimated cardinality, so active-pruning masks from small
-  /// TPs exist before large TPs load.
+  /// TP ids in initialization order: masters first, then by ascending
+  /// estimated cardinality within a master depth, so active-pruning masks
+  /// from masters and small TPs exist before slaves and large TPs load.
   std::vector<int> load_order;
   /// Marker positions in gosn.tps(), precomputed at compile time so a hit
   /// rebinds by direct assignment instead of scanning every ground term.
@@ -92,7 +85,6 @@ struct CompiledPlan {
   /// PlanCache epoch at compile time; entries from older epochs are
   /// treated as misses (version-stamped invalidation).
   uint64_t epoch = 0;
-  PlannerMode planner = PlannerMode::kHeuristic;
 };
 
 /// Sharded LRU cache of compiled plans keyed by query shape, mirroring

@@ -66,57 +66,6 @@ uint64_t EstimateTpCardinality(const TripleIndex& index,
   return index.num_triples();  // (?s ?p ?o), rejected later anyway.
 }
 
-namespace {
-
-// Rounds a density estimate to a whole-triple figure, never collapsing a
-// plausible match to zero (a zero estimate would make the jvar order treat
-// the TP as absolutely selective, which only an actual dictionary miss
-// justifies).
-uint64_t RoundEstimate(double x) {
-  uint64_t r = static_cast<uint64_t>(x + 0.5);
-  return r > 0 ? r : 1;
-}
-
-}  // namespace
-
-uint64_t EstimateTpCardinalityFromStats(const PredicateStats& stats,
-                                        const Dictionary& dict,
-                                        const TriplePattern& tp) {
-  const bool sv = tp.s.is_var, pv = tp.p.is_var, ov = tp.o.is_var;
-
-  if (!pv) {
-    auto p = dict.PredicateId(tp.p.term);
-    if (!p) return 0;
-    const PredStat& st = stats.pred(*p);
-    if (st.triples == 0) return 0;
-    if (sv && ov) return st.triples;
-    if (sv) {
-      return dict.ObjectId(tp.o.term) ? RoundEstimate(st.object_fan_in) : 0;
-    }
-    if (ov) {
-      return dict.SubjectId(tp.s.term) ? RoundEstimate(st.subject_fan_out)
-                                       : 0;
-    }
-    return (dict.SubjectId(tp.s.term) && dict.ObjectId(tp.o.term)) ? 1 : 0;
-  }
-
-  // Variable predicate: global densities.
-  if (!sv && ov) {
-    return dict.SubjectId(tp.s.term)
-               ? RoundEstimate(stats.triples_per_subject())
-               : 0;
-  }
-  if (sv && !ov) {
-    return dict.ObjectId(tp.o.term)
-               ? RoundEstimate(stats.triples_per_object())
-               : 0;
-  }
-  if (!sv && !ov) {
-    return (dict.SubjectId(tp.s.term) && dict.ObjectId(tp.o.term)) ? 1 : 0;
-  }
-  return stats.total_triples();  // (?s ?p ?o), rejected later anyway.
-}
-
 uint64_t JvarSelectivityKey(const std::vector<uint64_t>& tp_cardinalities,
                             const std::vector<int>& tps_with_jvar) {
   uint64_t best = std::numeric_limits<uint64_t>::max();

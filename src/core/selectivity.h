@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "bitmat/triple_index.h"
-#include "core/predicate_stats.h"
 #include "rdf/dictionary.h"
 #include "sparql/ast.h"
 
@@ -21,16 +20,6 @@ namespace lbr {
 uint64_t EstimateTpCardinality(const TripleIndex& index,
                                const Dictionary& dict,
                                const TriplePattern& tp);
-
-/// Statistical counterpart of EstimateTpCardinality: O(1) per TP from the
-/// load-time PredicateStats table, never touching index rows. Bound
-/// subjects/objects are approximated by the predicate's average fold
-/// density (fan-out / fan-in); variable predicates fall back to global
-/// per-subject / per-object densities. This is the cost planner's
-/// cardinality source (EngineOptions::planner = kCost).
-uint64_t EstimateTpCardinalityFromStats(const PredicateStats& stats,
-                                        const Dictionary& dict,
-                                        const TriplePattern& tp);
 
 /// Per-jvar selectivity key (Section 3.2): jvar ?j1 is more selective than
 /// ?j2 iff the most selective TP containing ?j1 has fewer triples than the

@@ -141,16 +141,14 @@ struct TempFileGuard {
 }  // namespace
 
 void SnapshotIO::Write(const Dictionary& dict, const TripleIndex& index,
-                       const PredicateStats& stats, const std::string& path) {
+                       const std::string& path) {
   const uint64_t page = MappedFile::PageSize();
   const uint32_t np = index.num_predicates();
 
-  // Eager sections serialize through the existing stream writers.
-  std::ostringstream dict_blob_s, stats_blob_s;
+  // The eager dict section serializes through the dictionary's writer.
+  std::ostringstream dict_blob_s;
   dict.WriteTo(&dict_blob_s);
-  stats.WriteTo(&stats_blob_s);
   const std::string dict_blob = dict_blob_s.str();
-  const std::string stats_blob = stats_blob_s.str();
 
   // Walk every slice once, building the row directories, the page-aligned
   // extents, and the per-slice locators. Slice() pins work from either
@@ -187,10 +185,9 @@ void SnapshotIO::Write(const Dictionary& dict, const TripleIndex& index,
   }
   AppendPod(&meta_blob, locs.data(), locs.size() * sizeof(SnapSliceLocEntry));
 
-  // File layout: header | dict | stats | rowdir | meta | pad | extents.
+  // File layout: header | dict | rowdir | meta | pad | extents.
   const uint64_t dict_off = kSnapHeaderBytes;
-  const uint64_t stats_off = dict_off + dict_blob.size();
-  const uint64_t rowdir_off = stats_off + stats_blob.size();
+  const uint64_t rowdir_off = dict_off + dict_blob.size();
   const uint64_t meta_off = rowdir_off + rowdir_blob.size();
   const uint64_t extents_off = AlignUp(meta_off + meta_blob.size(), page);
   const uint64_t file_size = extents_off + extents_blob.size();
@@ -212,15 +209,13 @@ void SnapshotIO::Write(const Dictionary& dict, const TripleIndex& index,
   };
   set(&sections[0], kSnapSectionDict, dict_off, dict_blob.size(),
       Checksum64(dict_blob.data(), dict_blob.size()));
-  set(&sections[1], kSnapSectionStats, stats_off, stats_blob.size(),
-      Checksum64(stats_blob.data(), stats_blob.size()));
   // Rowdir + extents carry checksum 0: their integrity is per slice
   // (dir_checksum / extent_checksum in the locators), verified lazily at
   // materialization.
-  set(&sections[2], kSnapSectionRowDir, rowdir_off, rowdir_blob.size(), 0);
-  set(&sections[3], kSnapSectionMeta, meta_off, meta_blob.size(),
+  set(&sections[1], kSnapSectionRowDir, rowdir_off, rowdir_blob.size(), 0);
+  set(&sections[2], kSnapSectionMeta, meta_off, meta_blob.size(),
       Checksum64(meta_blob.data(), meta_blob.size()));
-  set(&sections[4], kSnapSectionExtents, extents_off, extents_blob.size(), 0);
+  set(&sections[3], kSnapSectionExtents, extents_off, extents_blob.size(), 0);
 
   // The header block is the header, the section table and the checksum of
   // those two, laid out contiguously exactly as the reader sees them.
@@ -266,7 +261,6 @@ void SnapshotIO::Write(const Dictionary& dict, const TripleIndex& index,
   };
   write_all(head, sizeof(head));
   write_all(dict_blob.data(), dict_blob.size());
-  write_all(stats_blob.data(), stats_blob.size());
   write_all(rowdir_blob.data(), rowdir_blob.size());
   write_all(meta_blob.data(), meta_blob.size());
   const std::string pad(extents_off - (meta_off + meta_blob.size()), '\0');
@@ -380,10 +374,9 @@ SnapshotIO::OpenResult SnapshotIO::Open(const std::string& path,
     }
     spans[e.kind] = {e.offset, e.size, e.checksum};
   }
-  // Eager integrity: dict, stats, and meta are decoded now, so their
-  // checksums are verified now. Rowdir/extents verify lazily per slice.
-  for (uint32_t kind : {kSnapSectionDict, kSnapSectionStats,
-                        kSnapSectionMeta}) {
+  // Eager integrity: dict and meta are decoded now, so their checksums
+  // are verified now. Rowdir/extents verify lazily per slice.
+  for (uint32_t kind : {kSnapSectionDict, kSnapSectionMeta}) {
     const SectionSpan& s = spans[kind];
     if (Checksum64(base + s.offset, s.size) != s.checksum) {
       throw SnapshotError(SnapshotErrorCode::kChecksum,
@@ -398,16 +391,11 @@ SnapshotIO::OpenResult SnapshotIO::Open(const std::string& path,
         spans[kSnapSectionDict].size));
     result.dict =
         std::make_unique<Dictionary>(Dictionary::ReadFrom(&dict_in));
-    std::istringstream stats_in(std::string(
-        reinterpret_cast<const char*>(base + spans[kSnapSectionStats].offset),
-        spans[kSnapSectionStats].size));
-    result.stats =
-        std::make_unique<PredicateStats>(PredicateStats::ReadFrom(&stats_in));
   } catch (const SnapshotError&) {
     throw;
   } catch (const std::exception& e) {
     throw SnapshotError(SnapshotErrorCode::kCorrupt,
-                        std::string("dict/stats decode: ") + e.what());
+                        std::string("dict decode: ") + e.what());
   }
 
   const SectionSpan& meta = spans[kSnapSectionMeta];
@@ -423,17 +411,16 @@ SnapshotIO::OpenResult SnapshotIO::Open(const std::string& path,
   index->num_triples_ = mr.Read<uint64_t>();
   const uint32_t np = index->num_predicates_;
   // Each section checksums clean on its own; they must also describe the
-  // same graph, or the engine would index the stats table or decode ids
-  // out of bounds on the first query.
+  // same graph, or the engine would decode ids out of bounds on the first
+  // query.
   const Dictionary& dict = *result.dict;
   if (dict.num_subjects() != index->num_subjects_ ||
       dict.num_predicates() != np ||
       dict.num_objects() != index->num_objects_ ||
-      dict.num_common() != index->num_common_ ||
-      result.stats->num_predicates() != np) {
+      dict.num_common() != index->num_common_) {
     throw SnapshotError(SnapshotErrorCode::kCorrupt,
-                        "dict, stats and meta sections disagree on the "
-                        "index dimensions in " + path);
+                        "dict and meta sections disagree on the index "
+                        "dimensions in " + path);
   }
   index->pred_counts_.resize(np);
   for (uint32_t p = 0; p < np; ++p) {

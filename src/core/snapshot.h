@@ -6,7 +6,6 @@
 
 #include "bitmat/snapshot_format.h"
 #include "bitmat/triple_index.h"
-#include "core/predicate_stats.h"
 #include "rdf/dictionary.h"
 
 namespace lbr {
@@ -40,7 +39,7 @@ struct SnapshotOptions {
 /// saving from a mapped index); the reader installs the mmap backing.
 class SnapshotIO {
  public:
-  /// Serializes dictionary + index + stats as one page-organized file,
+  /// Serializes dictionary + index as one page-organized file,
   /// crash-safely: the image is built in a same-directory temp file,
   /// fsync'd, atomically renamed over `path`, and the directory fsync'd —
   /// an interrupted save at any point leaves `path` pointing at a
@@ -49,16 +48,14 @@ class SnapshotIO {
   /// SnapshotError(kIo) with errno detail on filesystem failures. Fault
   /// sites: snapshot.write.{create,write,fsync,rename,dirsync}.
   static void Write(const Dictionary& dict, const TripleIndex& index,
-                    const PredicateStats& stats, const std::string& path);
+                    const std::string& path);
 
   struct OpenResult {
     std::unique_ptr<Dictionary> dict;
     std::unique_ptr<TripleIndex> index;
-    std::unique_ptr<PredicateStats> stats;
   };
 
-  /// Maps `path` and decodes the eager sections (header, dict, stats,
-  /// meta); row payload stays on disk until touched. Throws SnapshotError
+  /// Maps `path` and decodes the eager sections (header, dict, meta); row payload stays on disk until touched. Throws SnapshotError
   /// with a structured code on any malformed input — nothing is returned
   /// partially constructed. The memory budget in `options` is NOT applied
   /// here (Database wires it together with the TpCache meter).

@@ -12,14 +12,17 @@ namespace {
 class ExplainTest : public ::testing::Test {
  protected:
   ExplainTest()
-      : graph_(testing::SitcomGraph()), index_(TripleIndex::Build(graph_)) {}
+      : graph_(testing::SitcomGraph()),
+        index_(TripleIndex::Build(graph_)),
+        engine_(&index_, &graph_.dict()) {}
 
   std::string Explain(const std::string& sparql) {
-    return ExplainQuery(index_, graph_.dict(), sparql);
+    return ExplainQuery(engine_, sparql);
   }
 
   Graph graph_;
   TripleIndex index_;
+  Engine engine_;
 };
 
 TEST_F(ExplainTest, RunningExamplePlan) {
@@ -79,6 +82,24 @@ TEST_F(ExplainTest, FiltersListedWithScopes) {
 TEST_F(ExplainTest, ProjectionListed) {
   std::string plan = Explain(testing::SitcomQuery());
   EXPECT_NE(plan.find("projection: ?friend ?sitcom"), std::string::npos);
+}
+
+TEST_F(ExplainTest, LoadOrderPutsMasterBeforeOptionalSlave) {
+  // tp0 (<Jerry> <hasFriend> ?friend) is the master and loads first. The
+  // OPTIONAL slave's TPs follow, smallest estimate first: tp2 (~2 triples)
+  // before tp1 (~10 triples).
+  std::string plan = Explain(testing::SitcomQuery());
+  EXPECT_NE(plan.find("load order: tp0 tp2 tp1\n"), std::string::npos)
+      << plan;
+}
+
+TEST_F(ExplainTest, CartesianProductRejectedLikeExecute) {
+  // Explain plans through the engine, so it refuses exactly what Execute
+  // refuses.
+  const std::string q =
+      "SELECT * WHERE { ?a <hasFriend> ?b . ?c <location> ?d . }";
+  EXPECT_THROW(engine_.ExecuteToTable(q), UnsupportedQueryError);
+  EXPECT_THROW(Explain(q), UnsupportedQueryError);
 }
 
 TEST_F(ExplainTest, CacheStatsRendered) {

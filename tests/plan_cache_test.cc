@@ -4,7 +4,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -17,10 +16,6 @@
 #include "sparql/parser.h"
 #include "sparql/plan_shape.h"
 #include "test_util.h"
-#include "workload/dbpedia_gen.h"
-#include "workload/lubm_gen.h"
-#include "workload/query_sets.h"
-#include "workload/uniprot_gen.h"
 
 namespace lbr {
 namespace {
@@ -241,11 +236,7 @@ class PlanCacheEngineTest : public ::testing::Test {
   PlanCacheEngineTest()
       : graph_(SitcomGraph()), index_(TripleIndex::Build(graph_)) {}
 
-  Engine MakeEngine(PlannerMode planner = PlannerMode::kHeuristic) {
-    EngineOptions options;
-    options.planner = planner;
-    return Engine(&index_, &graph_.dict(), options);
-  }
+  Engine MakeEngine() { return Engine(&index_, &graph_.dict()); }
 
   Graph graph_;
   TripleIndex index_;
@@ -374,76 +365,6 @@ TEST_F(PlanCacheEngineTest, ParsedQueryPathBypassesCache) {
 }
 
 // ---------------------------------------------------------------------------
-// Differential oracle: the cost planner must produce the same result
-// multisets as the heuristic planner on the paper's workload query sets.
-
-template <typename GenFn, typename Queries>
-void RunDifferentialSweep(GenFn gen, const Queries& queries,
-                          const std::string& name,
-                          const std::function<std::string(std::string)>&
-                              patch = nullptr) {
-  Graph g = Graph::FromTriples(gen());
-  TripleIndex idx = TripleIndex::Build(g);
-  EngineOptions heuristic_opts;
-  heuristic_opts.planner = PlannerMode::kHeuristic;
-  EngineOptions cost_opts;
-  cost_opts.planner = PlannerMode::kCost;
-  Engine heuristic(&idx, &g.dict(), heuristic_opts);
-  Engine cost(&idx, &g.dict(), cost_opts);
-  for (const BenchQuery& q : queries) {
-    SCOPED_TRACE(name + "/" + q.id);
-    std::string sparql = patch ? patch(q.sparql) : q.sparql;
-    ResultTable a = heuristic.ExecuteToTable(sparql);
-    ResultTable b = cost.ExecuteToTable(sparql);
-    EXPECT_EQ(testing::Canonicalize(a), testing::Canonicalize(b));
-  }
-}
-
-TEST(PlannerDifferentialTest, LubmCostMatchesHeuristic) {
-  LubmConfig cfg;
-  cfg.num_universities = 3;
-  cfg.departments_per_university = 2;
-  cfg.professors_per_department = 4;
-  cfg.grad_students_per_department = 8;
-  cfg.undergrad_students_per_department = 10;
-  // Q4/Q5 target Department1.University9, absent at tiny scale; repoint
-  // them at a department that exists so the sweep exercises non-empty
-  // best-match paths too.
-  auto patch = [](std::string q) {
-    const std::string from = "<http://lubm/Department1.University9>";
-    const std::string to = "<" + LubmDepartmentIri(1, 1) + ">";
-    for (size_t at = q.find(from); at != std::string::npos;
-         at = q.find(from)) {
-      q.replace(at, from.size(), to);
-    }
-    return q;
-  };
-  RunDifferentialSweep([&] { return GenerateLubm(cfg); }, LubmQueries(),
-                       "lubm", patch);
-}
-
-TEST(PlannerDifferentialTest, UniprotCostMatchesHeuristic) {
-  UniprotConfig cfg;
-  cfg.num_proteins = 300;
-  RunDifferentialSweep([&] { return GenerateUniprot(cfg); }, UniprotQueries(),
-                       "uniprot");
-}
-
-TEST(PlannerDifferentialTest, DbpediaCostMatchesHeuristic) {
-  DbpediaConfig cfg;
-  cfg.num_places = 100;
-  cfg.num_persons = 150;
-  cfg.num_soccer_players = 80;
-  cfg.num_settlements = 50;
-  cfg.num_airports = 20;
-  cfg.num_companies = 60;
-  cfg.num_noise_predicates = 20;
-  cfg.num_noise_triples = 500;
-  RunDifferentialSweep([&] { return GenerateDbpedia(cfg); }, DbpediaQueries(),
-                       "dbpedia");
-}
-
-// ---------------------------------------------------------------------------
 // Database-level sharing: batch workers and the interactive engine warm the
 // same plan cache.
 
@@ -473,18 +394,6 @@ TEST(PlanCacheDatabaseTest, BatchSharesInteractiveCache) {
   ASSERT_TRUE(results[1].ok());
   EXPECT_EQ(results[1].stats.plan_cache_misses, 1u);
   EXPECT_EQ(db.engine().plan_cache().size(), 2u);
-}
-
-TEST(PlanCacheDatabaseTest, DatabaseExposesPredicateStats) {
-  Database db = Database::Build({
-      {Term::Iri("a"), Term::Iri("p"), Term::Iri("b")},
-      {Term::Iri("a"), Term::Iri("p"), Term::Iri("c")},
-  });
-  const PredicateStats& stats = db.predicate_stats();
-  EXPECT_EQ(stats.total_triples(), 2u);
-  ASSERT_EQ(stats.num_predicates(), 1u);
-  EXPECT_EQ(stats.pred(0).triples, 2u);
-  EXPECT_DOUBLE_EQ(stats.pred(0).subject_fan_out, 2.0);
 }
 
 }  // namespace

@@ -2,12 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <map>
-#include <set>
+#include <limits>
 
 #include "bitmat/triple_index.h"
-#include "core/predicate_stats.h"
 #include "test_util.h"
 
 namespace lbr {
@@ -91,94 +88,6 @@ TEST_F(SelectivityTest, EstimatesAreExactForAllShapes) {
     EXPECT_EQ(EstimateTpCardinality(index_, graph_.dict(), tp), brute)
         << tp.ToString();
   }
-}
-
-TEST_F(SelectivityTest, PredicateStatsMatchBruteForce) {
-  PredicateStats stats = PredicateStats::Collect(index_);
-  ASSERT_EQ(stats.num_predicates(), index_.num_predicates());
-  EXPECT_EQ(stats.total_triples(), 4u);
-
-  // Brute-force the same figures from the decoded triples.
-  struct Brute {
-    uint64_t triples = 0;
-    std::set<std::string> subjects, objects;
-  };
-  std::map<std::string, Brute> by_pred;
-  for (const Triple& t : graph_.triples()) {
-    TermTriple d = graph_.dict().Decode(t);
-    Brute& b = by_pred[d.p.value];
-    ++b.triples;
-    b.subjects.insert(d.s.value);
-    b.objects.insert(d.o.value);
-  }
-  for (uint32_t p = 0; p < stats.num_predicates(); ++p) {
-    const std::string name = graph_.dict().PredicateTerm(p).value;
-    SCOPED_TRACE(name);
-    const Brute& b = by_pred.at(name);
-    const PredStat& st = stats.pred(p);
-    EXPECT_EQ(st.triples, b.triples);
-    EXPECT_EQ(st.distinct_subjects, b.subjects.size());
-    EXPECT_EQ(st.distinct_objects, b.objects.size());
-    EXPECT_DOUBLE_EQ(st.subject_fan_out,
-                     static_cast<double>(b.triples) / b.subjects.size());
-    EXPECT_DOUBLE_EQ(st.object_fan_in,
-                     static_cast<double>(b.triples) / b.objects.size());
-  }
-}
-
-TEST_F(SelectivityTest, PredicateStatsKnownValues) {
-  // {a p b, a p c, b p c, a q b}: p has 3 triples over subjects {a,b} and
-  // objects {b,c}; q has 1 over {a} / {b}.
-  PredicateStats stats = PredicateStats::Collect(index_);
-  uint32_t p = *graph_.dict().PredicateId(Term::Iri("p"));
-  uint32_t q = *graph_.dict().PredicateId(Term::Iri("q"));
-  EXPECT_EQ(stats.pred(p).triples, 3u);
-  EXPECT_EQ(stats.pred(p).distinct_subjects, 2u);
-  EXPECT_EQ(stats.pred(p).distinct_objects, 2u);
-  EXPECT_DOUBLE_EQ(stats.pred(p).subject_fan_out, 1.5);
-  EXPECT_DOUBLE_EQ(stats.pred(p).object_fan_in, 1.5);
-  EXPECT_EQ(stats.pred(q).triples, 1u);
-  EXPECT_DOUBLE_EQ(stats.pred(q).subject_fan_out, 1.0);
-  EXPECT_DOUBLE_EQ(stats.pred(q).object_fan_in, 1.0);
-}
-
-TEST_F(SelectivityTest, StatsEstimatorShapes) {
-  PredicateStats stats = PredicateStats::Collect(index_);
-  auto est = [&](const std::string& s, const std::string& p,
-                 const std::string& o) {
-    return EstimateTpCardinalityFromStats(stats, graph_.dict(), Tp(s, p, o));
-  };
-  // Exact for (?s p ?o): the per-predicate triple count is stored.
-  EXPECT_EQ(est("?x", "p", "?y"), 3u);
-  EXPECT_EQ(est("?x", "q", "?y"), 1u);
-  // Density estimates: p's fan-out/fan-in are 1.5, rounded up to 2.
-  EXPECT_EQ(est("a", "p", "?y"), 2u);
-  EXPECT_EQ(est("?x", "p", "c"), 2u);
-  // Fully bound: 1 when both endpoints exist (the estimator never proves
-  // absence without a dictionary miss).
-  EXPECT_EQ(est("a", "p", "b"), 1u);
-  EXPECT_EQ(est("b", "p", "b"), 1u);
-  // Dictionary misses are exact zeroes.
-  EXPECT_EQ(est("?x", "nosuch", "?y"), 0u);
-  EXPECT_EQ(est("nosuch", "p", "?y"), 0u);
-  EXPECT_EQ(est("?x", "p", "nosuch"), 0u);
-  // Variable predicate: global densities, never zero for known terms.
-  EXPECT_GE(est("a", "?p", "?o"), 1u);
-  EXPECT_GE(est("?s", "?p", "b"), 1u);
-  EXPECT_EQ(est("?s", "?p", "?o"), stats.total_triples());
-}
-
-TEST_F(SelectivityTest, SummaryListsPredicatesBySize) {
-  PredicateStats stats = PredicateStats::Collect(index_);
-  std::string summary = stats.Summary(graph_.dict());
-  EXPECT_NE(summary.find("predicate stats: 2 predicates"), std::string::npos)
-      << summary;
-  // p (3 triples) sorts before q (1 triple).
-  EXPECT_LT(summary.find("<p>"), summary.find("<q>")) << summary;
-  // top_n truncation.
-  std::string top1 = stats.Summary(graph_.dict(), 1);
-  EXPECT_NE(top1.find("<p>"), std::string::npos);
-  EXPECT_EQ(top1.find("<q>"), std::string::npos);
 }
 
 TEST(JvarSelectivityKeyTest, PicksMostSelectiveHolder) {

@@ -144,18 +144,6 @@ TEST(SnapshotTest, RoundTripDbpedia) {
   ExpectRoundTrip(db, DbpediaQueries(), "snap_dbpedia.snap");
 }
 
-TEST(SnapshotTest, StatsSurviveWithoutCollect) {
-  // OpenSnapshot deserializes PredicateStats instead of re-collecting;
-  // the table must match what the heap build derived.
-  Database heap_db = SmallLubmDb();
-  const std::string path = TempPath("snap_stats.snap");
-  heap_db.SaveSnapshot(path);
-  Database snap_db = Database::OpenSnapshot(path);
-  std::remove(path.c_str());
-  EXPECT_EQ(snap_db.predicate_stats().total_triples(),
-            heap_db.predicate_stats().total_triples());
-}
-
 TEST(SnapshotTest, LazyMaterializationIsCountedOncePerPredicate) {
   Database heap_db = SmallLubmDb();
   const std::string path = TempPath("snap_lazy.snap");
@@ -197,18 +185,15 @@ TEST(SnapshotTest, BoundObjectTpMaterializesOnlyTheObjectSide) {
   Database heap_db = SmallLubmDb();
   const std::string path = TempPath("snap_side.snap");
   heap_db.SaveSnapshot(path);
-  // The cost planner estimates from the load-time statistics, so the only
-  // index reads are the engine's prefetch and the TP load itself.
-  EngineOptions options;
-  options.planner = PlannerMode::kCost;
-  Database db = Database::OpenSnapshot(path, options);
+  Database db = Database::OpenSnapshot(path);
   std::remove(path.c_str());
   const uint32_t member_of = MemberOf(db);
   ASSERT_EQ(db.index().snapshot_materializations(), 0u);
   ASSERT_EQ(db.index().snapshot_resident_bytes(), 0u);
 
-  // (?x :memberOf :dept) reads one row of the O-S side and nothing else:
-  // one side prefetched, one side materialized.
+  // (?x :memberOf :dept) reads one row of the O-S side and nothing else.
+  // The planner's exact count already pins that side, so the load finds it
+  // resident and readahead has nothing left to prefetch.
   const std::string q = "SELECT ?x WHERE { ?x <" +
                         std::string(lubm::kMemberOf) + "> <" +
                         LubmDepartmentIri(0, 0) + "> . }";
@@ -217,8 +202,8 @@ TEST(SnapshotTest, BoundObjectTpMaterializesOnlyTheObjectSide) {
   EXPECT_FALSE(got.rows.empty());
   EXPECT_EQ(testing::Canonicalize(heap_db.engine().ExecuteToTable(q)),
             testing::Canonicalize(got));
-  EXPECT_EQ(stats.snapshot_materializations, 1u);
-  EXPECT_EQ(stats.snapshot_prefetches, 1u);
+  EXPECT_EQ(db.index().snapshot_materializations(), 1u);
+  EXPECT_EQ(stats.snapshot_prefetches, 0u);
   const uint64_t resident = db.index().snapshot_resident_bytes();
 
   // That one slice is the O-S side: pinning it finds it resident, and the
@@ -228,8 +213,18 @@ TEST(SnapshotTest, BoundObjectTpMaterializesOnlyTheObjectSide) {
   EXPECT_EQ(db.index().snapshot_materializations(), 1u);
   EXPECT_EQ(resident, os->heap_bytes);
 
-  // The S-O side was still on disk: touching it is a second, separate
-  // materialization that adds only its own bytes.
+  // The S-O side was still on disk. (?x :memberOf ?d) is estimated from
+  // the predicate count alone, so readahead prefetches the S-O side before
+  // the load materializes it: a second, separate materialization that adds
+  // only its own bytes.
+  const std::string all = "SELECT ?x ?d WHERE { ?x <" +
+                          std::string(lubm::kMemberOf) + "> ?d . }";
+  QueryStats all_stats;
+  ResultTable all_rows = db.engine().ExecuteToTable(all, &all_stats);
+  EXPECT_EQ(testing::Canonicalize(heap_db.engine().ExecuteToTable(all)),
+            testing::Canonicalize(all_rows));
+  EXPECT_EQ(all_stats.snapshot_prefetches, 1u);
+  EXPECT_EQ(all_stats.snapshot_materializations, 1u);
   TripleIndex::SlicePin so =
       db.index().Slice(member_of, TripleIndex::Side::kSO);
   EXPECT_EQ(db.index().snapshot_materializations(), 2u);
@@ -374,12 +369,16 @@ TEST_F(SnapshotRejectTest, BadVersion) {
 }
 
 TEST_F(SnapshotRejectTest, VersionOneIsRejected) {
-  // Version 1 checksummed with FNV-1a; this build reads only version 2.
-  std::string mutated = bytes_;
-  const uint32_t v1 = 1;
-  std::memcpy(&mutated[offsetof(SnapHeader, version)], &v1, sizeof(v1));
-  WriteFileBytes(path_, mutated);
-  EXPECT_EQ(OpenErrorCode(path_), SnapshotErrorCode::kBadVersion);
+  // Version 1 checksummed with FNV-1a and version 2 carried a statistics
+  // section; this build reads only version 3.
+  for (const uint32_t version : {1u, 2u}) {
+    SCOPED_TRACE(version);
+    std::string mutated = bytes_;
+    std::memcpy(&mutated[offsetof(SnapHeader, version)], &version,
+                sizeof(version));
+    WriteFileBytes(path_, mutated);
+    EXPECT_EQ(OpenErrorCode(path_), SnapshotErrorCode::kBadVersion);
+  }
 }
 
 TEST_F(SnapshotRejectTest, TruncatedBody) {
@@ -408,14 +407,19 @@ TEST_F(SnapshotRejectTest, MetaChecksum) {
   EXPECT_EQ(OpenErrorCode(path_), SnapshotErrorCode::kChecksum);
 }
 
-// The sections below each checksum clean after the rewrite; they only
-// disagree with one another. Open must reject the file rather than hand the
-// engine a stats table or dictionary that does not match the index.
+// The rewritten meta sections below checksum clean; they only disagree
+// with the dictionary. Open must reject the file rather than hand the
+// engine a dictionary that does not match the index.
 
 TEST_F(SnapshotRejectTest, StatsPredicateCountDisagreesWithMeta) {
-  // The stats section opens with its predicate count; 0 decodes cleanly
-  // and would leave the cost planner reading past an empty table.
-  RewriteSealed(kSnapSectionStats, 0, 0);
+  // Meta's |Vp| (the second uint32) sizes the per-predicate counts the
+  // planner estimates from. A |Vp| one short of the dictionary's predicate
+  // count decodes cleanly and would leave the last predicate uncounted.
+  SnapSectionEntry meta = FindSection(bytes_, kSnapSectionMeta);
+  uint32_t np = 0;
+  std::memcpy(&np, &bytes_[meta.offset + 4], sizeof(np));
+  ASSERT_GT(np, 1u);
+  RewriteSealed(kSnapSectionMeta, 4, np - 1);
   EXPECT_EQ(OpenErrorCode(path_), SnapshotErrorCode::kCorrupt);
 }
 

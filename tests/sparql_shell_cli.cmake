@@ -28,7 +28,7 @@ endfunction()
 expect_failure(2 "^unknown option '--bogus'; usage: sparql_shell " --bogus)
 expect_failure(2 "^unknown option '--budget'; usage: " --budget 1024)
 expect_failure(2 "^--threads needs a value; usage: " --threads)
-expect_failure(2 "^--planner needs a value; usage: " --planner)
+expect_failure(2 "^unknown option '--planner'; usage: " --planner)
 expect_failure(1 "^error: .*no-such-file\\.nt" no-such-file.nt)
 expect_failure(1 "^error: .*no-such-file\\.lbr" no-such-file.lbr)
 
