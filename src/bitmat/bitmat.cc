@@ -6,10 +6,17 @@
 namespace lbr {
 
 BitMat::BitMat(uint32_t num_rows, uint32_t num_cols)
-    : num_rows_(num_rows),
-      num_cols_(num_cols),
-      rows_(num_rows),
-      non_empty_rows_(num_rows) {}
+    : num_rows_(num_rows), num_cols_(num_cols), non_empty_rows_(num_rows) {}
+
+const BitMat::RowHandle& BitMat::UnitRow() {
+  // Never destroyed, so handles in other static-lifetime objects stay
+  // valid; the aliasing constructor with an empty owner yields a non-null
+  // handle without a control block.
+  static const CompressedRow* const kRow =
+      new CompressedRow(CompressedRow::FromPositions({0}));
+  static const RowHandle kHandle(std::shared_ptr<const void>(), kRow);
+  return kHandle;
+}
 
 void BitMat::SetRow(uint32_t r, const std::vector<uint32_t>& positions) {
   SetRow(r, CompressedRow::FromPositions(positions));
@@ -24,12 +31,90 @@ void BitMat::SetRow(uint32_t r, CompressedRow row) {
 void BitMat::SetRowShared(uint32_t r, RowHandle row) {
   assert(r < num_rows_);
   if (row != nullptr && row->IsEmpty()) row = nullptr;
-  if (rows_[r] != nullptr) count_ -= rows_[r]->Count();
-  rows_[r] = std::move(row);
-  if (rows_[r] != nullptr) count_ += rows_[r]->Count();
-  non_empty_rows_.Set(r, rows_[r] != nullptr);
+  if (ids_.empty() || r > ids_.back()) {
+    if (row != nullptr) Append(r, std::move(row));
+  } else {
+    Splice(r, std::move(row));
+    CheckInvariants();
+  }
   Touch();
 }
+
+void BitMat::Append(uint32_t r, RowHandle row) {
+  const size_t w = r >> 6;
+  // Words between the previous last row and r hold no row: each one's
+  // rank is the current row count.
+  if (rank_.size() <= w) {
+    rank_.resize(w + 1, static_cast<uint32_t>(ids_.size()));
+  }
+  count_ += row->Count();
+  ids_.push_back(r);
+  handles_.push_back(std::move(row));
+  non_empty_rows_.Set(r);
+  // The O(1) tail of CheckInvariants, so a bulk load stays linear in
+  // Debug builds too.
+  assert(ids_.size() < 2 || ids_[ids_.size() - 2] < r);
+  assert(rank_.size() == w + 1);
+}
+
+void BitMat::Splice(uint32_t r, RowHandle row) {
+  const size_t w = r >> 6;
+  const uint64_t bit = uint64_t{1} << (r & 63);
+  const uint64_t word = non_empty_rows_.words()[w];
+  const size_t i = rank_[w] + __builtin_popcountll(word & (bit - 1));
+  if ((word & bit) != 0) {
+    count_ -= handles_[i]->Count();
+    if (row != nullptr) {  // replace in place: no id or rank changes
+      count_ += row->Count();
+      handles_[i] = std::move(row);
+      return;
+    }
+    ids_.erase(ids_.begin() + i);
+    handles_.erase(handles_.begin() + i);
+    non_empty_rows_.Set(r, false);
+  } else {
+    if (row == nullptr) return;  // already empty
+    count_ += row->Count();
+    ids_.insert(ids_.begin() + i, r);
+    handles_.insert(handles_.begin() + i, std::move(row));
+    non_empty_rows_.Set(r);
+  }
+  RebuildRank();
+}
+
+void BitMat::RebuildRank() {
+  const std::vector<uint64_t>& words = non_empty_rows_.words();
+  rank_.resize(ids_.empty() ? 0 : (ids_.back() >> 6) + 1);
+  uint32_t below = 0;
+  for (size_t w = 0; w < rank_.size(); ++w) {
+    rank_[w] = below;
+    below += static_cast<uint32_t>(__builtin_popcountll(words[w]));
+  }
+}
+
+#ifndef NDEBUG
+void BitMat::CheckInvariants() const {
+  assert(ids_.size() == handles_.size());
+  assert(non_empty_rows_.size() == num_rows_);
+  assert(non_empty_rows_.Count() == ids_.size());
+  uint64_t count = 0;
+  for (size_t i = 0; i < ids_.size(); ++i) {
+    assert(ids_[i] < num_rows_);
+    assert(i == 0 || ids_[i - 1] < ids_[i]);
+    assert(non_empty_rows_.Get(ids_[i]));
+    assert(handles_[i] != nullptr && !handles_[i]->IsEmpty());
+    count += handles_[i]->Count();
+  }
+  assert(count == count_);
+  assert(rank_.size() == (ids_.empty() ? 0 : (ids_.back() >> 6) + 1));
+  uint32_t below = 0;
+  for (size_t w = 0; w < rank_.size(); ++w) {
+    assert(rank_[w] == below);
+    below += static_cast<uint32_t>(
+        __builtin_popcountll(non_empty_rows_.words()[w]));
+  }
+}
+#endif
 
 Bitvector BitMat::Fold(Dim retain) const {
   Bitvector out;
@@ -64,9 +149,8 @@ void BitMat::FoldInto(Dim retain, Bitvector* out, ExecContext* ctx) const {
 void BitMat::ComputeColFoldInto(Bitvector* out) const {
   out->Resize(num_cols_);
   out->Clear();
-  // Only non-empty rows contribute; each ORs in word-at-a-time.
-  non_empty_rows_.ForEachSetBit(
-      [this, out](uint32_t r) { rows_[r]->OrInto(out); });
+  // Only non-empty rows are stored; each ORs in word-at-a-time.
+  for (const RowHandle& row : handles_) row->OrInto(out);
 }
 
 void BitMat::MemoizeColFold() const {
@@ -88,87 +172,140 @@ BitMat::RowHandle BitMat::MaskedRow(const RowHandle& row,
 }
 
 void BitMat::Unfold(const Bitvector& mask, Dim retain, ExecContext* ctx) {
-  // Iteration walks only the populated rows (word scan of
-  // non_empty_rows_); clearing the bit of the row just visited is safe
-  // because ForEachSetBit captures each word before yielding its bits.
-  uint64_t removed = 0;
-  bool changed = false;
+  // One compacting pass over the stored rows: survivors slide down to
+  // slot `kept`, emptied rows drop out of the ids, handles and
+  // non-empty bits; the rank words are rebuilt once at the end.
+  uint64_t removed = 0;  // nonzero iff some bit was cleared
+  size_t kept = 0;
+  // Slides slot i down to slot `kept` (a no-op while nothing was dropped).
+  auto keep = [&](size_t i) {
+    if (kept != i) {
+      ids_[kept] = ids_[i];
+      handles_[kept] = std::move(handles_[i]);
+    }
+    ++kept;
+  };
   if (retain == Dim::kRow) {
-    // Clear entire rows whose mask bit is 0 — a handle drop, no payload
+    // Drop entire rows whose mask bit is 0 — a handle drop, no payload
     // walk; surviving rows stay shared.
-    non_empty_rows_.ForEachSetBit([&](uint32_t r) {
-      if (r >= mask.size() || !mask.Get(r)) {
-        removed += rows_[r]->Count();
-        rows_[r] = nullptr;
-        non_empty_rows_.Set(r, false);
-        changed = true;
+    for (size_t i = 0; i < ids_.size(); ++i) {
+      const uint32_t r = ids_[i];
+      if (r < mask.size() && mask.Get(r)) {
+        keep(i);
+        continue;
       }
-    });
+      removed += handles_[i]->Count();
+      non_empty_rows_.Set(r, false);
+    }
   } else {
     // AND every row with the mask. A row that loses no bit keeps its
     // shared handle (aliased copies are untouched); a changed row is
     // re-encoded into a fresh handle from pooled scratch (MaskedRow, the
     // shared CoW masking step).
     ScratchPositions scratch(ctx);
-    non_empty_rows_.ForEachSetBit([&](uint32_t r) {
-      RowHandle masked = MaskedRow(rows_[r], mask, scratch.get());
-      if (masked == rows_[r]) return;  // no bit dropped
-      removed += rows_[r]->Count();
-      rows_[r] = std::move(masked);
-      if (rows_[r] != nullptr) removed -= rows_[r]->Count();
-      non_empty_rows_.Set(r, rows_[r] != nullptr);
-      changed = true;
-    });
+    for (size_t i = 0; i < ids_.size(); ++i) {
+      RowHandle masked = MaskedRow(handles_[i], mask, scratch.get());
+      if (masked != handles_[i]) {
+        removed += handles_[i]->Count();
+        if (masked == nullptr) {
+          non_empty_rows_.Set(ids_[i], false);
+          continue;
+        }
+        removed -= masked->Count();
+        handles_[i] = std::move(masked);
+      }
+      keep(i);
+    }
+  }
+  if (kept != ids_.size()) {
+    ids_.resize(kept);
+    handles_.resize(kept);
+    RebuildRank();
   }
   count_ -= removed;
-  if (changed) Touch();
+  if (removed != 0) Touch();
+  CheckInvariants();
 }
 
 BitMat BitMat::Transposed() const {
-  // Bucket the set bits by column, then compress each bucket.
-  std::vector<std::vector<uint32_t>> cols(num_cols_);
-  ForEachBit([&cols](uint32_t r, uint32_t c) { cols[c].push_back(r); });
-  BitMat t(num_cols_, num_rows_);
-  for (uint32_t c = 0; c < num_cols_; ++c) {
-    if (!cols[c].empty()) t.SetRow(c, cols[c]);
+  // Sort the set bits once by (column, row); each column's rows then form
+  // one ascending run, appended as row `column` of the transpose. The bits
+  // arrive row-major, so a stable sort on the column alone suffices: an
+  // LSD radix sort over the column's significant bytes, O(bits) per pass.
+  std::vector<uint64_t> bits;
+  bits.reserve(count_);
+  ForEachBit([&bits](uint32_t r, uint32_t c) {
+    bits.push_back(uint64_t{c} << 32 | r);
+  });
+  std::vector<uint64_t> sorted(bits.size());
+  const uint64_t max_col = num_cols_ > 0 ? num_cols_ - 1 : 0;
+  for (unsigned shift = 32; shift < 64 && (max_col >> (shift - 32)) != 0;
+       shift += 8) {
+    size_t starts[257] = {};
+    for (uint64_t b : bits) ++starts[((b >> shift) & 0xff) + 1];
+    for (size_t d = 1; d <= 256; ++d) starts[d] += starts[d - 1];
+    for (uint64_t b : bits) sorted[starts[(b >> shift) & 0xff]++] = b;
+    bits.swap(sorted);
   }
+  BitMat t(num_cols_, num_rows_);
+  std::vector<uint32_t> rows;
+  for (size_t i = 0; i < bits.size();) {
+    const uint32_t c = static_cast<uint32_t>(bits[i] >> 32);
+    rows.clear();
+    for (; i < bits.size() && (bits[i] >> 32) == c; ++i) {
+      rows.push_back(static_cast<uint32_t>(bits[i]));
+    }
+    t.SetRow(c, rows);
+  }
+  t.CheckInvariants();
   return t;
 }
 
 void BitMat::AppendColumnPositions(uint32_t c,
                                    std::vector<uint32_t>* out) const {
-  non_empty_rows_.ForEachSetBit([this, c, out](uint32_t r) {
-    if (rows_[r]->Test(c)) out->push_back(r);
-  });
+  for (size_t i = 0; i < ids_.size(); ++i) {
+    if (handles_[i]->Test(c)) out->push_back(ids_[i]);
+  }
 }
 
 BitMat BitMat::DeepCopy() const {
-  BitMat out(num_rows_, num_cols_);
-  for (uint32_t r = 0; r < num_rows_; ++r) {
-    if (rows_[r] != nullptr) out.SetRow(r, CompressedRow(*rows_[r]));
+  BitMat out = *this;
+  out.col_fold_ = FoldMemo();
+  for (RowHandle& row : out.handles_) {
+    row = std::make_shared<const CompressedRow>(*row);
   }
+  out.CheckInvariants();
   return out;
 }
 
 size_t BitMat::PayloadBytes() const {
   size_t bytes = 0;
-  for (const RowHandle& r : rows_) {
-    if (r != nullptr) bytes += r->PayloadBytes();
+  for (const RowHandle& row : handles_) bytes += row->PayloadBytes();
+  return bytes;
+}
+
+size_t BitMat::HeapBytes() const {
+  size_t bytes = ids_.capacity() * sizeof(uint32_t) +
+                 handles_.capacity() * sizeof(RowHandle) +
+                 rank_.capacity() * sizeof(uint32_t) +
+                 non_empty_rows_.words().capacity() * sizeof(uint64_t);
+  const RowHandle& unit = UnitRow();
+  for (const RowHandle& row : handles_) {
+    if (row == unit) continue;
+    bytes += sizeof(CompressedRow) + row->OwnedHeapBytes();
   }
   return bytes;
 }
 
 bool BitMat::operator==(const BitMat& other) const {
   if (num_rows_ != other.num_rows_ || num_cols_ != other.num_cols_ ||
-      count_ != other.count_) {
+      count_ != other.count_ || ids_ != other.ids_) {
     return false;
   }
-  for (uint32_t r = 0; r < num_rows_; ++r) {
-    const RowHandle& a = rows_[r];
-    const RowHandle& b = other.rows_[r];
-    if (a == b) continue;  // same handle (or both empty)
-    if (a == nullptr || b == nullptr) return false;
-    if (*a != *b) return false;
+  for (size_t i = 0; i < handles_.size(); ++i) {
+    const RowHandle& a = handles_[i];
+    const RowHandle& b = other.handles_[i];
+    if (a != b && *a != *b) return false;  // same handle, or same bits
   }
   return true;
 }

@@ -28,13 +28,23 @@ enum class Dim : uint8_t {
 ///  - unfold(BM, mask, dim) == clear every bit whose `dim` coordinate is 0
 ///                      in the mask (the semi-join step).
 ///
+/// Sparse row layout (DESIGN.md §4): only non-empty rows are stored — their
+/// ascending ids and their handles side by side, the id-plus-row layout of
+/// TripleIndex::SliceRows. Row `r` is found through the non-empty-row bits
+/// plus one rank word per 64 rows (`rank[r/64] + popcount(bits of word
+/// below r)`), so creating, copying and destroying a matrix costs
+/// O(non-empty rows + rows/64), never O(rows). Setting a row past the last
+/// non-empty one is an O(1) append; an out-of-order insert or a
+/// mid-matrix erase shifts the arrays and rebuilds the rank words, so bulk
+/// loaders fill rows in ascending order.
+///
 /// Ownership model (DESIGN.md §4): rows are shared **immutable** handles
-/// (`RowHandle`). Copying a BitMat is O(rows) refcount bumps, and mutating
-/// ops (`SetRow`, `Unfold`) replace only the handles of rows they actually
-/// change — a copy-on-write discipline that makes TpCache hits near-free.
-/// Every bit-changing op bumps `version()`; a per-matrix column-fold cache
-/// stamped with the version lets `FoldInto(kCol)` return the memoized fold
-/// without row iteration while the matrix is unchanged.
+/// (`RowHandle`). Copying a BitMat is O(non-empty rows) refcount bumps, and
+/// mutating ops (`SetRow`, `Unfold`) replace only the handles of rows they
+/// actually change — a copy-on-write discipline that makes TpCache hits
+/// near-free. Every bit-changing op bumps `version()`; a per-matrix
+/// column-fold cache stamped with the version lets `FoldInto(kCol)` return
+/// the memoized fold without row iteration while the matrix is unchanged.
 ///
 /// Thread confinement: a BitMat object belongs to one thread at a time,
 /// and that includes its const folds — `FoldInto` writes the mutable
@@ -55,6 +65,11 @@ class BitMat {
   /// Creates an empty matrix with the given dimensions.
   BitMat(uint32_t num_rows, uint32_t num_cols);
 
+  /// The one shared single-bit row {0} — every row of a single-column
+  /// matrix (`(?x :p :c)` TPs). Immutable and static; it has no control
+  /// block, so copying it touches no refcount.
+  static const RowHandle& UnitRow();
+
   uint32_t num_rows() const { return num_rows_; }
   uint32_t num_cols() const { return num_cols_; }
 
@@ -71,19 +86,33 @@ class BitMat {
   /// braced position list never overload-resolves against shared_ptr.
   void SetRowShared(uint32_t r, RowHandle row);
 
+  /// Row `r` (the empty row when unset or out of range).
   const CompressedRow& Row(uint32_t r) const {
     static const CompressedRow kEmptyRow;
-    return rows_[r] != nullptr ? *rows_[r] : kEmptyRow;
+    const RowHandle* h = Find(r);
+    return h != nullptr ? **h : kEmptyRow;
   }
   /// The shared handle of row `r` (null when empty). Lets callers alias the
   /// row into another BitMat without copying payload.
-  const RowHandle& SharedRow(uint32_t r) const { return rows_[r]; }
+  const RowHandle& SharedRow(uint32_t r) const {
+    static const RowHandle kNullRow;
+    const RowHandle* h = Find(r);
+    return h != nullptr ? *h : kNullRow;
+  }
 
   /// Bit test at (r, c). Out-of-range coordinates (either dimension) are
   /// false, not UB.
   bool Test(uint32_t r, uint32_t c) const {
-    return r < num_rows_ && c < num_cols_ && rows_[r] != nullptr &&
-           rows_[r]->Test(c);
+    if (c >= num_cols_) return false;
+    const RowHandle* h = Find(r);
+    return h != nullptr && (*h)->Test(c);
+  }
+
+  /// Calls fn(r, handle) for every non-empty row, in ascending row order.
+  /// Handles are never null.
+  template <typename Fn>
+  void ForEachRow(Fn&& fn) const {
+    for (size_t i = 0; i < ids_.size(); ++i) fn(ids_[i], handles_[i]);
   }
 
   /// Monotonically increasing mutation stamp: bumped by every op that
@@ -137,7 +166,9 @@ class BitMat {
   const Bitvector& NonEmptyRows() const { return non_empty_rows_; }
 
   /// Returns the transpose (rows<->cols). Used when the multi-way join needs
-  /// column-keyed access to a TP whose BitMat is row-oriented.
+  /// column-keyed access to a TP whose BitMat is row-oriented. Sorts the
+  /// set bits once by (column, row) and appends each column's row list, so
+  /// the cost follows Count(), not num_cols().
   BitMat Transposed() const;
 
   /// Appends the (ascending) row indexes whose bit in column `c` is set —
@@ -158,9 +189,9 @@ class BitMat {
   /// Calls fn(row, col) for every set bit in row-major order.
   template <typename Fn>
   void ForEachBit(Fn&& fn) const {
-    for (uint32_t r = 0; r < num_rows_; ++r) {
-      if (rows_[r] == nullptr) continue;
-      rows_[r]->ForEachSetBit([&fn, r](uint32_t c) { fn(r, c); });
+    for (size_t i = 0; i < ids_.size(); ++i) {
+      const uint32_t r = ids_[i];
+      handles_[i]->ForEachSetBit([&fn, r](uint32_t c) { fn(r, c); });
     }
   }
 
@@ -168,9 +199,47 @@ class BitMat {
   /// counted once per referencing matrix (as-if-owned sizes).
   size_t PayloadBytes() const;
 
+  /// Approximate heap bytes this matrix holds: its id, handle and rank
+  /// arrays, the non-empty-row words, and each row's owned payload (the
+  /// static UnitRow() and zero-copy views of a mapped snapshot own none).
+  /// Shared rows are counted once per referencing matrix.
+  size_t HeapBytes() const;
+
   bool operator==(const BitMat& other) const;
 
+  /// Debug-build consistency check, asserted after every mutating op:
+  /// ids ascending and in range, one non-null non-empty handle per id, the
+  /// ids are exactly the set bits of NonEmptyRows(), every rank word
+  /// counts the ids below it, and Count() is the sum of the row counts.
+  /// Compiled out under NDEBUG.
+#ifdef NDEBUG
+  void CheckInvariants() const {}
+#else
+  void CheckInvariants() const;
+#endif
+
  private:
+  /// The handle slot of row `r`, or null when the row is empty or out of
+  /// range. A set bit in `non_empty_rows_` implies r <= ids_.back(), so
+  /// its rank word always exists.
+  const RowHandle* Find(uint32_t r) const {
+    if (r >= num_rows_) return nullptr;
+    const uint64_t word = non_empty_rows_.words()[r >> 6];
+    const uint64_t bit = uint64_t{1} << (r & 63);
+    if ((word & bit) == 0) return nullptr;
+    return &handles_[rank_[r >> 6] + __builtin_popcountll(word & (bit - 1))];
+  }
+
+  /// Stores non-empty `row` as row `r` past the last non-empty row: O(1)
+  /// amortized (rank words are filled up to r's word).
+  void Append(uint32_t r, RowHandle row);
+  /// Out-of-order replace, insert or erase of row `r <= ids_.back()`:
+  /// O(non-empty rows + rows/64).
+  void Splice(uint32_t r, RowHandle row);
+  /// Recomputes `rank_` from `non_empty_rows_` after ids were inserted or
+  /// removed.
+  void RebuildRank();
+
   /// The raw column fold (resize + clear + OR of every non-empty row),
   /// shared by the miss path of FoldInto and by MemoizeColFold.
   void ComputeColFoldInto(Bitvector* out) const;
@@ -186,7 +255,13 @@ class BitMat {
   uint32_t num_cols_ = 0;
   uint64_t count_ = 0;
   uint64_t version_ = 0;
-  std::vector<RowHandle> rows_;
+  /// Ascending ids of the non-empty rows; handles_[i] is row ids_[i] and
+  /// is never null.
+  std::vector<uint32_t> ids_;
+  std::vector<RowHandle> handles_;
+  /// rank_[w] = number of non-empty rows below row 64*w. Sized up to the
+  /// word of the last non-empty row, the only words Find can reach.
+  std::vector<uint32_t> rank_;
   Bitvector non_empty_rows_;
 
   /// Memoized column fold at the current version (second-touch policy):

@@ -27,8 +27,8 @@ std::string VarForKind(const TriplePattern& tp, DomainKind kind) {
 }
 
 // A snapshot with the caller's variable names re-derived from the cached
-// dimension kinds (the key normalizes names away). O(rows) handle bumps,
-// no payload copy.
+// dimension kinds (the key normalizes names away). O(non-empty rows)
+// handle bumps, no payload copy.
 TpBitMat SnapshotFor(const TpBitMat& cached, const TriplePattern& tp) {
   TpBitMat copy = cached;
   copy.row_var = VarForKind(tp, copy.row_kind);
@@ -36,18 +36,13 @@ TpBitMat SnapshotFor(const TpBitMat& cached, const TriplePattern& tp) {
   return copy;
 }
 
-// Approximate heap bytes of a cached TpBitMat: handle-vector storage plus
-// the owned payload of every non-empty row. Rows that are zero-copy views
-// into a mapped snapshot own nothing and cost only their handle — exactly
-// the marginal heap the entry pins, which is what the shared meter tracks.
+// Approximate heap bytes of a cached TpBitMat: the matrix's sparse row
+// arrays and non-empty-row words plus the owned payload of every row
+// (BitMat::HeapBytes). Rows that are zero-copy views into a mapped
+// snapshot own nothing and cost only their slot — exactly the marginal
+// heap the entry pins, which is what the shared meter tracks.
 uint64_t TpBitMatHeapBytes(const TpBitMat& t) {
-  uint64_t bytes = sizeof(TpBitMat) +
-                   static_cast<uint64_t>(t.bm.num_rows()) *
-                       sizeof(BitMat::RowHandle);
-  t.bm.NonEmptyRows().ForEachSetBit([&](uint32_t r) {
-    bytes += sizeof(CompressedRow) + t.bm.Row(r).OwnedHeapBytes();
-  });
-  return bytes;
+  return sizeof(TpBitMat) + t.bm.HeapBytes();
 }
 
 }  // namespace
@@ -218,8 +213,8 @@ TpBitMat TpCache::GetOrLoadMasked(const TripleIndex& index,
     }
     hits_.fetch_add(1, std::memory_order_relaxed);
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_it);
-    // Take a plain CoW snapshot under the lock (O(rows) handle bumps) and
-    // run the masking on it outside, keeping the stripe hot.
+    // Take a plain CoW snapshot under the lock (O(non-empty rows) handle
+    // bumps) and run the masking on it outside, keeping the stripe hot.
     snapshot = SnapshotFor(it->second.mat, tp);
   }
 
@@ -230,12 +225,11 @@ TpBitMat TpCache::GetOrLoadMasked(const TripleIndex& index,
   out.col_var = snapshot.col_var;
   out.bm = BitMat(snapshot.bm.num_rows(), snapshot.bm.num_cols());
   ScratchPositions scratch(ctx);
-  snapshot.bm.NonEmptyRows().ForEachSetBit([&](uint32_t r) {
+  snapshot.bm.ForEachRow([&](uint32_t r, const BitMat::RowHandle& row) {
     if (masks.row_mask != nullptr &&
         (r >= masks.row_mask->size() || !masks.row_mask->Get(r))) {
       return;
     }
-    const BitMat::RowHandle& row = snapshot.bm.SharedRow(r);
     if (masks.col_mask == nullptr) {
       out.bm.SetRowShared(r, row);  // row survives whole: share the handle
     } else {

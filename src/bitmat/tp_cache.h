@@ -52,10 +52,10 @@ namespace lbr {
 /// insert).
 ///
 /// Hits are copy-on-write snapshots (DESIGN.md §4): the returned TpBitMat
-/// shares the cached entry's row handles, so a hit costs O(rows) refcount
-/// bumps instead of a payload deep copy, and any later mutation of the
-/// snapshot (Unfold, SetRow) clones only the rows it changes — the cached
-/// entry is never altered.
+/// shares the cached entry's row handles, so a hit costs O(non-empty rows)
+/// refcount bumps instead of a payload deep copy, and any later mutation of
+/// the snapshot (Unfold, SetRow) clones only the rows it changes — the
+/// cached entry is never altered.
 class TpCache {
  public:
   /// `triple_budget`: maximum total set bits held across cached BitMats

@@ -1,7 +1,5 @@
 #include "bitmat/tp_loader.h"
 
-#include <algorithm>
-
 #include "util/fault_injection.h"
 
 namespace lbr {
@@ -26,7 +24,7 @@ void FillRows(const std::vector<std::pair<uint32_t, CompressedRow>>& rows,
 }
 
 // Sets the single-column rows of `bm` from the set bits of `row`, honoring
-// the row-domain mask.
+// the row-domain mask. Every row is the shared unit row.
 void FillColumnVector(const CompressedRow& row, const ActiveMasks& masks,
                       BitMat* bm) {
   row.ForEachSetBit([&](uint32_t id) {
@@ -34,22 +32,22 @@ void FillColumnVector(const CompressedRow& row, const ActiveMasks& masks,
         (id >= masks.row_mask->size() || !masks.row_mask->Get(id))) {
       return;
     }
-    bm->SetRow(id, CompressedRow::FromPositions({0}));
+    bm->SetRowShared(id, BitMat::UnitRow());
   });
 }
 
 // Restricts a same-variable TP (?x p ?x) to its diagonal: only IDs in the
-// shared Vso range can denote the same term on both dimensions.
+// shared Vso range can denote the same term on both dimensions. Walks the
+// non-empty rows once, appending each surviving diagonal bit to a fresh
+// matrix.
 void KeepDiagonal(uint32_t num_common, BitMat* bm) {
-  uint32_t n = std::min(bm->num_rows(), num_common);
-  for (uint32_t r = 0; r < bm->num_rows(); ++r) {
-    if (bm->Row(r).IsEmpty()) continue;
-    if (r < n && bm->Row(r).Test(r)) {
-      bm->SetRow(r, CompressedRow::FromPositions({r}));
-    } else {
-      bm->SetRow(r, CompressedRow());
+  BitMat diag(bm->num_rows(), bm->num_cols());
+  bm->ForEachRow([&](uint32_t r, const BitMat::RowHandle& row) {
+    if (r < num_common && row->Test(r)) {
+      diag.SetRow(r, CompressedRow::FromPositions({r}));
     }
-  }
+  });
+  *bm = std::move(diag);
 }
 
 }  // namespace
@@ -171,7 +169,7 @@ TpBitMat LoadTpBitMatImpl(const TripleIndex& index, const Dictionary& dict,
     if (p && s && o) {
       TripleIndex::SlicePin pin = index.Slice(*p, side);
       if (TripleIndex::FindRowIn(pin->rows, *s).Test(*o)) {
-        out.bm.SetRow(0, CompressedRow::FromPositions({0}));
+        out.bm.SetRowShared(0, BitMat::UnitRow());
       }
     }
     return out;
@@ -246,7 +244,7 @@ TpBitMat LoadTpBitMatImpl(const TripleIndex& index, const Dictionary& dict,
       }
       TripleIndex::SlicePin pin = index.Slice(p, side);
       if (TripleIndex::FindRowIn(pin->rows, *s).Test(*o)) {
-        out.bm.SetRow(p, CompressedRow::FromPositions({0}));
+        out.bm.SetRowShared(p, BitMat::UnitRow());
       }
     }
   }

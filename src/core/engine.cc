@@ -207,13 +207,7 @@ BranchPlan Engine::PlanBranch(const Algebra& branch,
   return plan;
 }
 
-// Aligned so that code placed before this function cannot move its hot
-// loop. On short queries the inlined destruction of the TP BitMats (one
-// pass over every row handle in BitMat::rows_) dominates; linked across a
-// 64-byte line, that loop ran ~1.8x slower and perfbench lubm-param's p50
-// rose ~27% (4-vCPU Xeon, GCC Release). Sparse BitMat rows would remove
-// the loop and this pin with it.
-[[gnu::aligned(64)]] Engine::BranchResult Engine::ExecuteBranchPlan(
+Engine::BranchResult Engine::ExecuteBranchPlan(
     const BranchPlan& plan, const ReboundTerms* rebound,
     const std::vector<std::string>& projection, QueryStats* stats) {
   BranchResult result;

@@ -6,6 +6,7 @@
 #include "core/engine.h"
 #include "sparql/parser.h"
 #include "test_util.h"
+#include "util/query_control.h"
 
 namespace lbr {
 namespace {
@@ -300,6 +301,37 @@ TEST_F(TpCacheTest, QueryStatsSurfaceCacheCounters) {
   engine.ExecuteToTable(query, &warm);
   EXPECT_GT(warm.tp_cache_hits, 0u);
   EXPECT_GT(warm.tp_cache_held_triples, 0u);
+}
+
+// The snapshot tier's byte meter charges what an entry holds: 3 non-empty
+// rows over a 100k-row subject dimension cost their sparse row arrays and
+// the non-empty-row words, not one handle slot per row of the dimension.
+TEST_F(TpCacheTest, SparseEntryIsChargedForItsRowsNotItsDimension) {
+  constexpr int kSubjects = 100000;
+  std::vector<std::vector<std::string>> triples;
+  triples.reserve(kSubjects + 3);
+  for (int i = 0; i < kSubjects; ++i) {
+    triples.push_back({"s" + std::to_string(i), "filler", "o"});
+  }
+  triples.push_back({"s1", "p", "o"});
+  triples.push_back({"s70000", "p", "o"});
+  triples.push_back({"s99999", "p", "o"});
+  // Its own graph: the fixture's dimensions are tiny.
+  Graph graph = MakeGraph(triples);
+  TripleIndex index = TripleIndex::Build(graph);
+  ASSERT_GE(index.num_subjects(), static_cast<uint32_t>(kSubjects));
+
+  QueryControl meter;
+  TpCache cache(/*triple_budget=*/1u << 20, /*num_shards=*/1);
+  cache.SetMemoryAccounting(&meter, /*budget_bytes=*/0);
+  TpBitMat m =
+      cache.GetOrLoad(index, graph.dict(), Tp("?x", "p", "?y"), true);
+  ASSERT_EQ(m.bm.num_rows(), index.num_subjects());
+  ASSERT_EQ(m.bm.NonEmptyRows().Count(), 3u);
+  ASSERT_EQ(cache.size(), 1u);
+  EXPECT_GT(meter.memory_used(), 0u);
+  EXPECT_LT(meter.memory_used(),
+            static_cast<uint64_t>(kSubjects) * sizeof(BitMat::RowHandle));
 }
 
 }  // namespace

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "bitmat/triple_index.h"
 #include "test_util.h"
 
@@ -134,6 +139,75 @@ TEST_F(TpLoaderTest, DiagonalSameVarTwice) {
   TpBitMat none =
       LoadTpBitMat(index_, graph_.dict(), Tp("?x", "p", "?x"), true);
   EXPECT_TRUE(none.bm.IsEmpty());
+}
+
+TEST_F(TpLoaderTest, SingleColumnRowsShareTheUnitRow) {
+  // Every row of a one-column TP matrix is the one static unit row.
+  for (const TriplePattern& tp :
+       {Tp("?x", "p", "c"), Tp("a", "p", "?y"), Tp("a", "?p", "b"),
+        Tp("a", "p", "b")}) {
+    TpBitMat m = LoadTpBitMat(index_, graph_.dict(), tp, true);
+    ASSERT_FALSE(m.bm.IsEmpty()) << tp.ToString();
+    m.bm.ForEachRow([&](uint32_t r, const BitMat::RowHandle& row) {
+      EXPECT_EQ(row.get(), BitMat::UnitRow().get()) << tp.ToString() << r;
+    });
+  }
+}
+
+// (?x :r ?x) over 150 shared S/O terms (150 % 64 != 0) whose self-loops
+// cover rows on both sides of the 64- and 128-row word boundaries, with
+// off-diagonal bits in the same rows, and subject-only/object-only pairs
+// whose ids coincide past num_common (the same id names different terms
+// there, so those bits are not the diagonal).
+TEST(TpLoaderDiagonalTest, KeepsDiagonalAcrossWordsAndVsoBoundary) {
+  constexpr int kCommon = 150;
+  std::vector<std::vector<std::string>> triples;
+  auto c = [](int i) { return "c" + std::to_string(i); };
+  for (int i = 0; i < kCommon; ++i) {
+    triples.push_back({c(i), "link", c((i + 1) % kCommon)});
+    if (i % 3 != 0) triples.push_back({c(i), "r", c(i)});
+    triples.push_back({c(i), "r", c((i + 7) % kCommon)});
+  }
+  for (int k = 0; k < 70; ++k) {
+    triples.push_back(
+        {"s" + std::to_string(k), "r", "o" + std::to_string(k)});
+  }
+  Graph graph = MakeGraph(triples);
+  TripleIndex index = TripleIndex::Build(graph);
+  ASSERT_EQ(index.num_common(), static_cast<uint32_t>(kCommon));
+
+  std::vector<uint32_t> expected;
+  for (int i = 0; i < kCommon; ++i) {
+    if (i % 3 != 0) {
+      expected.push_back(*graph.dict().SubjectId(Term::Iri(c(i))));
+    }
+  }
+  std::sort(expected.begin(), expected.end());
+  ASSERT_LT(expected.front(), 64u);
+  ASSERT_GE(expected.back(), 128u);
+  // Some subject-only term lands on a diagonal position past num_common.
+  bool past_common_diagonal = false;
+  for (int k = 0; k < 70; ++k) {
+    uint32_t s = *graph.dict().SubjectId(Term::Iri("s" + std::to_string(k)));
+    uint32_t o = *graph.dict().ObjectId(Term::Iri("o" + std::to_string(k)));
+    past_common_diagonal |= s == o;
+  }
+  ASSERT_TRUE(past_common_diagonal);
+
+  for (bool subject_rows : {true, false}) {
+    TriplePattern tp(PatternTerm::Var("x"), PatternTerm::Fixed(Term::Iri("r")),
+                     PatternTerm::Var("x"));
+    TpBitMat m = LoadTpBitMat(index, graph.dict(), tp, subject_rows);
+    m.bm.CheckInvariants();
+    EXPECT_EQ(m.bm.NonEmptyRows().SetBits(), expected);
+    EXPECT_EQ(m.bm.Count(), expected.size());
+    std::vector<std::pair<uint32_t, uint32_t>> bits;
+    m.bm.ForEachBit(
+        [&](uint32_t r, uint32_t col) { bits.emplace_back(r, col); });
+    std::vector<std::pair<uint32_t, uint32_t>> diagonal;
+    for (uint32_t r : expected) diagonal.emplace_back(r, r);
+    EXPECT_EQ(bits, diagonal);
+  }
 }
 
 TEST_F(TpLoaderTest, ActiveMasksRestrictRows) {
