@@ -50,8 +50,8 @@ std::vector<SweepResult> RunBatchSweep(const Graph& graph,
     // at high LBR_SCALE.
     options.engine.tp_cache_budget = ~uint64_t{0};
     options.pool = threads > 1 ? &pool : nullptr;
-    options.shared_cache = std::make_shared<TpCache>(
-        options.engine.tp_cache_budget, options.engine.tp_cache_shards);
+    options.shared_cache =
+        std::make_shared<TpCache>(options.engine.tp_cache_budget);
 
     SweepResult r;
     r.threads = threads;

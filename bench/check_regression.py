@@ -22,7 +22,9 @@ that CI run's `bench-json` artifact with bench/update_baselines.py (see
 bench/README.md for the full procedure). Every JSON context records the
 recording host's thread count (hardware_threads / num_cpus); when baseline
 and current run disagree, a warning flags that ratios may be hardware, not
-code.
+code. micro_bitops also records the dispatched kernel tier (`simd`); a
+baseline without one, or with a different tier, draws the same kind of
+warning. Both checks only warn; neither changes the threshold.
 
 Exit codes: 0 ok, 1 regression, 2 unusable input. Unusable input is a
 hard failure, never a skip: a missing file, unparseable JSON, a file with
@@ -93,6 +95,24 @@ def warn_on_hardware_mismatch(base_ctx, cur_ctx):
               f"bench-json artifact (bench/README.md).")
 
 
+def warn_on_simd_mismatch(base_ctx, cur_ctx):
+    """The kernel tier (`simd`, recorded by micro_bitops) decides what the
+    _Simd rows measure; only files that record it are checked."""
+    cur_simd = cur_ctx.get("simd")
+    if cur_simd is None:
+        return
+    base_simd = base_ctx.get("simd")
+    if base_simd is None:
+        print(f"warning: baseline records no kernel tier; current run "
+              f"dispatched '{cur_simd}', so _Simd ratios may compare "
+              f"different tiers. Refresh bench/baselines/ to enable the "
+              f"tier check.")
+    elif base_simd != cur_simd:
+        print(f"warning: kernel tier differs — baseline ran '{base_simd}', "
+              f"current run '{cur_simd}'; _Simd ratios compare different "
+              f"tiers, not the code.")
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--baseline", required=True, help="checked-in baseline JSON")
@@ -108,6 +128,7 @@ def main():
     base, base_ctx = load_benchmarks(args.baseline)
     cur, cur_ctx = load_benchmarks(args.current)
     warn_on_hardware_mismatch(base_ctx, cur_ctx)
+    warn_on_simd_mismatch(base_ctx, cur_ctx)
     shared = sorted(set(base) & set(cur))
     missing = sorted(set(base) - set(cur))
     new = sorted(set(cur) - set(base))

@@ -341,10 +341,11 @@ void BM_ClusteredSemiJoin(benchmark::State& state) {
 BENCHMARK(BM_ClusteredSemiJoin);
 
 // --- Dispatched kernel table: forced-scalar (_Kernel, the pre-SIMD word
-// loops) vs the runtime-dispatched backend (_Simd — avx2/sse4.2 where the
-// CPU supports it, otherwise the same scalar table; DESIGN.md §8). The
+// loops) vs the runtime-dispatched backend (_Simd — sse4.2 where the CPU
+// supports it, otherwise the same scalar table; DESIGN.md §8). The
 // regression gate tracks both rows, so a dispatch misconfiguration that
-// silently drops to scalar shows up as a _Simd slowdown.
+// silently drops to scalar shows up as a _Simd slowdown; the JSON context's
+// "simd" key names the tier the _Simd rows ran on.
 
 // Pins the scalar table for a _Kernel benchmark, restoring startup
 // selection on scope exit.
@@ -473,4 +474,11 @@ BENCHMARK(BM_BitvectorAnd);
 }  // namespace
 }  // namespace lbr
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::AddCustomContext("simd", lbr::bitops::ActiveKernelName());
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

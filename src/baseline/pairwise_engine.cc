@@ -82,25 +82,36 @@ PairwiseEngine::Relation PairwiseEngine::ScanTp(const TriplePattern& tp) {
     if (ok) rel.rows.push_back(std::move(row));
   };
 
+  // Each scan pins the one slice it reads, so a budgeted snapshot cannot
+  // spill the rows out from under it.
   auto scan_predicate = [&](uint32_t p) {
+    using Side = TripleIndex::Side;
     if (!tp.s.is_var) {
       auto s = dict_->SubjectId(tp.s.term);
       if (!s) return;
+      TripleIndex::SlicePin so = index_->Slice(p, Side::kSO);
+      if (so == nullptr) return;
+      const CompressedRow& row = TripleIndex::FindRowIn(so->rows, *s);
       if (!tp.o.is_var) {
         auto o = dict_->ObjectId(tp.o.term);
-        if (o && index_->SoRow(p, *s).Test(*o)) emit(*s, p, *o);
+        if (o && row.Test(*o)) emit(*s, p, *o);
         return;
       }
-      index_->SoRow(p, *s).ForEachSetBit([&](uint32_t o) { emit(*s, p, o); });
+      row.ForEachSetBit([&](uint32_t o) { emit(*s, p, o); });
       return;
     }
     if (!tp.o.is_var) {
       auto o = dict_->ObjectId(tp.o.term);
       if (!o) return;
-      index_->OsRow(p, *o).ForEachSetBit([&](uint32_t s) { emit(s, p, *o); });
+      TripleIndex::SlicePin os = index_->Slice(p, Side::kOS);
+      if (os == nullptr) return;
+      TripleIndex::FindRowIn(os->rows, *o).ForEachSetBit(
+          [&](uint32_t s) { emit(s, p, *o); });
       return;
     }
-    for (const auto& [s, row] : index_->SoRows(p)) {
+    TripleIndex::SlicePin so = index_->Slice(p, Side::kSO);
+    if (so == nullptr) return;
+    for (const auto& [s, row] : so->rows) {
       uint32_t subj = s;
       row.ForEachSetBit([&](uint32_t o) { emit(subj, p, o); });
     }

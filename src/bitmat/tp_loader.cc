@@ -137,7 +137,7 @@ TpBitMat LoadTpBitMatImpl(const TripleIndex& index, const Dictionary& dict,
       return out;
     }
     if (sv) {
-      // (?a :p :o): one row of the P-S BitMat of :o == OsRow(p, o).
+      // (?a :p :o): one row of the P-S BitMat of :o == row o of the O-S slice.
       out.row_kind = DomainKind::kSubject;
       out.row_var = tp.s.var;
       out.bm = BitMat(index.num_subjects(), 1);
@@ -150,7 +150,7 @@ TpBitMat LoadTpBitMatImpl(const TripleIndex& index, const Dictionary& dict,
       return out;
     }
     if (ov) {
-      // (:s :p ?b): one row of the P-O BitMat of :s == SoRow(p, s).
+      // (:s :p ?b): one row of the P-O BitMat of :s == row s of the S-O slice.
       out.row_kind = DomainKind::kObject;
       out.row_var = tp.o.var;
       out.bm = BitMat(index.num_objects(), 1);

@@ -96,15 +96,6 @@ const CompressedRow& TripleIndex::FindRowIn(
   return it->second;
 }
 
-const TripleIndex::SliceRows& TripleIndex::EnsureSlice(uint32_t p,
-                                                       Side side) const {
-  if (backing_ == nullptr) return *slices_[SlotOf(p, side)];
-  // Mapped mode: materialize (or touch) under the slice's lock. The
-  // returned reference stays valid until the slice is spilled —
-  // slices_[slot] keeps a strong ref until then.
-  return *MaterializeSlice(p, side);
-}
-
 TripleIndex::SlicePin TripleIndex::Slice(uint32_t p, Side side) const {
   if (p >= num_predicates_) return nullptr;
   if (backing_ == nullptr) return slices_[SlotOf(p, side)];
@@ -365,36 +356,6 @@ bool TripleIndex::VerifySlices(std::vector<uint32_t>* corrupt,
     }
   }
   return ok;
-}
-
-const CompressedRow& TripleIndex::SoRow(uint32_t p, uint32_t s) const {
-  if (p >= num_predicates_) return kEmptyRow;
-  return FindRowIn(EnsureSlice(p, Side::kSO).rows, s);
-}
-
-const CompressedRow& TripleIndex::OsRow(uint32_t p, uint32_t o) const {
-  if (p >= num_predicates_) return kEmptyRow;
-  return FindRowIn(EnsureSlice(p, Side::kOS).rows, o);
-}
-
-BitMat TripleIndex::PoBitMat(uint32_t s) const {
-  BitMat bm(num_predicates_, num_objects_);
-  for (uint32_t p = 0; p < num_predicates_; ++p) {
-    SlicePin pin = Slice(p, Side::kSO);
-    const CompressedRow& row = FindRowIn(pin->rows, s);
-    if (!row.IsEmpty()) bm.SetRow(p, row);
-  }
-  return bm;
-}
-
-BitMat TripleIndex::PsBitMat(uint32_t o) const {
-  BitMat bm(num_predicates_, num_subjects_);
-  for (uint32_t p = 0; p < num_predicates_; ++p) {
-    SlicePin pin = Slice(p, Side::kOS);
-    const CompressedRow& row = FindRowIn(pin->rows, o);
-    if (!row.IsEmpty()) bm.SetRow(p, row);
-  }
-  return bm;
 }
 
 TripleIndex::SizeReport TripleIndex::ComputeSizeReport() const {

@@ -53,10 +53,10 @@ namespace lbr {
 /// Concurrency: heap mode is immutable after construction (lock-free
 /// reads). Mapped mode guards each slice with its own mutex; `Slice()`
 /// returns a shared_ptr pin that keeps a slice alive across spills, so
-/// concurrent readers and the spiller never race. The reference-returning
-/// accessors (SoRow/SoRows/...) stay valid until the slice is spilled —
-/// hot engine paths hold pins; admin paths (size report, snapshot writer)
-/// assume no concurrent budget pressure.
+/// concurrent readers and the spiller never race. It is the only way to
+/// read a slice: every reader (TP loader, selectivity, size report,
+/// snapshot writer, pairwise baseline) holds a pin for as long as it reads
+/// the slice's rows.
 class TripleIndex {
  public:
   /// Which of a predicate's two matrices: S-O (rows keyed by subject,
@@ -112,39 +112,11 @@ class TripleIndex {
       const std::vector<std::pair<uint32_t, CompressedRow>>& rows,
       uint32_t id);
 
-  /// Row `s` of the S-O BitMat of predicate `p`: objects `o` with (s,p,o).
-  /// Returns an empty row when absent. In mapped mode the reference is
-  /// valid until the slice is spilled; prefer Slice() + FindRowIn under a
-  /// memory budget. Touches only the S-O side (OsRow: only the O-S side).
-  const CompressedRow& SoRow(uint32_t p, uint32_t s) const;
-  /// Row `o` of the O-S BitMat of predicate `p`: subjects `s` with (s,p,o).
-  const CompressedRow& OsRow(uint32_t p, uint32_t o) const;
-
   /// Non-empty-row bit arrays (condensed metadata). Always resident — in
   /// mapped mode they decode eagerly at open from the meta section, so
   /// stats collection and selectivity never touch row payload.
   const Bitvector& SubjectsOf(uint32_t p) const { return non_empty_s_[p]; }
   const Bitvector& ObjectsOf(uint32_t p) const { return non_empty_o_[p]; }
-
-  /// All non-empty (s, row) pairs of the S-O BitMat of `p`, ascending s.
-  /// Materializes that side in mapped mode; see SoRow for the lifetime
-  /// caveat.
-  const std::vector<std::pair<uint32_t, CompressedRow>>& SoRows(
-      uint32_t p) const {
-    return EnsureSlice(p, Side::kSO).rows;
-  }
-  const std::vector<std::pair<uint32_t, CompressedRow>>& OsRows(
-      uint32_t p) const {
-    return EnsureSlice(p, Side::kOS).rows;
-  }
-
-  /// Materializes the P-O BitMat of subject `s` (rows = predicates,
-  /// cols = objects) — the per-subject slice family of the paper. Reads
-  /// only S-O sides.
-  BitMat PoBitMat(uint32_t s) const;
-  /// Materializes the P-S BitMat of object `o` (rows = predicates,
-  /// cols = subjects). Reads only O-S sides.
-  BitMat PsBitMat(uint32_t o) const;
 
   // --- Snapshot backend (DESIGN.md §11) -------------------------------------
 
@@ -283,9 +255,7 @@ class TripleIndex {
     bool paranoid = false;
   };
 
-  /// Materialize-on-first-touch for mapped mode; heap mode returns the
-  /// resident slice directly.
-  const SliceRows& EnsureSlice(uint32_t p, Side side) const;
+  /// Materialize-on-first-touch for mapped mode (Slice()'s slow path).
   std::shared_ptr<SliceRows> MaterializeSlice(uint32_t p, Side side) const;
   /// Decodes one slice's rows from the mapped directory + extent into
   /// `*slice`, verifying both checksums. Throws SnapshotError on any

@@ -65,7 +65,6 @@ Database Database::OpenSnapshot(const std::string& path, EngineOptions options,
   db.dict_ = std::move(opened.dict);
   db.index_ = std::move(opened.index);
 
-  options.snapshot_prefetch = snap.prefetch;
   db.engine_ = std::make_unique<Engine>(db.index_.get(), db.dict_.get(),
                                         options);
   if (snap.memory_budget_bytes > 0) {

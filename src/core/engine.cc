@@ -82,13 +82,10 @@ Engine::Engine(const TripleIndex* index, const Dictionary* dict,
       options_(options),
       tp_cache_(shared_cache != nullptr
                     ? std::move(shared_cache)
-                    : std::make_shared<TpCache>(options.tp_cache_budget,
-                                                options.tp_cache_shards)),
+                    : std::make_shared<TpCache>(options.tp_cache_budget)),
       plan_cache_(options.plan_cache != nullptr
                       ? options.plan_cache
-                      : std::make_shared<PlanCache>(
-                            options.plan_cache_capacity,
-                            options.plan_cache_shards)) {}
+                      : std::make_shared<PlanCache>()) {}
 
 BranchPlan Engine::PlanBranch(const Algebra& branch,
                               const std::vector<Term>* slot_constants,
@@ -240,7 +237,7 @@ Engine::BranchResult Engine::ExecuteBranchPlan(
   // predicate the load order is about to read, so later TPs' extents fault
   // in from disk while earlier TPs decode (DESIGN.md §11). No-op on heap
   // indexes and on already-resident slices.
-  if (options_.snapshot_prefetch && index_->mapped()) {
+  if (index_->mapped()) {
     for (int tp_id : plan.load_order) {
       const size_t i = static_cast<size_t>(tp_id);
       const TriplePattern& tp = tps[i];
@@ -835,8 +832,7 @@ std::vector<BatchResult> Engine::ExecuteBatch(
 
   std::shared_ptr<TpCache> cache = options.shared_cache;
   if (cache == nullptr && engine_options.enable_tp_cache) {
-    cache = std::make_shared<TpCache>(engine_options.tp_cache_budget,
-                                      engine_options.tp_cache_shards);
+    cache = std::make_shared<TpCache>(engine_options.tp_cache_budget);
   }
   // One plan cache for all workers: batch queries are text, so they route
   // through the shape-keyed compiled-plan cache; repeated shapes across
@@ -844,8 +840,7 @@ std::vector<BatchResult> Engine::ExecuteBatch(
   // draws them.
   if (engine_options.plan_cache == nullptr &&
       engine_options.enable_plan_cache) {
-    engine_options.plan_cache = std::make_shared<PlanCache>(
-        engine_options.plan_cache_capacity, engine_options.plan_cache_shards);
+    engine_options.plan_cache = std::make_shared<PlanCache>();
   }
 
   // --- Admission (DESIGN.md §9): the batch is a FIFO run queue drained by

@@ -41,25 +41,14 @@ struct EngineOptions {
   bool enable_tp_cache = false;
   /// Triple budget for the TP cache (total set bits held).
   uint64_t tp_cache_budget = 4u << 20;
-  /// Lock stripes for the TP cache (concurrent engines sharing one cache).
-  size_t tp_cache_shards = 8;
   /// Cache compiled plan skeletons keyed by query shape, so parameterized
   /// traffic pays parse/rewrite/GoSN/jvar-order once per shape. Only the
   /// text entry points (Execute(std::string), ExecuteToTable(std::string))
   /// consult it; ParsedQuery entry points always plan afresh.
   bool enable_plan_cache = true;
-  /// Maximum cached plan skeletons (global across stripes).
-  size_t plan_cache_capacity = 256;
-  /// Lock stripes for the plan cache.
-  size_t plan_cache_shards = 8;
   /// Share a plan cache across engines (the server deployment). Null makes
   /// the engine create a private one.
   std::shared_ptr<PlanCache> plan_cache;
-  /// Mapped-snapshot readahead (DESIGN.md §11): before the TP load loop,
-  /// madvise(WILLNEED) the extents of every fixed predicate in the branch's
-  /// load order, so the kernel faults them in while earlier TPs load. No-op
-  /// on heap-backed indexes.
-  bool snapshot_prefetch = true;
 };
 
 /// Per-query statistics mirroring the evaluation metrics of Section 6.1.

@@ -22,9 +22,6 @@ struct SnapshotOptions {
   /// contract verifies each slice on first materialization instead, so
   /// open cost stays O(metadata).
   bool verify_extents = false;
-  /// Let the engine madvise(WILLNEED) the extents of predicates its load
-  /// order is about to probe.
-  bool prefetch = true;
   /// Paranoid reads for unreliable storage (also armed by the
   /// LBR_SNAPSHOT_PARANOID environment variable): slice materialization
   /// preads directory + extent bytes into heap buffers and verifies/serves

@@ -183,14 +183,13 @@ bool ForcedScalarByEnv() {
   return v != nullptr && v[0] != '\0' && !(v[0] == '0' && v[1] == '\0');
 }
 
-/// Startup selection: the strongest table the CPU supports, unless the
-/// environment pins scalar. Each ISA getter returns nullptr when its TU was
-/// built without the ISA, and the getters themselves check CPUID — so a
-/// binary built with AVX2 kernels still runs (on the scalar or SSE4.2
-/// path) on a machine without them.
+/// Startup selection: SSE4.2 unless the environment pins scalar.
+/// Sse42Table() checks CPUID itself and returns nullptr when its TU was
+/// built without the ISA or the host lacks it, so a binary built with
+/// SSE4.2 kernels still runs, on the scalar path, on a machine without
+/// them.
 const detail::KernelTable* SelectTable() {
   if (ForcedScalarByEnv()) return &kScalarTable;
-  if (const detail::KernelTable* t = detail::Avx2Table()) return t;
   if (const detail::KernelTable* t = detail::Sse42Table()) return t;
   return &kScalarTable;
 }
@@ -220,17 +219,14 @@ const detail::KernelTable* KernelsFor(KernelBackend backend) {
       return &kScalarTable;
     case KernelBackend::kSse42:
       return detail::Sse42Table();
-    case KernelBackend::kAvx2:
-      return detail::Avx2Table();
   }
   return nullptr;
 }
 
 KernelBackend ActiveKernelBackend() {
   const detail::KernelTable* active = &detail::Active();
-  if (active == detail::Avx2Table()) return KernelBackend::kAvx2;
-  if (active == detail::Sse42Table()) return KernelBackend::kSse42;
-  return KernelBackend::kScalar;
+  return active == detail::Sse42Table() ? KernelBackend::kSse42
+                                        : KernelBackend::kScalar;
 }
 
 const char* ActiveKernelName() { return detail::Active().name; }

@@ -25,14 +25,16 @@ namespace bitops {
 ///    pre-clamped by the caller to the destination's logical size.
 ///
 /// Dispatch (DESIGN.md §8): the bulk kernels below route through a table of
-/// function pointers selected once at startup from CPUID (AVX2, then
-/// SSE4.2, then the portable scalar path). The scalar implementations are
-/// both the fallback on older hardware and the correctness oracle for the
-/// randomized differential suite (tests/simd_kernel_test). Setting the
-/// LBR_FORCE_SCALAR environment variable (non-empty, not "0") pins the
-/// scalar path regardless of CPU support. Word buffers need no particular
-/// alignment — the vector paths use unaligned loads/stores — and never read
-/// past `n` words, so the zero-tail invariant is preserved verbatim.
+/// function pointers selected once at startup from CPUID: SSE4.2+POPCNT
+/// when the CPU has it, else the portable scalar path. There is no wider
+/// tier: 256-bit kernels measured slower end to end (DESIGN.md §8). The
+/// scalar implementations are both the fallback on older hardware and the
+/// correctness oracle for the randomized differential suite
+/// (tests/simd_kernel_test). Setting the LBR_FORCE_SCALAR environment
+/// variable (non-empty, not "0") pins the scalar path regardless of CPU
+/// support. Word buffers need no particular alignment — the vector paths
+/// use unaligned loads/stores — and never read past `n` words, so the
+/// zero-tail invariant is preserved verbatim.
 
 inline constexpr size_t kWordBits = 64;
 
@@ -86,7 +88,7 @@ inline const KernelTable& Active() {
 }  // namespace detail
 
 /// Kernel backends in selection-priority order (highest last).
-enum class KernelBackend : uint8_t { kScalar = 0, kSse42 = 1, kAvx2 = 2 };
+enum class KernelBackend : uint8_t { kScalar = 0, kSse42 = 1 };
 
 /// The table for `backend`, or nullptr when this build/CPU cannot run it
 /// (scalar is always available).
@@ -94,7 +96,7 @@ const detail::KernelTable* KernelsFor(KernelBackend backend);
 
 /// The backend the dispatcher selected (or was forced to).
 KernelBackend ActiveKernelBackend();
-/// Human-readable name of the active table ("scalar", "sse4.2", "avx2").
+/// Human-readable name of the active table ("scalar" or "sse4.2").
 const char* ActiveKernelName();
 
 /// Pins the active table to `backend` — test/bench hook for comparing

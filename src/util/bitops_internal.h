@@ -3,12 +3,12 @@
 
 #include "util/bitops.h"
 
-/// Internal glue between the dispatcher (bitops.cc) and the per-ISA
-/// translation units (bitops_sse42.cc, bitops_avx2.cc). Each ISA TU is
-/// compiled with its own -m flags (CMake sets them per source file) and
-/// exposes exactly one getter returning its table, or nullptr when the
-/// compiler could not target that ISA. Nothing here is part of the public
-/// bitops API.
+/// Internal glue between the dispatcher (bitops.cc) and the one vector
+/// translation unit (bitops_sse42.cc). That TU is compiled with its own -m
+/// flags (CMake sets them per source file) and exposes exactly one getter
+/// returning its table, or nullptr when the compiler could not target the
+/// ISA or the CPU cannot run it. Nothing here is part of the public bitops
+/// API.
 
 namespace lbr {
 namespace bitops {
@@ -23,10 +23,8 @@ inline uint64_t SpanMask(size_t lo, size_t hi) {
 
 /// Scalar reference table (always available; defined in bitops.cc).
 const KernelTable* ScalarTable();
-/// SSE4.2 table, or nullptr when this build cannot target SSE4.2.
+/// SSE4.2 table, or nullptr when this build or CPU cannot run SSE4.2.
 const KernelTable* Sse42Table();
-/// AVX2 table, or nullptr when this build cannot target AVX2.
-const KernelTable* Avx2Table();
 
 }  // namespace detail
 }  // namespace bitops

@@ -1,9 +1,10 @@
 #include "util/bitops_internal.h"
 
-// SSE4.2 kernel backend — the mid-tier between scalar and AVX2, for
-// hardware with 128-bit vectors and hardware popcount but no AVX2. Compiled
-// with -msse4.2 -mpopcnt for this TU only; Sse42Table() checks CPUID and
-// returns nullptr when the host cannot run it.
+// SSE4.2 kernel backend — the one vector tier above the portable scalar
+// table: 128-bit vectors plus hardware popcount. Wider vectors were measured
+// slower end to end (DESIGN.md §8). Compiled with -msse4.2 -mpopcnt for this
+// TU only; Sse42Table() checks CPUID and returns nullptr when the host
+// cannot run it.
 //
 // Same contracts as the scalar kernels: unaligned loads/stores, never reads
 // past the caller's word count, zero-tail invariant untouched, partial

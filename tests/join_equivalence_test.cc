@@ -1,7 +1,7 @@
 // Join-equivalence suite for the multiway join's candidate enumeration
 // (DESIGN.md §6): the *exact ordered row stream* the join emits on the
 // scalar kernels is the reference, and every SIMD backend the build and
-// CPU can run (sse4.2, avx2) must reproduce it bit for bit, with pruning on
+// CPU can run (sse4.2) must reproduce it bit for bit, with pruning on
 // and off. End to end, the engine must produce the reference evaluator's
 // row multiset with pruning on and off — the unpruned run feeds the join
 // the large candidate sets the intersection filters hardest. Shapes
@@ -90,8 +90,7 @@ std::vector<Emission> RunJoin(const Graph& graph, const std::string& group,
 std::vector<bitops::KernelBackend> AvailableBackends() {
   std::vector<bitops::KernelBackend> backends;
   for (bitops::KernelBackend b :
-       {bitops::KernelBackend::kScalar, bitops::KernelBackend::kSse42,
-        bitops::KernelBackend::kAvx2}) {
+       {bitops::KernelBackend::kScalar, bitops::KernelBackend::kSse42}) {
     if (bitops::KernelsFor(b) != nullptr) backends.push_back(b);
   }
   return backends;

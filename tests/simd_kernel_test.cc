@@ -27,8 +27,7 @@ namespace {
 // oracle the others are compared against).
 std::vector<KernelBackend> AvailableBackends() {
   std::vector<KernelBackend> backends;
-  for (KernelBackend b :
-       {KernelBackend::kScalar, KernelBackend::kSse42, KernelBackend::kAvx2}) {
+  for (KernelBackend b : {KernelBackend::kScalar, KernelBackend::kSse42}) {
     if (KernelsFor(b) != nullptr) backends.push_back(b);
   }
   return backends;
@@ -64,8 +63,8 @@ std::vector<uint32_t> RandomSortedSet(Rng* rng, size_t max_len,
 }
 
 // Bit lengths covering empty input, single partial word, exact word/block
-// boundaries (SSE 128-bit = 2 words, AVX2 256-bit = 4 words, the 8-word
-// unrolled body), off-by-ones around each, and a multi-block body.
+// boundaries (SSE 128-bit = 2 words, the 4-word unrolled body of the
+// word-wise ops), off-by-ones around each, and a multi-block body.
 const size_t kBitLengths[] = {0,   1,   7,   63,  64,  65,  127, 128, 129,
                               191, 192, 255, 256, 257, 320, 383, 384, 448,
                               511, 512, 513};
@@ -90,6 +89,27 @@ TEST_F(SimdKernelTest, DispatchRespectsForceScalarEnv) {
     ASSERT_TRUE(ForceKernelBackend(b));
     EXPECT_EQ(ActiveKernelBackend(), b);
   }
+}
+
+// The startup selection must pick SSE4.2 whenever the CPU has it: it is the
+// only vector tier (DESIGN.md §8).
+TEST_F(SimdKernelTest, StartupSelectsSse42WhenCpuHasIt) {
+  const char* forced = getenv("LBR_FORCE_SCALAR");
+  if (forced != nullptr && forced[0] != '\0' &&
+      std::string(forced) != "0") {
+    GTEST_SKIP() << "LBR_FORCE_SCALAR pins the scalar table";
+  }
+#if defined(__x86_64__) || defined(__i386__)
+  if (!__builtin_cpu_supports("sse4.2") || !__builtin_cpu_supports("popcnt")) {
+    GTEST_SKIP() << "CPU lacks sse4.2 or popcnt";
+  }
+#else
+  GTEST_SKIP() << "not an x86 host";
+#endif
+  ASSERT_TRUE(ForceKernelBackend(KernelBackend::kScalar));
+  ResetKernelBackend();
+  EXPECT_EQ(ActiveKernelBackend(), KernelBackend::kSse42);
+  EXPECT_STREQ(ActiveKernelName(), "sse4.2");
 }
 
 TEST_F(SimdKernelTest, WordwiseOpsMatchScalar) {

@@ -316,8 +316,7 @@ TEST_F(TpCacheConcurrencyTest, SharedCacheEnginesAgreeWithPrivateEngines) {
   constexpr int kThreads = 6;
   EngineOptions options;
   options.enable_tp_cache = true;
-  auto shared = std::make_shared<TpCache>(options.tp_cache_budget,
-                                          options.tp_cache_shards);
+  auto shared = std::make_shared<TpCache>(options.tp_cache_budget);
 
   const std::string query =
       "PREFIX ub: <http://lubm/> SELECT * WHERE { ?x ub:worksFor ?d . "

@@ -42,20 +42,25 @@ TEST(TripleIndexTest, SoAndOsRowsAgree) {
   Graph g = SmallGraph();
   TripleIndex idx = TripleIndex::Build(g);
   const Dictionary& dict = g.dict();
+  using Side = TripleIndex::Side;
   // Every triple is visible from both orientations.
   for (const Triple& t : g.triples()) {
-    EXPECT_TRUE(idx.SoRow(t.p, t.s).Test(t.o))
+    TripleIndex::SlicePin so = idx.Slice(t.p, Side::kSO);
+    TripleIndex::SlicePin os = idx.Slice(t.p, Side::kOS);
+    ASSERT_NE(so, nullptr);
+    ASSERT_NE(os, nullptr);
+    EXPECT_TRUE(TripleIndex::FindRowIn(so->rows, t.s).Test(t.o))
         << dict.Decode(t).s.ToString();
-    EXPECT_TRUE(idx.OsRow(t.p, t.o).Test(t.s));
+    EXPECT_TRUE(TripleIndex::FindRowIn(os->rows, t.o).Test(t.s));
   }
   // Total bits in each orientation equal the triple count.
   for (uint32_t p = 0; p < idx.num_predicates(); ++p) {
     uint64_t so = 0, os = 0;
-    for (const auto& [id, row] : idx.SoRows(p)) {
+    for (const auto& [id, row] : idx.Slice(p, Side::kSO)->rows) {
       (void)id;
       so += row.Count();
     }
-    for (const auto& [id, row] : idx.OsRows(p)) {
+    for (const auto& [id, row] : idx.Slice(p, Side::kOS)->rows) {
       (void)id;
       os += row.Count();
     }
@@ -69,8 +74,10 @@ TEST(TripleIndexTest, MissingRowsAreEmpty) {
   TripleIndex idx = TripleIndex::Build(g);
   uint32_t q = *g.dict().PredicateId(Term::Iri("q"));
   uint32_t b = *g.dict().SubjectId(Term::Iri("b"));
-  EXPECT_TRUE(idx.SoRow(q, b).IsEmpty());  // b has no q-edges out
-  EXPECT_TRUE(idx.SoRow(999, 0).IsEmpty());  // out-of-range predicate
+  TripleIndex::SlicePin so = idx.Slice(q, TripleIndex::Side::kSO);
+  ASSERT_NE(so, nullptr);
+  EXPECT_TRUE(TripleIndex::FindRowIn(so->rows, b).IsEmpty());  // no q-edges
+  EXPECT_EQ(idx.Slice(999, TripleIndex::Side::kSO), nullptr);  // out of range
 }
 
 TEST(TripleIndexTest, NonEmptyRowBitvectors) {
@@ -89,16 +96,25 @@ TEST(TripleIndexTest, DerivedPsAndPoBitMats) {
   Graph g = SmallGraph();
   TripleIndex idx = TripleIndex::Build(g);
   const Dictionary& dict = g.dict();
-  uint32_t a = *dict.SubjectId(Term::Iri("a"));
-  BitMat po = idx.PoBitMat(a);  // rows = predicates, cols = objects
-  EXPECT_EQ(po.num_rows(), idx.num_predicates());
-  EXPECT_EQ(po.num_cols(), idx.num_objects());
+  // The per-subject P-O and per-object P-S families are derived: row `p`
+  // of subject a's P-O BitMat is row a of p's S-O slice (and likewise for
+  // P-S over O-S slices), so summing those rows over every predicate counts
+  // the derived BitMat's bits.
+  auto derived_count = [&](TripleIndex::Side side, uint32_t id) {
+    uint64_t count = 0;
+    for (uint32_t p = 0; p < idx.num_predicates(); ++p) {
+      count += TripleIndex::FindRowIn(idx.Slice(p, side)->rows, id).Count();
+    }
+    return count;
+  };
   // a has p->{b,c} and q->{b}.
-  EXPECT_EQ(po.Count(), 3u);
-
-  uint32_t b_obj = *dict.ObjectId(Term::Iri("b"));
-  BitMat ps = idx.PsBitMat(b_obj);  // subjects with (s, p, b)
-  EXPECT_EQ(ps.Count(), 2u);        // (a p b), (a q b)
+  EXPECT_EQ(derived_count(TripleIndex::Side::kSO,
+                          *dict.SubjectId(Term::Iri("a"))),
+            3u);
+  // Subjects with (s, p, b): (a p b), (a q b).
+  EXPECT_EQ(derived_count(TripleIndex::Side::kOS,
+                          *dict.ObjectId(Term::Iri("b"))),
+            2u);
 }
 
 TEST(TripleIndexTest, SizeReportHybridSavesOverRle) {

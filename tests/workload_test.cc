@@ -120,7 +120,9 @@ TEST(UniprotGenTest, HumanProteinsExist) {
   auto organism = g.dict().PredicateId(Term::Iri(uniprot::kOrganism));
   auto human = g.dict().ObjectId(Term::Iri(uniprot::kHumanTaxon));
   ASSERT_TRUE(organism && human);
-  EXPECT_GT(idx.OsRow(*organism, *human).Count(), 0u);
+  TripleIndex::SlicePin os = idx.Slice(*organism, TripleIndex::Side::kOS);
+  ASSERT_NE(os, nullptr);
+  EXPECT_GT(TripleIndex::FindRowIn(os->rows, *human).Count(), 0u);
 }
 
 TEST(UniprotGenTest, NoContextEdgesSoQ4SlaveEmpties) {
