@@ -131,8 +131,7 @@ int main(int argc, char** argv) {
       snap.memory_budget_bytes = budget_bytes;
       Database opened = Database::OpenSnapshot(data_path, options, snap);
       std::cerr << "opened database " << data_path << " ("
-                << opened.num_triples() << " triples"
-                << (opened.index().mapped() ? ", mapped" : "") << ") in "
+                << opened.num_triples() << " triples) in "
                 << load.Seconds() << " s\n";
       return opened;
     }
@@ -284,10 +283,6 @@ int main(int argc, char** argv) {
       }
       if (text == ".verify") {
         Database::SnapshotVerifyReport report = db.VerifySnapshot();
-        if (!report.mapped) {
-          std::cout << "verify: heap-backed database, nothing to check\n";
-          return;
-        }
         std::cout << "verify: " << report.num_predicates << " predicate(s), "
                   << report.corrupt.size() << " corrupt, "
                   << report.quarantined.size() << " quarantined"

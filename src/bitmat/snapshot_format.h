@@ -132,11 +132,6 @@ inline T ReadPod(const uint8_t* base, uint64_t offset) {
   return out;
 }
 
-/// Implemented in core/snapshot.cc; granted friend access to TripleIndex so
-/// the writer can walk slices and the reader can install the mapped
-/// backing without widening the public index API.
-class SnapshotIO;
-
 }  // namespace lbr
 
 #endif  // LBR_BITMAT_SNAPSHOT_FORMAT_H_

@@ -117,7 +117,7 @@ TpBitMat LoadTpBitMatImpl(const TripleIndex& index, const Dictionary& dict,
     if (sv && ov) {
       // (?a :p ?b): full predicate slice, orientation by the jvar order.
       // Pin the slice across the copy-out so a concurrent snapshot spill
-      // cannot free the row vectors mid-iteration (mapped mode).
+      // cannot free the row vectors mid-iteration.
       TripleIndex::SlicePin pin = p ? index.Slice(*p, side) : nullptr;
       if (side == TripleIndex::Side::kSO) {
         out.row_kind = DomainKind::kSubject;

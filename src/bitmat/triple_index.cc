@@ -10,8 +10,8 @@ namespace {
 const CompressedRow kEmptyRow;
 
 // Heap bytes of a materialized slice: vector storage plus owned payload.
-// Views into the map own no payload, so a freshly materialized mapped
-// slice costs ~sizeof(pair) per row regardless of payload size.
+// Views into the map own no payload, so a freshly materialized slice
+// costs ~sizeof(pair) per row regardless of payload size.
 uint64_t SliceHeapBytes(const TripleIndex::SliceRows& slice) {
   uint64_t bytes = sizeof(TripleIndex::SliceRows);
   bytes += slice.rows.capacity() * sizeof(std::pair<uint32_t, CompressedRow>);
@@ -19,73 +19,10 @@ uint64_t SliceHeapBytes(const TripleIndex::SliceRows& slice) {
     (void)id;
     bytes += row.OwnedHeapBytes();
   }
-  bytes += slice.extent_copy.capacity() * sizeof(uint32_t);
   return bytes;
 }
 
-// Groups (row id, column id) pairs, sorted by row then column, into the
-// sparse rows of one side.
-void GroupRows(const std::vector<std::pair<uint32_t, uint32_t>>& pairs,
-               TripleIndex::SliceRows* slice, Bitvector* non_empty) {
-  std::vector<uint32_t> cols;
-  for (size_t i = 0; i < pairs.size();) {
-    uint32_t id = pairs[i].first;
-    cols.clear();
-    while (i < pairs.size() && pairs[i].first == id) {
-      cols.push_back(pairs[i].second);
-      ++i;
-    }
-    slice->rows.emplace_back(id, CompressedRow::FromPositions(cols));
-    non_empty->Set(id);
-  }
-}
-
 }  // namespace
-
-TripleIndex TripleIndex::Build(const Graph& graph) {
-  TripleIndex idx;
-  const Dictionary& dict = graph.dict();
-  idx.num_subjects_ = dict.num_subjects();
-  idx.num_predicates_ = dict.num_predicates();
-  idx.num_objects_ = dict.num_objects();
-  idx.num_common_ = dict.num_common();
-  idx.num_triples_ = graph.num_triples();
-  idx.pred_counts_.assign(idx.num_predicates_, 0);
-  idx.non_empty_s_.resize(idx.num_predicates_);
-  idx.non_empty_o_.resize(idx.num_predicates_);
-  idx.slices_.resize(2 * static_cast<size_t>(idx.num_predicates_));
-
-  // Bucket triples by predicate in both orientations, then compress.
-  std::vector<std::vector<std::pair<uint32_t, uint32_t>>> by_pred(
-      idx.num_predicates_);
-  for (const Triple& t : graph.triples()) {
-    by_pred[t.p].emplace_back(t.s, t.o);
-    ++idx.pred_counts_[t.p];
-  }
-
-  for (uint32_t p = 0; p < idx.num_predicates_; ++p) {
-    idx.non_empty_s_[p].Resize(idx.num_subjects_);
-    idx.non_empty_o_[p].Resize(idx.num_objects_);
-    auto& pairs = by_pred[p];
-
-    // S-O side: group by subject. Input triples are (S,P,O)-sorted, so
-    // pairs are already (s, o)-sorted.
-    auto so = std::make_shared<SliceRows>();
-    GroupRows(pairs, so.get(), &idx.non_empty_s_[p]);
-
-    // O-S side: swap to (o, s) and re-sort.
-    for (auto& pair : pairs) std::swap(pair.first, pair.second);
-    std::sort(pairs.begin(), pairs.end());
-    auto os = std::make_shared<SliceRows>();
-    GroupRows(pairs, os.get(), &idx.non_empty_o_[p]);
-
-    pairs.clear();
-    pairs.shrink_to_fit();
-    idx.slices_[SlotOf(p, Side::kSO)] = std::move(so);
-    idx.slices_[SlotOf(p, Side::kOS)] = std::move(os);
-  }
-  return idx;
-}
 
 const CompressedRow& TripleIndex::FindRowIn(
     const std::vector<std::pair<uint32_t, CompressedRow>>& rows, uint32_t id) {
@@ -98,7 +35,6 @@ const CompressedRow& TripleIndex::FindRowIn(
 
 TripleIndex::SlicePin TripleIndex::Slice(uint32_t p, Side side) const {
   if (p >= num_predicates_) return nullptr;
-  if (backing_ == nullptr) return slices_[SlotOf(p, side)];
   return MaterializeSlice(p, side);
 }
 
@@ -122,19 +58,22 @@ void TripleIndex::DecodeSliceRows(uint32_t p, Side side,
   const uint32_t* extent =
       reinterpret_cast<const uint32_t*>(base + loc.extent_off);
   std::vector<uint8_t> dir_copy;
+  std::vector<uint32_t> extent_copy;
   if (b.paranoid) {
-    // Paranoid mode: pread both regions into heap buffers and verify/decode
-    // the copies — a storage-level fault surfaces as a clean pread error or
-    // checksum mismatch here, never a SIGBUS on a later mapped access.
+    // Paranoid mode: pread both regions into local buffers and verify and
+    // decode the copies — a storage-level fault surfaces as a clean pread
+    // error or checksum mismatch here, never a SIGBUS on a later mapped
+    // access. The rows below own their payload: query BitMats copy them,
+    // and a view into these buffers would dangle once they go.
     dir_copy.resize(dir_bytes);
     if (dir_bytes > 0) b.file->ReadAt(loc.dir_off, dir_bytes, dir_copy.data());
     dir = dir_copy.data();
-    slice->extent_copy.resize(loc.extent_words);
+    extent_copy.resize(loc.extent_words);
     if (loc.extent_words > 0) {
       b.file->ReadAt(loc.extent_off, loc.extent_words * 4,
-                     slice->extent_copy.data());
+                     extent_copy.data());
     }
-    extent = slice->extent_copy.data();
+    extent = extent_copy.data();
   }
   const auto what = [&](const char* region) {
     return std::string(region) + " of the " +
@@ -171,6 +110,7 @@ void TripleIndex::DecodeSliceRows(uint32_t p, Side side,
                   static_cast<CompressedRow::Encoding>(e.encoding),
                   e.first_bit != 0, e.count, extent + e.payload_off_words,
                   e.payload_words));
+    if (b.paranoid) rows.back().second = rows.back().second.Owned();
   }
 }
 
@@ -233,7 +173,6 @@ std::shared_ptr<TripleIndex::SliceRows> TripleIndex::MaterializeSlice(
 }
 
 uint64_t TripleIndex::SpillToFit() const {
-  if (backing_ == nullptr) return 0;
   Backing& b = *backing_;
   if (b.budget_bytes == 0 || b.meter == nullptr) return 0;
   std::unique_lock<std::mutex> spill_lk(b.spill_mu, std::try_to_lock);
@@ -296,7 +235,6 @@ uint64_t TripleIndex::SpillToFit() const {
 }
 
 void TripleIndex::SetMemoryBudget(uint64_t bytes, QueryControl* meter) {
-  if (backing_ == nullptr) return;
   backing_->budget_bytes = bytes;
   backing_->meter = meter != nullptr ? meter : &backing_->own_meter;
   // Late installation: slices materialized before the budget was set (e.g.
@@ -307,12 +245,11 @@ void TripleIndex::SetMemoryBudget(uint64_t bytes, QueryControl* meter) {
 }
 
 void TripleIndex::SetSpillHook(std::function<uint64_t()> hook) {
-  if (backing_ == nullptr) return;
   backing_->spill_hook = std::move(hook);
 }
 
 void TripleIndex::Prefetch(uint32_t p, Side side) const {
-  if (backing_ == nullptr || p >= num_predicates_) return;
+  if (p >= num_predicates_) return;
   Backing& b = *backing_;
   const size_t slot = SlotOf(p, side);
   {
@@ -330,7 +267,6 @@ void TripleIndex::Prefetch(uint32_t p, Side side) const {
 
 std::vector<uint32_t> TripleIndex::QuarantinedSlices() const {
   std::vector<uint32_t> out;
-  if (backing_ == nullptr) return out;
   for (uint32_t p = 0; p < num_predicates_; ++p) {
     if (backing_->quarantined[p].load(std::memory_order_relaxed) != 0) {
       out.push_back(p);
@@ -341,7 +277,6 @@ std::vector<uint32_t> TripleIndex::QuarantinedSlices() const {
 
 bool TripleIndex::VerifySlices(std::vector<uint32_t>* corrupt,
                                std::vector<uint32_t>* quarantined) const {
-  if (backing_ == nullptr) return true;
   const Backing& b = *backing_;
   bool ok = true;
   for (uint32_t p = 0; p < num_predicates_; ++p) {

@@ -40,23 +40,20 @@ namespace lbr {
 /// one predicate. It is the unit the index materializes, pins, spills,
 /// prefetches and meters, and every reader asks only for the side it reads.
 ///
-/// Two storage backends (DESIGN.md §11):
-///  - Heap mode (Build): every slice is resident from the start.
-///  - Mapped mode (a snapshot opened through Database::OpenSnapshot): the
-///    file is mmap'd and slices materialize lazily on first touch as
-///    vectors of zero-copy CompressedRow views into the mapped extents, so
-///    the first query pays only for the sides it touches. Under a memory
-///    budget, cold slices *spill*: their heap structures are freed and
-///    their extent pages are madvise(DONTNEED)'d back to the file; the next
-///    touch re-materializes (and re-verifies) them.
+/// One representation (DESIGN.md §11): the index always reads a mapped v3
+/// snapshot image — a snapshot file opened by Database::OpenSnapshot, or the
+/// image Build writes into a memfd file. Slices materialize lazily on first
+/// touch as vectors of zero-copy CompressedRow views into the mapped
+/// extents (checksum-verified each time), so a query pays only for the
+/// sides it touches. Under a memory budget, cold slices *spill*: their heap
+/// structures are freed and their extent pages are madvise(DONTNEED)'d back
+/// to the file; the next touch re-materializes (and re-verifies) them.
 ///
-/// Concurrency: heap mode is immutable after construction (lock-free
-/// reads). Mapped mode guards each slice with its own mutex; `Slice()`
-/// returns a shared_ptr pin that keeps a slice alive across spills, so
-/// concurrent readers and the spiller never race. It is the only way to
-/// read a slice: every reader (TP loader, selectivity, size report,
-/// snapshot writer, pairwise baseline) holds a pin for as long as it reads
-/// the slice's rows.
+/// Concurrency: each slice has its own mutex; `Slice()` returns a
+/// shared_ptr pin that keeps a slice alive across spills, so concurrent
+/// readers and the spiller never race. It is the only way to read a slice:
+/// every reader (TP loader, selectivity, size report, pairwise baseline)
+/// holds a pin for as long as it reads the slice's rows.
 class TripleIndex {
  public:
   /// Which of a predicate's two matrices: S-O (rows keyed by subject,
@@ -67,25 +64,33 @@ class TripleIndex {
   /// One (predicate, side) matrix. Public so Slice() pins can hand the row
   /// vector to the TP loader directly.
   struct SliceRows {
-    // Sorted by first (row id); only non-empty rows present.
+    // Sorted by first (row id); only non-empty rows present. Views into
+    // the mapped extent, or owned rows in paranoid mode (DESIGN.md §12).
     std::vector<std::pair<uint32_t, CompressedRow>> rows;
-    /// Paranoid mode (LBR_SNAPSHOT_PARANOID, DESIGN.md §12): a heap copy of
-    /// the payload extent, pread from the file instead of borrowed from the
-    /// mapping — the rows above view into this buffer, so a storage-level
-    /// bit flip surfaces as a pread error or checksum mismatch, never a
-    /// SIGBUS on a mapped access. Empty in normal mode.
-    std::vector<uint32_t> extent_copy;
-    /// Heap bytes of the slice's own structures (vector + owned payload +
-    /// paranoid extent copy; view payload in the map is not counted) — the
-    /// unit the snapshot memory budget meters.
+    /// Heap bytes of the slice's own structures (vector + owned payload;
+    /// view payload in the map is not counted) — the unit the memory
+    /// budget meters.
     uint64_t heap_bytes = 0;
   };
   using SlicePin = std::shared_ptr<const SliceRows>;
 
-  TripleIndex() = default;
-
-  /// Builds the index from a graph's encoded triples.
+  /// Builds the index from a graph's encoded triples: writes the v3
+  /// snapshot image of the graph (dictionary included) into a memfd file
+  /// and opens it with the same reader as a snapshot on disk. Throws
+  /// SnapshotError(kIo) when the image cannot be written or mapped.
   static TripleIndex Build(const Graph& graph);
+
+  /// The snapshot reader: verifies the image's header and meta section
+  /// and decodes the meta; row payload stays in the file until touched.
+  /// When `dict` is non-null it receives the dict section, for the caller
+  /// to verify and decode. `paranoid` (or the LBR_SNAPSHOT_PARANOID
+  /// environment variable) arms paranoid reads. Throws SnapshotError with
+  /// a structured code on any malformed input.
+  static TripleIndex Open(std::shared_ptr<MappedFile> file, bool paranoid,
+                          SnapSectionEntry* dict);
+
+  /// The mapped image the index reads; Database::SaveSnapshot copies it.
+  const MappedFile& image() const { return *backing_->file; }
 
   uint32_t num_subjects() const { return num_subjects_; }
   uint32_t num_predicates() const { return num_predicates_; }
@@ -99,11 +104,11 @@ class TripleIndex {
     return pred_counts_[p];
   }
 
-  /// Pins side `side` of predicate `p`: materializes it first in mapped
-  /// mode (the other side stays on disk). The pin keeps the slice's rows
-  /// alive even if the slice is spilled concurrently — the loader's access
-  /// protocol under a memory budget. Returns nullptr for out-of-range
-  /// predicates.
+  /// Pins side `side` of predicate `p`, materializing it first if it is
+  /// not resident (the other side stays in the file). The pin keeps the
+  /// slice's rows alive even if the slice is spilled concurrently — the
+  /// loader's access protocol under a memory budget. Returns nullptr for
+  /// out-of-range predicates.
   SlicePin Slice(uint32_t p, Side side) const;
 
   /// Finds row `id` in a pinned slice's sorted row vector (binary search);
@@ -112,24 +117,20 @@ class TripleIndex {
       const std::vector<std::pair<uint32_t, CompressedRow>>& rows,
       uint32_t id);
 
-  /// Non-empty-row bit arrays (condensed metadata). Always resident — in
-  /// mapped mode they decode eagerly at open from the meta section, so
-  /// stats collection and selectivity never touch row payload.
+  /// Non-empty-row bit arrays (condensed metadata). Always resident — they
+  /// decode eagerly at open from the meta section, so stats collection and
+  /// selectivity never touch row payload.
   const Bitvector& SubjectsOf(uint32_t p) const { return non_empty_s_[p]; }
   const Bitvector& ObjectsOf(uint32_t p) const { return non_empty_o_[p]; }
 
-  // --- Snapshot backend (DESIGN.md §11) -------------------------------------
-
-  /// True when this index reads from a mapped snapshot.
-  bool mapped() const { return backing_ != nullptr; }
+  // --- Residency, budget and integrity (DESIGN.md §11, §12) -----------------
 
   /// Installs the resident-memory budget for materialized slices.
   /// `meter` (optional, not owned, must outlive the index) supplies the
   /// accounting device — a QueryControl charged/released per slice, shared
   /// with the TpCache so one global budget covers both tiers; null makes
   /// the index meter privately. The meter's own budget stays 0 (pure
-  /// accounting): going over triggers *spill*, never an abort. No-op in
-  /// heap mode.
+  /// accounting): going over triggers *spill*, never an abort.
   void SetMemoryBudget(uint64_t bytes, QueryControl* meter = nullptr);
 
   /// Extra reclaim hook run before the index spills its own slices (wired
@@ -145,47 +146,39 @@ class TripleIndex {
 
   /// madvise(WILLNEED) on the directory + extent of side `side` of
   /// predicate `p` — the planner-driven readahead hint for TPs about to be
-  /// loaded. No-op in heap mode or for an already-resident slice.
+  /// loaded. No-op for an already-resident slice.
   void Prefetch(uint32_t p, Side side) const;
 
-  /// Snapshot-tier observability (all zero in heap mode). Materializations,
-  /// spills and prefetches count slices, that is (predicate, side) pairs.
+  /// Index observability. Materializations, spills and prefetches count
+  /// slices, that is (predicate, side) pairs.
   uint64_t snapshot_materializations() const {
-    return backing_ ? backing_->materializations.load(
-                          std::memory_order_relaxed)
-                    : 0;
+    return backing_->materializations.load(std::memory_order_relaxed);
   }
   uint64_t snapshot_spills() const {
-    return backing_ ? backing_->spills.load(std::memory_order_relaxed) : 0;
+    return backing_->spills.load(std::memory_order_relaxed);
   }
   uint64_t snapshot_prefetches() const {
-    return backing_ ? backing_->prefetches.load(std::memory_order_relaxed)
-                    : 0;
+    return backing_->prefetches.load(std::memory_order_relaxed);
   }
   /// Current heap bytes held by materialized slices.
   uint64_t snapshot_resident_bytes() const {
-    return backing_ ? backing_->resident_bytes.load(std::memory_order_relaxed)
-                    : 0;
+    return backing_->resident_bytes.load(std::memory_order_relaxed);
   }
-  uint64_t snapshot_budget_bytes() const {
-    return backing_ ? backing_->budget_bytes : 0;
-  }
+  uint64_t snapshot_budget_bytes() const { return backing_->budget_bytes; }
   /// Predicates quarantined by a checksum/corruption failure on either
-  /// side (degraded mode, DESIGN.md §12): both sides then fail fast. Zero
-  /// in heap mode.
+  /// side (degraded mode, DESIGN.md §12): both sides then fail fast.
   uint64_t snapshot_quarantined() const {
-    return backing_ ? backing_->quarantines.load(std::memory_order_relaxed)
-                    : 0;
+    return backing_->quarantines.load(std::memory_order_relaxed);
   }
-  /// The quarantined predicate IDs, ascending (empty in heap mode).
+  /// The quarantined predicate IDs, ascending.
   std::vector<uint32_t> QuarantinedSlices() const;
 
-  /// Integrity sweep for `.verify` / Database::VerifySnapshot: re-checks
-  /// both sides' directory and extent checksums of every predicate against
-  /// the mapped bytes without materializing anything. Appends predicate IDs
-  /// with a failing side to `corrupt` and currently-quarantined IDs to
-  /// `quarantined` (either may be null). Returns true when both lists are
-  /// empty. Heap mode always verifies clean.
+  /// Integrity sweep for `.verify`, Database::VerifySnapshot and
+  /// Database::SaveSnapshot: re-checks both sides' directory and extent
+  /// checksums of every predicate against the mapped bytes without
+  /// materializing anything. Appends predicate IDs with a failing side to
+  /// `corrupt` and currently-quarantined IDs to `quarantined` (either may
+  /// be null). Returns true when both lists are empty.
   bool VerifySlices(std::vector<uint32_t>* corrupt,
                     std::vector<uint32_t>* quarantined) const;
 
@@ -200,7 +193,7 @@ class TripleIndex {
   SizeReport ComputeSizeReport() const;
 
  private:
-  friend class SnapshotIO;
+  TripleIndex() = default;
 
   /// Slot of side `side` of predicate `p` in slices_ and the per-slice
   /// Backing arrays.
@@ -209,7 +202,7 @@ class TripleIndex {
   }
 
   /// Per-(predicate, side) location of the row directory and the
-  /// page-aligned payload extent inside the mapped snapshot.
+  /// page-aligned payload extent inside the mapped image.
   struct SliceLoc {
     uint64_t dir_off = 0;       ///< Byte offset of the directory (absolute).
     uint32_t dir_rows = 0;      ///< Directory entries.
@@ -222,8 +215,8 @@ class TripleIndex {
   struct Backing {
     std::shared_ptr<MappedFile> file;
     std::vector<SliceLoc> loc;  ///< Indexed by SlotOf(p, side).
-    /// Per-slice materialization locks; also guard slices_[slot] loads in
-    /// mapped mode (C++17 has no atomic shared_ptr).
+    /// Per-slice materialization locks; also guard slices_[slot] loads
+    /// (C++17 has no atomic shared_ptr).
     std::unique_ptr<std::mutex[]> mu;
     /// LRU clock: last-touch sequence per slice.
     std::unique_ptr<std::atomic<uint64_t>[]> last_touch;
@@ -250,18 +243,18 @@ class TripleIndex {
     /// predicates keep serving).
     std::unique_ptr<std::atomic<uint8_t>[]> quarantined;
     std::atomic<uint64_t> quarantines{0};
-    /// LBR_SNAPSHOT_PARANOID: pread slice bytes into heap instead of
-    /// borrowing mapped words (for unreliable storage).
+    /// LBR_SNAPSHOT_PARANOID: decode owned rows from pread copies instead
+    /// of borrowing mapped words (for unreliable storage).
     bool paranoid = false;
   };
 
-  /// Materialize-on-first-touch for mapped mode (Slice()'s slow path).
+  /// Returns the resident slice, or materializes it (Slice()'s body).
   std::shared_ptr<SliceRows> MaterializeSlice(uint32_t p, Side side) const;
   /// Decodes one slice's rows from the mapped directory + extent into
   /// `*slice`, verifying both checksums. Throws SnapshotError on any
-  /// mismatch. In paranoid mode the extent is pread into
-  /// slice->extent_copy and the rows view that heap copy instead of the
-  /// map.
+  /// mismatch. In paranoid mode both regions are pread into local buffers
+  /// and the rows own copies of their payload, so nothing a query keeps
+  /// points into a buffer the slice frees.
   void DecodeSliceRows(uint32_t p, Side side, SliceRows* slice) const;
   /// True when both checksums of the slice at `loc` match the mapped bytes.
   bool SliceChecksumsMatch(const SliceLoc& loc) const;
@@ -275,11 +268,10 @@ class TripleIndex {
   /// Always-resident condensed metadata (one Bitvector pair per predicate).
   std::vector<Bitvector> non_empty_s_;
   std::vector<Bitvector> non_empty_o_;
-  /// Slice storage, indexed by SlotOf(p, side). Heap mode: every entry
-  /// non-null after construction, never mutated (lock-free). Mapped mode:
-  /// entries start null and are published/spilled under
-  /// backing_->mu[slot].
+  /// Slice storage, indexed by SlotOf(p, side): entries start null and are
+  /// published/spilled under backing_->mu[slot].
   mutable std::vector<std::shared_ptr<SliceRows>> slices_;
+  /// Never null once constructed (heap-held so the index stays movable).
   mutable std::unique_ptr<Backing> backing_;
 };
 

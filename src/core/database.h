@@ -34,7 +34,15 @@ class Database {
 
   /// Saves the database as a page-organized mmap-ready snapshot
   /// (DESIGN.md §11): dictionary + row directories + page-aligned
-  /// payload extents, all checksummed. Works from either backend.
+  /// payload extents, all checksummed. The index already is that image
+  /// (built or opened), so saving re-checks its slices (a damaged image
+  /// throws SnapshotError(kChecksum) and writes nothing) and copies it
+  /// byte for byte. Crash-safe (DESIGN.md §12): the bytes go to a
+  /// same-directory temp file, which is fsync'd, renamed over `path`, and
+  /// the directory fsync'd, so `path` always holds a complete snapshot and
+  /// no temp file is left behind. Throws SnapshotError(kIo) with errno
+  /// detail on filesystem failures. Fault sites:
+  /// snapshot.write.{create,write,fsync,rename,dirsync}.
   void SaveSnapshot(const std::string& path) const;
 
   /// Opens a snapshot written by SaveSnapshot: the file is mapped, only
@@ -75,7 +83,6 @@ class Database {
 
   /// Integrity report from VerifySnapshot (the shell's `.verify`).
   struct SnapshotVerifyReport {
-    bool mapped = false;          ///< False for heap-mode databases.
     uint32_t num_predicates = 0;
     /// Predicates whose directory/extent checksums mismatch on disk now.
     std::vector<uint32_t> corrupt;
@@ -86,8 +93,8 @@ class Database {
   };
 
   /// Re-checks every slice's checksums against the mapped bytes (without
-  /// materializing) and reports quarantined predicates. Heap-mode
-  /// databases verify trivially clean.
+  /// materializing) and reports quarantined predicates. Built and opened
+  /// databases are checked alike.
   SnapshotVerifyReport VerifySnapshot() const;
 
   uint64_t num_triples() const { return index_->num_triples(); }
@@ -98,10 +105,10 @@ class Database {
   // Heap-held so Database stays movable while Engine keeps stable pointers.
   std::unique_ptr<Dictionary> dict_;
   std::unique_ptr<TripleIndex> index_;
-  /// The snapshot tier's shared memory meter (mapped databases with a
-  /// budget): charged by the index's materialized slices and the TP cache's
-  /// entries, drained by their spill passes. Budget stays 0 — it is an
-  /// accountant, never an aborter.
+  /// The shared memory meter (opened snapshots with a budget): charged by
+  /// the index's materialized slices and the TP cache's entries, drained
+  /// by their spill passes. Budget stays 0 — it is an accountant, never an
+  /// aborter.
   std::unique_ptr<QueryControl> store_meter_;
   std::unique_ptr<Engine> engine_;
 };

@@ -233,18 +233,16 @@ Engine::BranchResult Engine::ExecuteBranchPlan(
 
   GlobalIds ids = GlobalIds::FromDictionary(*dict_);
 
-  // Mapped-snapshot readahead: hint the kernel at the side of every fixed
-  // predicate the load order is about to read, so later TPs' extents fault
-  // in from disk while earlier TPs decode (DESIGN.md §11). No-op on heap
-  // indexes and on already-resident slices.
-  if (index_->mapped()) {
-    for (int tp_id : plan.load_order) {
-      const size_t i = static_cast<size_t>(tp_id);
-      const TriplePattern& tp = tps[i];
-      if (tp.p.is_var) continue;
-      if (auto p = dict_->PredicateId(tp.p.term)) {
-        index_->Prefetch(*p, TpReadSide(tp, plan.prefer_subject_rows[i]));
-      }
+  // Readahead: hint the kernel at the side of every fixed predicate the
+  // load order is about to read, so later TPs' extents fault in from the
+  // file while earlier TPs decode (DESIGN.md §11). No-op on
+  // already-resident slices.
+  for (int tp_id : plan.load_order) {
+    const size_t i = static_cast<size_t>(tp_id);
+    const TriplePattern& tp = tps[i];
+    if (tp.p.is_var) continue;
+    if (auto p = dict_->PredicateId(tp.p.term)) {
+      index_->Prefetch(*p, TpReadSide(tp, plan.prefer_subject_rows[i]));
     }
   }
 

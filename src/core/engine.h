@@ -105,9 +105,8 @@ struct QueryStats {
   uint64_t planning_rewrites = 0;
   uint64_t planning_gosn_builds = 0;
   uint64_t planning_jvar_orders = 0;
-  // Snapshot-tier observability (DESIGN.md §11; all zero on heap-backed
-  // indexes). Materialization/spill/prefetch counts are per-query deltas of
-  // the index-wide counters — like the tp_cache_* deltas, concurrent
+  // Index observability (DESIGN.md §11). Materialization/spill/prefetch
+  // counts are per-query deltas of the index-wide counters — like the tp_cache_* deltas, concurrent
   // queries' traffic is included. resident/budget bytes are end-of-query
   // levels.
   uint64_t snapshot_materializations = 0;

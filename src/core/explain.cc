@@ -119,17 +119,14 @@ std::string ExplainCacheStats(const QueryStats& stats) {
        << " contended lock(s), " << stats.tp_cache_flight_waits
        << " single-flight wait(s)\n";
   }
-  if (stats.snapshot_materializations > 0 || stats.snapshot_spills > 0 ||
-      stats.snapshot_resident_bytes > 0) {
-    os << "  snapshot: " << stats.snapshot_materializations
-       << " materialization(s), " << stats.snapshot_spills << " spill(s), "
-       << stats.snapshot_prefetches << " prefetch(es), "
-       << stats.snapshot_resident_bytes << " resident byte(s)";
-    if (stats.snapshot_budget_bytes > 0) {
-      os << " / " << stats.snapshot_budget_bytes << " budget";
-    }
-    os << "\n";
+  os << "  snapshot: " << stats.snapshot_materializations
+     << " materialization(s), " << stats.snapshot_spills << " spill(s), "
+     << stats.snapshot_prefetches << " prefetch(es), "
+     << stats.snapshot_resident_bytes << " resident byte(s)";
+  if (stats.snapshot_budget_bytes > 0) {
+    os << " / " << stats.snapshot_budget_bytes << " budget";
   }
+  os << "\n";
   if (stats.faults_injected > 0 || stats.fault_retries > 0 ||
       stats.quarantined_slices > 0) {
     os << "  faults: " << stats.faults_injected << " injected, "

@@ -19,7 +19,7 @@ uint64_t EstimateTpCardinality(const TripleIndex& index,
     auto p = dict.PredicateId(tp.p.term);
     if (!p) return 0;
     if (sv && ov) return index.PredicateCardinality(*p);
-    // Pin the slice while reading its rows (mapped-snapshot spill safety).
+    // Pin the slice while reading its rows (spill safety).
     TripleIndex::SlicePin pin = index.Slice(*p, side);
     if (sv) {
       auto o = dict.ObjectId(tp.o.term);

@@ -114,6 +114,16 @@ CompressedRow CompressedRow::View(Encoding encoding, bool first_bit,
   return row;
 }
 
+CompressedRow CompressedRow::Owned() const {
+  CompressedRow row = *this;
+  if (row.ext_data_ != nullptr) {
+    row.payload_.assign(ext_data_, ext_data_ + ext_size_);
+    row.ext_data_ = nullptr;
+    row.ext_size_ = 0;
+  }
+  return row;
+}
+
 bool CompressedRow::Test(uint32_t pos) const {
   const uint32_t* pd = pdata();
   const size_t pn = psize();

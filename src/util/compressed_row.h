@@ -52,6 +52,10 @@ class CompressedRow {
   /// True when the payload is borrowed (see View()).
   bool is_view() const { return ext_data_ != nullptr; }
 
+  /// A copy that owns its payload: a view's borrowed words are copied, so
+  /// the result outlives the storage the view borrowed from.
+  CompressedRow Owned() const;
+
   /// Heap bytes owned by this row (0 for views) — the unit of the snapshot
   /// tier's resident-memory accounting.
   size_t OwnedHeapBytes() const {

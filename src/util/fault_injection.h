@@ -53,7 +53,7 @@ enum class FaultSiteId : uint32_t {
                            ///< best-effort by contract).
   kThreadPoolDispatch,     ///< Task/chunk dispatch on the pool (transient).
   kQueryControlCharge,     ///< QueryControl::ChargeMemory (permanent).
-  kSnapshotOpen,           ///< SnapshotIO::Open map/read (permanent).
+  kSnapshotOpen,           ///< Database::OpenSnapshot map/read (permanent).
   kSnapshotWriteCreate,    ///< Snapshot temp-file creation (permanent).
   kSnapshotWriteWrite,     ///< Snapshot payload write (permanent).
   kSnapshotWriteFsync,     ///< Snapshot temp-file fsync (permanent).

@@ -26,13 +26,17 @@ namespace {
 std::shared_ptr<MappedFile> MappedFile::Open(const std::string& path) {
   int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) ThrowErrno("cannot open", path);
+  return Adopt(fd, path);
+}
+
+std::shared_ptr<MappedFile> MappedFile::Adopt(int fd, const std::string& name) {
   struct stat st;
   if (::fstat(fd, &st) != 0) {
     ::close(fd);
-    ThrowErrno("cannot stat", path);
+    ThrowErrno("cannot stat", name);
   }
   auto file = std::shared_ptr<MappedFile>(new MappedFile());
-  file->path_ = path;
+  file->path_ = name;
   file->size_ = static_cast<uint64_t>(st.st_size);
   if (file->size_ > 0) {
     void* addr = nullptr;
@@ -44,7 +48,7 @@ std::shared_ptr<MappedFile> MappedFile::Open(const std::string& path) {
     }
     if (addr == MAP_FAILED) {
       ::close(fd);
-      ThrowErrno("cannot mmap", path);
+      ThrowErrno("cannot mmap", name);
     }
     file->data_ = static_cast<const uint8_t*>(addr);
   }

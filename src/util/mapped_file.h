@@ -8,16 +8,17 @@
 
 namespace lbr {
 
-/// A read-only memory-mapped file (the substrate of the snapshot tier,
-/// DESIGN.md §11). The mapping lives for the lifetime of the object;
-/// consumers that hand out pointers into the map (CompressedRow views over
-/// snapshot extents) keep the file alive through a shared_ptr.
+/// A read-only memory-mapped file (the substrate of the index, DESIGN.md
+/// §11): a snapshot on disk, or the memfd image a built index writes. The
+/// mapping lives for the lifetime of the object; consumers that hand out
+/// pointers into the map (CompressedRow views over image extents) keep the
+/// file alive through a shared_ptr.
 ///
-/// Advise() forwards madvise hints so the snapshot layer can implement
+/// Advise() forwards madvise hints so the index can implement
 /// planner-driven readahead (kWillNeed before a predicate's extents are
-/// probed) and cold-predicate spill (kDontNeed drops the page-cache
-/// residency of a spilled slice; the pages fault back in from disk on the
-/// next touch — the data itself is never lost).
+/// probed) and cold-predicate spill (kDontNeed unmaps a spilled slice's
+/// pages; they fault back in from the file on the next touch — the data
+/// itself is never lost, because the mapping is file-backed).
 class MappedFile {
  public:
   enum class Advice { kNormal, kSequential, kRandom, kWillNeed, kDontNeed };
@@ -29,6 +30,12 @@ class MappedFile {
   /// LBR_SNAPSHOT_PARANOID read path, DESIGN.md §12). Fault site:
   /// mapped_file.map.
   static std::shared_ptr<MappedFile> Open(const std::string& path);
+
+  /// Maps the whole of the open descriptor `fd` read-only and takes
+  /// ownership of it (it is closed on failure too); `name` is what path()
+  /// reports. Open() is this over ::open(path). Fault site:
+  /// mapped_file.map.
+  static std::shared_ptr<MappedFile> Adopt(int fd, const std::string& name);
 
   ~MappedFile();
   MappedFile(const MappedFile&) = delete;

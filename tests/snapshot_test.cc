@@ -109,20 +109,18 @@ Database SmallLubmDb() {
   return Database::Build(GenerateLubm(cfg));
 }
 
-/// Saves `heap_db` as a snapshot, reopens it mapped, and requires every
-/// query in `queries` to return the bit-identical result multiset.
-void ExpectRoundTrip(Database& heap_db, const std::vector<BenchQuery>& queries,
+/// Saves `built_db` as a snapshot, reopens it, and requires every query in
+/// `queries` to return the bit-identical result multiset.
+void ExpectRoundTrip(Database& built_db, const std::vector<BenchQuery>& queries,
                      const std::string& name) {
   const std::string path = TempPath(name);
-  heap_db.SaveSnapshot(path);
+  built_db.SaveSnapshot(path);
   Database snap_db = Database::OpenSnapshot(path);
   std::remove(path.c_str());
-  ASSERT_TRUE(snap_db.index().mapped());
-  ASSERT_FALSE(heap_db.index().mapped());
-  EXPECT_EQ(snap_db.num_triples(), heap_db.num_triples());
+  EXPECT_EQ(snap_db.num_triples(), built_db.num_triples());
   for (const BenchQuery& q : queries) {
     SCOPED_TRACE(q.id);
-    EXPECT_EQ(testing::Canonicalize(heap_db.engine().ExecuteToTable(q.sparql)),
+    EXPECT_EQ(testing::Canonicalize(built_db.engine().ExecuteToTable(q.sparql)),
               testing::Canonicalize(snap_db.engine().ExecuteToTable(q.sparql)));
   }
 }
@@ -145,9 +143,9 @@ TEST(SnapshotTest, RoundTripDbpedia) {
 }
 
 TEST(SnapshotTest, LazyMaterializationIsCountedOncePerPredicate) {
-  Database heap_db = SmallLubmDb();
+  Database built_db = SmallLubmDb();
   const std::string path = TempPath("snap_lazy.snap");
-  heap_db.SaveSnapshot(path);
+  built_db.SaveSnapshot(path);
   Database db = Database::OpenSnapshot(path);
   std::remove(path.c_str());
 
@@ -165,9 +163,9 @@ TEST(SnapshotTest, LazyMaterializationIsCountedOncePerPredicate) {
 }
 
 TEST(SnapshotTest, FreshSnapshotOpensFullyVerified) {
-  Database heap_db = SmallLubmDb();
+  Database built_db = SmallLubmDb();
   const std::string path = TempPath("snap_fresh.snap");
-  heap_db.SaveSnapshot(path);
+  built_db.SaveSnapshot(path);
   const std::string bytes = ReadFileBytes(path);
   EXPECT_EQ(ReadPod<SnapHeader>(
                 reinterpret_cast<const uint8_t*>(bytes.data()), 0)
@@ -178,13 +176,13 @@ TEST(SnapshotTest, FreshSnapshotOpensFullyVerified) {
   Database db = Database::OpenSnapshot(path, {}, snap);
   std::remove(path.c_str());
   EXPECT_TRUE(db.VerifySnapshot().ok());
-  EXPECT_EQ(db.num_triples(), heap_db.num_triples());
+  EXPECT_EQ(db.num_triples(), built_db.num_triples());
 }
 
 TEST(SnapshotTest, BoundObjectTpMaterializesOnlyTheObjectSide) {
-  Database heap_db = SmallLubmDb();
+  Database built_db = SmallLubmDb();
   const std::string path = TempPath("snap_side.snap");
-  heap_db.SaveSnapshot(path);
+  built_db.SaveSnapshot(path);
   Database db = Database::OpenSnapshot(path);
   std::remove(path.c_str());
   const uint32_t member_of = MemberOf(db);
@@ -200,7 +198,7 @@ TEST(SnapshotTest, BoundObjectTpMaterializesOnlyTheObjectSide) {
   QueryStats stats;
   ResultTable got = db.engine().ExecuteToTable(q, &stats);
   EXPECT_FALSE(got.rows.empty());
-  EXPECT_EQ(testing::Canonicalize(heap_db.engine().ExecuteToTable(q)),
+  EXPECT_EQ(testing::Canonicalize(built_db.engine().ExecuteToTable(q)),
             testing::Canonicalize(got));
   EXPECT_EQ(db.index().snapshot_materializations(), 1u);
   EXPECT_EQ(stats.snapshot_prefetches, 0u);
@@ -221,7 +219,7 @@ TEST(SnapshotTest, BoundObjectTpMaterializesOnlyTheObjectSide) {
                           std::string(lubm::kMemberOf) + "> ?d . }";
   QueryStats all_stats;
   ResultTable all_rows = db.engine().ExecuteToTable(all, &all_stats);
-  EXPECT_EQ(testing::Canonicalize(heap_db.engine().ExecuteToTable(all)),
+  EXPECT_EQ(testing::Canonicalize(built_db.engine().ExecuteToTable(all)),
             testing::Canonicalize(all_rows));
   EXPECT_EQ(all_stats.snapshot_prefetches, 1u);
   EXPECT_EQ(all_stats.snapshot_materializations, 1u);
@@ -232,12 +230,12 @@ TEST(SnapshotTest, BoundObjectTpMaterializesOnlyTheObjectSide) {
 }
 
 TEST(SnapshotTest, VerifyAndParanoidReadsCoverBothSides) {
-  Database heap_db = SmallLubmDb();
+  Database built_db = SmallLubmDb();
   const std::string path = TempPath("snap_sides.snap");
-  heap_db.SaveSnapshot(path);
+  built_db.SaveSnapshot(path);
   const std::string clean = ReadFileBytes(path);
-  const uint32_t np = heap_db.index().num_predicates();
-  const uint32_t p = MemberOf(heap_db);
+  const uint32_t np = built_db.index().num_predicates();
+  const uint32_t p = MemberOf(built_db);
   const SnapSectionEntry ext = FindSection(clean, kSnapSectionExtents);
   SnapshotOptions paranoid;
   paranoid.paranoid = true;
@@ -245,14 +243,17 @@ TEST(SnapshotTest, VerifyAndParanoidReadsCoverBothSides) {
   verify.verify_extents = true;
 
   {
-    // Clean file: paranoid reads serve each side from its own extent copy.
+    // Clean file: paranoid reads serve each side as rows that own their
+    // payload, so nothing a query copies points into a freed read buffer.
     Database db = Database::OpenSnapshot(path, {}, paranoid);
     EXPECT_TRUE(db.VerifySnapshot().ok());
     for (TripleIndex::Side side :
          {TripleIndex::Side::kSO, TripleIndex::Side::kOS}) {
       TripleIndex::SlicePin pin = db.index().Slice(p, side);
-      EXPECT_EQ(pin->extent_copy.size(),
-                FindSliceLoc(clean, np, p, side).extent_words);
+      ASSERT_FALSE(pin->rows.empty());
+      for (const auto& [id, row] : pin->rows) {
+        EXPECT_FALSE(row.is_view()) << "row " << id;
+      }
     }
   }
 
@@ -295,22 +296,60 @@ TEST(SnapshotTest, VerifyAndParanoidReadsCoverBothSides) {
 }
 
 TEST(SnapshotTest, ResaveFromMappedIndex) {
-  // The writer must work from the mapped backend too (materializing each
-  // slice as it streams out): snapshot -> open -> snapshot -> open.
-  Database heap_db = SmallLubmDb();
+  // Saving copies the image, whichever way it was made: build -> save ->
+  // open -> save writes the same bytes twice, and both files serve.
+  Database built_db = SmallLubmDb();
   const std::string path1 = TempPath("snap_gen1.snap");
   const std::string path2 = TempPath("snap_gen2.snap");
-  heap_db.SaveSnapshot(path1);
+  built_db.SaveSnapshot(path1);
   Database gen1 = Database::OpenSnapshot(path1);
   gen1.SaveSnapshot(path2);
   Database gen2 = Database::OpenSnapshot(path2);
+  const std::string gen1_bytes = ReadFileBytes(path1);
+  EXPECT_GT(gen1_bytes.size(), kSnapHeaderBytes);
+  EXPECT_TRUE(gen1_bytes == ReadFileBytes(path2))
+      << "gen-1 and gen-2 snapshots differ";
   std::remove(path1.c_str());
   std::remove(path2.c_str());
   for (const BenchQuery& q : LubmQueries()) {
     SCOPED_TRACE(q.id);
-    EXPECT_EQ(testing::Canonicalize(heap_db.engine().ExecuteToTable(q.sparql)),
+    EXPECT_EQ(testing::Canonicalize(built_db.engine().ExecuteToTable(q.sparql)),
               testing::Canonicalize(gen2.engine().ExecuteToTable(q.sparql)));
   }
+}
+
+TEST(SnapshotTest, SaveRefusesDamagedImage) {
+  // Saving copies the image byte for byte, so it re-checks every slice
+  // first: a flipped extent byte must fail the save, not be laundered into
+  // a fresh file whose damage only shows at query time.
+  Database built_db = SmallLubmDb();
+  const std::string path = TempPath("snap_damaged.snap");
+  const std::string resaved = TempPath("snap_damaged_resave.snap");
+  built_db.SaveSnapshot(path);
+  std::string bytes = ReadFileBytes(path);
+  const uint32_t np = built_db.index().num_predicates();
+  const SnapSectionEntry ext = FindSection(bytes, kSnapSectionExtents);
+  const SnapSliceLocEntry loc =
+      FindSliceLoc(bytes, np, MemberOf(built_db), TripleIndex::Side::kSO);
+  ASSERT_GT(loc.extent_words, 0u);
+  const uint64_t off = ext.offset + loc.extent_off + loc.extent_words * 2;
+  bytes[off] = static_cast<char>(bytes[off] ^ 0x5a);
+  WriteFileBytes(path, bytes);
+
+  Database damaged = Database::OpenSnapshot(path);
+  std::remove(path.c_str());
+  try {
+    damaged.SaveSnapshot(resaved);
+    FAIL() << "saving a damaged image did not throw";
+  } catch (const SnapshotError& e) {
+    EXPECT_EQ(e.code(), SnapshotErrorCode::kChecksum) << e.what();
+  }
+  EXPECT_NE(::access(resaved.c_str(), F_OK), 0);
+  EXPECT_NE(::access((resaved + ".tmp." +
+                      std::to_string(static_cast<long>(::getpid())))
+                         .c_str(),
+                     F_OK),
+            0);
 }
 
 // ---------------------------------------------------------------------------
@@ -489,52 +528,59 @@ TEST_F(SnapshotRejectTest, RowDirChecksumLazy) {
 // ---------------------------------------------------------------------------
 
 TEST(SnapshotTest, BudgetedSpillStaysBitIdentical) {
-  Database heap_db = SmallLubmDb();
+  Database built_db = SmallLubmDb();
   const std::string path = TempPath("snap_budget.snap");
-  heap_db.SaveSnapshot(path);
+  built_db.SaveSnapshot(path);
 
-  // Measure the unbudgeted working set first so the budget is guaranteed
-  // smaller than the full index on any build config.
-  uint64_t full_bytes = 0;
-  {
-    Database db = Database::OpenSnapshot(path);
-    for (const BenchQuery& q : LubmQueries()) {
-      db.engine().ExecuteToTable(q.sparql);
+  // Paranoid reads spill too: a slice's rows must stay valid in the
+  // queries' BitMats after the spill frees the slice.
+  for (const bool paranoid : {false, true}) {
+    SCOPED_TRACE(paranoid ? "paranoid" : "mapped views");
+    SnapshotOptions snap;
+    snap.paranoid = paranoid;
+    // Measure the unbudgeted working set first so the budget is guaranteed
+    // smaller than the full index on any build config.
+    uint64_t full_bytes = 0;
+    {
+      Database db = Database::OpenSnapshot(path, {}, snap);
+      for (const BenchQuery& q : LubmQueries()) {
+        db.engine().ExecuteToTable(q.sparql);
+      }
+      full_bytes = db.index().snapshot_resident_bytes();
     }
-    full_bytes = db.index().snapshot_resident_bytes();
-  }
-  ASSERT_GT(full_bytes, 0u);
+    ASSERT_GT(full_bytes, 0u);
 
-  SnapshotOptions snap;
-  snap.memory_budget_bytes = full_bytes / 4 + 1;
-  Database db = Database::OpenSnapshot(path, {}, snap);
+    snap.memory_budget_bytes = full_bytes / 4 + 1;
+    Database db = Database::OpenSnapshot(path, {}, snap);
+
+    uint64_t total_spills = 0;
+    for (const BenchQuery& q : LubmQueries()) {
+      SCOPED_TRACE(q.id);
+      QueryStats stats;
+      ResultTable got = db.engine().ExecuteToTable(q.sparql, &stats);
+      EXPECT_EQ(
+          testing::Canonicalize(built_db.engine().ExecuteToTable(q.sparql)),
+          testing::Canonicalize(got));
+      EXPECT_EQ(stats.snapshot_budget_bytes, snap.memory_budget_bytes);
+      total_spills += stats.snapshot_spills;
+    }
+    // A budget a quarter of the working set cannot hold every predicate:
+    // the sweep must have spilled and re-materialized cold slices.
+    EXPECT_GT(total_spills, 0u);
+  }
   std::remove(path.c_str());
-
-  uint64_t total_spills = 0;
-  for (const BenchQuery& q : LubmQueries()) {
-    SCOPED_TRACE(q.id);
-    QueryStats stats;
-    ResultTable got = db.engine().ExecuteToTable(q.sparql, &stats);
-    EXPECT_EQ(testing::Canonicalize(heap_db.engine().ExecuteToTable(q.sparql)),
-              testing::Canonicalize(got));
-    EXPECT_EQ(stats.snapshot_budget_bytes, snap.memory_budget_bytes);
-    total_spills += stats.snapshot_spills;
-  }
-  // A budget a quarter of the working set cannot hold every predicate: the
-  // sweep must have spilled and re-materialized cold slices.
-  EXPECT_GT(total_spills, 0u);
 }
 
 TEST(SnapshotConcurrencyTest, ParallelQueriesUnderBudget) {
-  Database heap_db = SmallLubmDb();
+  Database built_db = SmallLubmDb();
   const std::string path = TempPath("snap_conc.snap");
-  heap_db.SaveSnapshot(path);
+  built_db.SaveSnapshot(path);
 
   std::vector<BenchQuery> queries = LubmQueries();
   std::vector<std::vector<std::string>> expected;
   for (const BenchQuery& q : queries) {
     expected.push_back(
-        testing::Canonicalize(heap_db.engine().ExecuteToTable(q.sparql)));
+        testing::Canonicalize(built_db.engine().ExecuteToTable(q.sparql)));
   }
 
   SnapshotOptions snap;
@@ -544,7 +590,7 @@ TEST(SnapshotConcurrencyTest, ParallelQueriesUnderBudget) {
 
   // Hammer materialize/spill from a pool of batch workers (one engine per
   // slot, sharing the mapped index, the metered TP cache, and the spill
-  // hook); every query must come back heap-identical.
+  // hook); every query must come back identical to the built database's.
   std::vector<std::string> stream;
   std::vector<size_t> stream_qi;
   for (int rep = 0; rep < 4; ++rep) {
@@ -570,9 +616,9 @@ TEST(SnapshotConcurrencyTest, BothSidesOfOnePredicateUnderTinyBudget) {
   // O-S side, concurrently, under a budget so small that every slice spills
   // as soon as no runner pins it, so the two sides of one predicate
   // materialize and spill independently of each other.
-  Database heap_db = SmallLubmDb();
+  Database built_db = SmallLubmDb();
   const std::string path = TempPath("snap_sides_conc.snap");
-  heap_db.SaveSnapshot(path);
+  built_db.SaveSnapshot(path);
   const std::string member_of = std::string("<") + lubm::kMemberOf + ">";
   std::vector<std::string> queries;
   for (uint32_t d = 0; d < 3; ++d) {
@@ -586,7 +632,7 @@ TEST(SnapshotConcurrencyTest, BothSidesOfOnePredicateUnderTinyBudget) {
   std::vector<std::vector<std::string>> expected;
   for (const std::string& q : queries) {
     expected.push_back(
-        testing::Canonicalize(heap_db.engine().ExecuteToTable(q)));
+        testing::Canonicalize(built_db.engine().ExecuteToTable(q)));
     ASSERT_FALSE(expected.back().empty()) << q;
   }
 
@@ -643,7 +689,7 @@ class SnapshotFaultTest : public ::testing::Test {
     ASSERT_TRUE(FaultRegistry::Instance().Arm(site, spec, &error)) << error;
   }
 
-  /// The temp name SnapshotIO::Write uses in this process.
+  /// The temp name Database::SaveSnapshot uses in this process.
   static std::string TempFileFor(const std::string& path) {
     return path + ".tmp." + std::to_string(static_cast<long>(::getpid()));
   }
@@ -714,9 +760,9 @@ TEST_F(SnapshotFaultTest, OpenSitesFailClosedAsIoErrors) {
 }
 
 TEST_F(SnapshotFaultTest, ChecksumFaultQuarantinesOnlyThatPredicate) {
-  Database heap_db = SmallLubmDb();
+  Database built_db = SmallLubmDb();
   const std::string path = TempPath("snap_quarantine.snap");
-  heap_db.SaveSnapshot(path);
+  built_db.SaveSnapshot(path);
   Database db = Database::OpenSnapshot(path);
   std::remove(path.c_str());
   ASSERT_GE(db.index().num_predicates(), 2u);
@@ -746,23 +792,22 @@ TEST_F(SnapshotFaultTest, ChecksumFaultQuarantinesOnlyThatPredicate) {
   // The verify report distinguishes quarantined (runtime state) from
   // corrupt (bytes on disk — none here, the mismatch was injected).
   Database::SnapshotVerifyReport report = db.VerifySnapshot();
-  EXPECT_TRUE(report.mapped);
   EXPECT_TRUE(report.corrupt.empty());
   ASSERT_EQ(report.quarantined.size(), 1u);
   EXPECT_EQ(report.quarantined[0], 0u);
   EXPECT_FALSE(report.ok());
   EXPECT_EQ(db.index().QuarantinedSlices(), std::vector<uint32_t>{0u});
 
-  // Heap-mode databases verify trivially clean.
-  Database::SnapshotVerifyReport heap_report = heap_db.VerifySnapshot();
-  EXPECT_FALSE(heap_report.mapped);
-  EXPECT_TRUE(heap_report.ok());
+  // A built database is an image too, and its sweep checks it for real.
+  Database::SnapshotVerifyReport built_report = built_db.VerifySnapshot();
+  EXPECT_EQ(built_report.num_predicates, built_db.index().num_predicates());
+  EXPECT_TRUE(built_report.ok());
 }
 
 TEST_F(SnapshotFaultTest, TransientMaterializeFaultIsRetriedInvisibly) {
-  Database heap_db = SmallLubmDb();
+  Database built_db = SmallLubmDb();
   const std::string path = TempPath("snap_retry.snap");
-  heap_db.SaveSnapshot(path);
+  built_db.SaveSnapshot(path);
   Database db = Database::OpenSnapshot(path);
   std::remove(path.c_str());
 
@@ -774,7 +819,7 @@ TEST_F(SnapshotFaultTest, TransientMaterializeFaultIsRetriedInvisibly) {
   for (const BenchQuery& q : LubmQueries()) {
     SCOPED_TRACE(q.id);
     QueryStats stats;
-    EXPECT_EQ(testing::Canonicalize(heap_db.engine().ExecuteToTable(q.sparql)),
+    EXPECT_EQ(testing::Canonicalize(built_db.engine().ExecuteToTable(q.sparql)),
               testing::Canonicalize(db.engine().ExecuteToTable(q.sparql,
                                                                &stats)));
     retries += stats.fault_retries;
@@ -795,9 +840,9 @@ TEST_F(SnapshotFaultTest, ChargeFaultLeavesSliceUnpublished) {
   // query_control.charge is a permanent site on the metered path: the
   // injected failure unwinds the materialization before the slice is
   // published, so the next touch starts clean and succeeds.
-  Database heap_db = SmallLubmDb();
+  Database built_db = SmallLubmDb();
   const std::string path = TempPath("snap_charge.snap");
-  heap_db.SaveSnapshot(path);
+  built_db.SaveSnapshot(path);
   SnapshotOptions snap;
   snap.memory_budget_bytes = 64 * 1024 * 1024;
   Database db = Database::OpenSnapshot(path, {}, snap);
@@ -808,21 +853,21 @@ TEST_F(SnapshotFaultTest, ChargeFaultLeavesSliceUnpublished) {
                FaultInjectedError);
   EXPECT_EQ(testing::Canonicalize(db.engine().ExecuteToTable(
                 LubmQueries()[0].sparql)),
-            testing::Canonicalize(heap_db.engine().ExecuteToTable(
+            testing::Canonicalize(built_db.engine().ExecuteToTable(
                 LubmQueries()[0].sparql)));
 }
 
 TEST_F(SnapshotFaultTest, ParanoidModeServesIdenticalResults) {
-  Database heap_db = SmallLubmDb();
+  Database built_db = SmallLubmDb();
   const std::string path = TempPath("snap_paranoid.snap");
-  heap_db.SaveSnapshot(path);
+  built_db.SaveSnapshot(path);
 
   SnapshotOptions snap;
   snap.paranoid = true;
   Database db = Database::OpenSnapshot(path, {}, snap);
   for (const BenchQuery& q : LubmQueries()) {
     SCOPED_TRACE(q.id);
-    EXPECT_EQ(testing::Canonicalize(heap_db.engine().ExecuteToTable(q.sparql)),
+    EXPECT_EQ(testing::Canonicalize(built_db.engine().ExecuteToTable(q.sparql)),
               testing::Canonicalize(db.engine().ExecuteToTable(q.sparql)));
   }
 
