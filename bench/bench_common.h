@@ -197,12 +197,13 @@ inline void PrintQueryTable(const std::string& title,
 }
 
 inline void PrintDatasetHeader(const std::string& name, const Graph& graph) {
-  Graph::Stats s = graph.ComputeStats();
-  std::cout << "\n=== " << name << ": " << TablePrinter::Count(s.num_triples)
-            << " triples, |Vs|=" << TablePrinter::Count(s.num_subjects)
-            << ", |Vp|=" << TablePrinter::Count(s.num_predicates)
-            << ", |Vo|=" << TablePrinter::Count(s.num_objects)
-            << ", |Vso|=" << TablePrinter::Count(s.num_common) << "\n";
+  const Dictionary& d = graph.dict();
+  std::cout << "\n=== " << name << ": "
+            << TablePrinter::Count(graph.num_triples())
+            << " triples, |Vs|=" << TablePrinter::Count(d.num_subjects())
+            << ", |Vp|=" << TablePrinter::Count(d.num_predicates())
+            << ", |Vo|=" << TablePrinter::Count(d.num_objects())
+            << ", |Vso|=" << TablePrinter::Count(d.num_common()) << "\n";
 }
 
 }  // namespace lbr::bench

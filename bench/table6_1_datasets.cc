@@ -41,11 +41,11 @@ void Run() {
            {"LUBM-like", &lubm_graph},
            {"UniProt-like", &uniprot_graph},
            {"DBPedia-like", &dbpedia_graph}}) {
-    Graph::Stats s = graph->ComputeStats();
-    table.AddRow({name, TablePrinter::Count(s.num_triples),
-                  TablePrinter::Count(s.num_subjects),
-                  TablePrinter::Count(s.num_predicates),
-                  TablePrinter::Count(s.num_objects)});
+    const Dictionary& d = graph->dict();
+    table.AddRow({name, TablePrinter::Count(graph->num_triples()),
+                  TablePrinter::Count(d.num_subjects()),
+                  TablePrinter::Count(d.num_predicates()),
+                  TablePrinter::Count(d.num_objects())});
   }
   table.Print("Table 6.1: Dataset characteristics (synthetic, scaled)");
   std::cout << "(paper shape check: LUBM #P=18, UniProt #P=95, DBPedia "

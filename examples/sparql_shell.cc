@@ -287,6 +287,7 @@ int main(int argc, char** argv) {
                   << report.corrupt.size() << " corrupt, "
                   << report.quarantined.size() << " quarantined"
                   << (report.ok() ? " -- ok" : "") << "\n";
+        if (report.dict_corrupt) std::cout << "  corrupt: dict section\n";
         for (uint32_t p : report.corrupt) {
           std::cout << "  corrupt: predicate " << p << "\n";
         }

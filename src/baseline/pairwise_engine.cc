@@ -256,14 +256,13 @@ PairwiseEngine::Relation PairwiseEngine::EvalBgp(
 
 PairwiseEngine::Relation PairwiseEngine::ApplyFilter(const FilterExpr& expr,
                                                      Relation input) {
-  GlobalIds ids = GlobalIds::FromDictionary(*dict_);
   Relation out;
   out.vars = input.vars;
   for (RawRow& row : input.rows) {
     VarLookup lookup = [&](const std::string& var) -> std::optional<Term> {
       int c = out.ColumnOf(var);
       if (c < 0 || row[c] == kNullBinding) return std::nullopt;
-      return ids.Decode(*dict_, row[c]);
+      return dict_->TermAt(row[c]);
     };
     if (FilterPasses(expr, lookup)) out.rows.push_back(std::move(row));
   }
@@ -318,7 +317,6 @@ ResultTable PairwiseEngine::ExecuteToTable(const ParsedQuery& query,
                                            QueryStats* stats) {
   Stopwatch watch;
   Relation rel = Evaluate(*query.body);
-  GlobalIds ids = GlobalIds::FromDictionary(*dict_);
 
   ResultTable table;
   table.var_names = query.EffectiveProjection();
@@ -332,7 +330,7 @@ ResultTable PairwiseEngine::ExecuteToTable(const ParsedQuery& query,
     bool has_null = false;
     for (size_t i = 0; i < cols.size(); ++i) {
       if (cols[i] >= 0 && row[cols[i]] != kNullBinding) {
-        decoded[i] = ids.Decode(*dict_, row[cols[i]]);
+        decoded[i] = dict_->TermAt(row[cols[i]]);
       } else {
         has_null = true;
       }

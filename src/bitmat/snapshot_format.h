@@ -41,7 +41,8 @@ class SnapshotError : public std::runtime_error {
 /// On-disk snapshot layout (version 3, little-endian, DESIGN.md §11):
 ///
 ///   [SnapHeader | SectionEntry x num_sections | u64 header_checksum]
-///   dict section     — Dictionary::WriteTo bytes (verified at open)
+///   dict section     — the bytes a Dictionary views (rdf/dictionary.h),
+///                      checked when a database reads them
 ///   rowdir section   — concatenated RowDirEntry arrays, one array per
 ///                      (predicate, orientation); each verified at every
 ///                      materialization of its slice

@@ -6,7 +6,6 @@
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -153,13 +152,9 @@ TripleIndex TripleIndex::Build(const Graph& graph) {
   meta.resize(locs_at + 2 * static_cast<size_t>(np) *
                             sizeof(SnapSliceLocEntry));
 
-  std::ostringstream dict_out;
-  dict.WriteTo(&dict_out);
-  const std::string dict_blob = dict_out.str();
-
   // File layout: header | dict | rowdir | meta | pad | extents.
   const uint64_t dict_off = kSnapHeaderBytes;
-  const uint64_t rowdir_off = dict_off + dict_blob.size();
+  const uint64_t rowdir_off = dict_off + dict.size();
   const uint64_t meta_off = rowdir_off + num_rows * sizeof(SnapRowDirEntry);
   const uint64_t extents_off = AlignUp(meta_off + meta.size(), page);
 
@@ -232,8 +227,8 @@ TripleIndex TripleIndex::Build(const Graph& graph) {
   // (dir_checksum / extent_checksum in the locators), verified at every
   // materialization.
   const SnapSectionEntry sections[kSnapNumSections] = {
-      {kSnapSectionDict, 0, dict_off, dict_blob.size(),
-       Checksum64(dict_blob.data(), dict_blob.size())},
+      {kSnapSectionDict, 0, dict_off, dict.size(),
+       Checksum64(dict.data(), dict.size())},
       {kSnapSectionRowDir, 0, rowdir_off, dir_pos, 0},
       {kSnapSectionMeta, 0, meta_off, meta.size(),
        Checksum64(meta.data(), meta.size())},
@@ -247,7 +242,7 @@ TripleIndex TripleIndex::Build(const Graph& graph) {
   const uint64_t head_checksum = Checksum64(head, kSnapHeaderBytes - 8);
   std::memcpy(head + kSnapHeaderBytes - 8, &head_checksum, 8);
   WriteAt(guard.fd, 0, head, sizeof(head));
-  WriteAt(guard.fd, dict_off, dict_blob.data(), dict_blob.size());
+  WriteAt(guard.fd, dict_off, dict.data(), dict.size());
   WriteAt(guard.fd, meta_off, meta.data(), meta.size());
   // Sets the exact size: the gaps the writes skipped read as zeros.
   if (::ftruncate(guard.fd, static_cast<off_t>(hdr.file_size)) != 0) {
@@ -262,13 +257,11 @@ TripleIndex TripleIndex::Build(const Graph& graph) {
   } catch (const std::runtime_error& e) {
     throw SnapshotError(SnapshotErrorCode::kIo, e.what());
   }
-  // The dictionary is the graph's own: the dict section is written for
-  // Database::SaveSnapshot to save, never read back here.
-  return Open(std::move(file), /*paranoid=*/false, nullptr);
+  return Open(std::move(file), /*paranoid=*/false);
 }
 
-TripleIndex TripleIndex::Open(std::shared_ptr<MappedFile> file, bool paranoid,
-                              SnapSectionEntry* dict) {
+TripleIndex TripleIndex::Open(std::shared_ptr<MappedFile> file,
+                              bool paranoid) {
   const std::string& path = file->path();
   const uint8_t* base = file->data();
   const uint64_t fsize = file->size();
@@ -322,15 +315,14 @@ TripleIndex TripleIndex::Open(std::shared_ptr<MappedFile> file, bool paranoid,
     spans[e.kind] = e;
   }
   // Eager integrity: the meta section is decoded now, so its checksum is
-  // verified now. Rowdir/extents verify per slice at materialization; the
-  // dict section is the caller's.
+  // verified now. Rowdir/extents verify per slice at materialization, the
+  // dict section in ImageDictionary.
   const SnapSectionEntry& meta = spans[kSnapSectionMeta];
   if (Checksum64(base + meta.offset, meta.size) != meta.checksum) {
     throw SnapshotError(SnapshotErrorCode::kChecksum,
                         "section " + std::to_string(kSnapSectionMeta) +
                             " of " + path);
   }
-  if (dict != nullptr) *dict = spans[kSnapSectionDict];
 
   const SnapSectionEntry& rowdir = spans[kSnapSectionRowDir];
   const SnapSectionEntry& extents = spans[kSnapSectionExtents];
@@ -387,6 +379,7 @@ TripleIndex TripleIndex::Open(std::shared_ptr<MappedFile> file, bool paranoid,
     loc.extent_checksum = e.extent_checksum;
   }
   backing->file = std::move(file);
+  backing->dict = spans[kSnapSectionDict];
   backing->mu = std::make_unique<std::mutex[]>(num_slots);
   backing->last_touch = std::make_unique<std::atomic<uint64_t>[]>(num_slots);
   backing->resident = std::make_unique<std::atomic<uint8_t>[]>(num_slots);
@@ -404,6 +397,34 @@ TripleIndex TripleIndex::Open(std::shared_ptr<MappedFile> file, bool paranoid,
   index.slices_.assign(num_slots, nullptr);
   index.backing_ = std::move(backing);
   return index;
+}
+
+Dictionary TripleIndex::ImageDictionary() const {
+  const Backing& b = *backing_;
+  std::shared_ptr<const void> owner = b.file;
+  const uint8_t* data = b.file->data() + b.dict.offset;
+  if (b.paranoid) {
+    auto copy = std::make_shared<std::vector<uint8_t>>(b.dict.size);
+    b.file->ReadAt(b.dict.offset, b.dict.size, copy->data());
+    data = copy->data();
+    owner = std::move(copy);
+  }
+  if (Checksum64(data, b.dict.size) != b.dict.checksum) {
+    throw SnapshotError(SnapshotErrorCode::kChecksum,
+                        "dict section of " + b.file->path());
+  }
+  Dictionary dict(std::move(owner), data, b.dict.size);
+  // Clean checksums are not enough: both sections must describe one graph,
+  // or the first query would decode ids out of bounds.
+  if (dict.num_subjects() != num_subjects_ ||
+      dict.num_predicates() != num_predicates_ ||
+      dict.num_objects() != num_objects_ ||
+      dict.num_common() != num_common_) {
+    throw SnapshotError(SnapshotErrorCode::kCorrupt,
+                        "dict and meta sections disagree on the index "
+                        "dimensions in " + b.file->path());
+  }
+  return dict;
 }
 
 }  // namespace lbr

@@ -75,22 +75,32 @@ class TripleIndex {
   using SlicePin = std::shared_ptr<const SliceRows>;
 
   /// Builds the index from a graph's encoded triples: writes the v3
-  /// snapshot image of the graph (dictionary included) into a memfd file
-  /// and opens it with the same reader as a snapshot on disk. Throws
-  /// SnapshotError(kIo) when the image cannot be written or mapped.
+  /// snapshot image of the graph (its dict section bytes unchanged) into a
+  /// memfd file and opens it with the same reader as a snapshot on disk.
+  /// Throws SnapshotError(kIo) when the image cannot be written or mapped.
   static TripleIndex Build(const Graph& graph);
 
   /// The snapshot reader: verifies the image's header and meta section
-  /// and decodes the meta; row payload stays in the file until touched.
-  /// When `dict` is non-null it receives the dict section, for the caller
-  /// to verify and decode. `paranoid` (or the LBR_SNAPSHOT_PARANOID
-  /// environment variable) arms paranoid reads. Throws SnapshotError with
-  /// a structured code on any malformed input.
-  static TripleIndex Open(std::shared_ptr<MappedFile> file, bool paranoid,
-                          SnapSectionEntry* dict);
+  /// and decodes the meta; row payload stays in the file until touched,
+  /// and the dict section until ImageDictionary. `paranoid` (or the
+  /// LBR_SNAPSHOT_PARANOID environment variable) arms paranoid reads.
+  /// Throws SnapshotError with a structured code on any malformed input.
+  static TripleIndex Open(std::shared_ptr<MappedFile> file, bool paranoid);
 
   /// The mapped image the index reads; Database::SaveSnapshot copies it.
   const MappedFile& image() const { return *backing_->file; }
+
+  /// The dictionary of the image, for built and opened databases alike:
+  /// verifies the dict section's checksum, views it in place (an owned
+  /// pread copy under paranoid reads, so a storage fault never surfaces as
+  /// a SIGBUS at decode time) and checks its dimensions against the meta
+  /// section. Throws SnapshotError on a mismatch.
+  Dictionary ImageDictionary() const;
+  /// True when the mapped dict section still matches its checksum.
+  bool DictChecksumMatches() const {
+    const SnapSectionEntry& d = backing_->dict;
+    return Checksum64(image().data() + d.offset, d.size) == d.checksum;
+  }
 
   uint32_t num_subjects() const { return num_subjects_; }
   uint32_t num_predicates() const { return num_predicates_; }
@@ -214,6 +224,7 @@ class TripleIndex {
 
   struct Backing {
     std::shared_ptr<MappedFile> file;
+    SnapSectionEntry dict{};  ///< The dict section's span and checksum.
     std::vector<SliceLoc> loc;  ///< Indexed by SlotOf(p, side).
     /// Per-slice materialization locks; also guard slices_[slot] loads
     /// (C++17 has no atomic shared_ptr).

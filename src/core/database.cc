@@ -26,13 +26,12 @@ std::vector<BatchResult> Database::ExecuteBatch(
 
 Database Database::Build(const std::vector<TermTriple>& triples,
                          EngineOptions options) {
-  Graph graph = Graph::FromTriples(triples);
   Database db;
-  // Copy the finalized dictionary out of the graph instead of decoding the
-  // image's dict section, which is written only for saving. The triple list
-  // itself is not retained (the index is the store).
-  db.dict_ = std::make_unique<Dictionary>(graph.dict());
-  db.index_ = std::make_unique<TripleIndex>(TripleIndex::Build(graph));
+  // The graph dies here: the index is the store, and the dictionary is the
+  // image's dict section, read the way OpenSnapshot reads it.
+  db.index_ = std::make_unique<TripleIndex>(
+      TripleIndex::Build(Graph::FromTriples(triples)));
+  db.dict_ = std::make_unique<Dictionary>(db.index_->ImageDictionary());
   db.engine_ =
       std::make_unique<Engine>(db.index_.get(), db.dict_.get(), options);
   return db;
@@ -48,6 +47,7 @@ Database Database::BuildFromNTriples(const std::string& path,
 Database::SnapshotVerifyReport Database::VerifySnapshot() const {
   SnapshotVerifyReport report;
   report.num_predicates = index_->num_predicates();
+  report.dict_corrupt = !index_->DictChecksumMatches();
   index_->VerifySlices(&report.corrupt, &report.quarantined);
   return report;
 }

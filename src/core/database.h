@@ -35,9 +35,9 @@ class Database {
   /// Saves the database as a page-organized mmap-ready snapshot
   /// (DESIGN.md §11): dictionary + row directories + page-aligned
   /// payload extents, all checksummed. The index already is that image
-  /// (built or opened), so saving re-checks its slices (a damaged image
-  /// throws SnapshotError(kChecksum) and writes nothing) and copies it
-  /// byte for byte. Crash-safe (DESIGN.md §12): the bytes go to a
+  /// (built or opened), so saving re-checks its dict section and slices (a
+  /// damaged image throws SnapshotError(kChecksum) and writes nothing) and
+  /// copies it byte for byte. Crash-safe (DESIGN.md §12): the bytes go to a
   /// same-directory temp file, which is fsync'd, renamed over `path`, and
   /// the directory fsync'd, so `path` always holds a complete snapshot and
   /// no temp file is left behind. Throws SnapshotError(kIo) with errno
@@ -84,17 +84,21 @@ class Database {
   /// Integrity report from VerifySnapshot (the shell's `.verify`).
   struct SnapshotVerifyReport {
     uint32_t num_predicates = 0;
+    /// The dict section no longer matches its checksum.
+    bool dict_corrupt = false;
     /// Predicates whose directory/extent checksums mismatch on disk now.
     std::vector<uint32_t> corrupt;
     /// Predicates quarantined by an earlier materialization failure
     /// (degraded mode, DESIGN.md §12).
     std::vector<uint32_t> quarantined;
-    bool ok() const { return corrupt.empty() && quarantined.empty(); }
+    bool ok() const {
+      return !dict_corrupt && corrupt.empty() && quarantined.empty();
+    }
   };
 
-  /// Re-checks every slice's checksums against the mapped bytes (without
-  /// materializing) and reports quarantined predicates. Built and opened
-  /// databases are checked alike.
+  /// Re-checks the dict section's and every slice's checksums against the
+  /// mapped bytes (without materializing) and reports quarantined
+  /// predicates. Built and opened databases are checked alike.
   SnapshotVerifyReport VerifySnapshot() const;
 
   uint64_t num_triples() const { return index_->num_triples(); }

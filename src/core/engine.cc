@@ -423,7 +423,7 @@ Engine::BranchResult Engine::ExecuteBranchPlan(
   std::vector<RawRow> full_rows;
   // Dedup key for nulled phantom rows; hashed — this insert runs once per
   // emitted result row.
-  std::unordered_set<RawRow, RawRowHash> seen_nulled;
+  std::unordered_set<RawRow, RawRowHash> nulled_emitted;
   bool any_nulled = false;
   join.Run(
       [&](const RawRow& row, bool nulled) {
@@ -432,7 +432,7 @@ Engine::BranchResult Engine::ExecuteBranchPlan(
           // A nulled row is one enumeration attempt of a slave group that
           // failed under the original join order; all attempts collapse to
           // the same nulled row — keep one (Rao et al.'s minimum union).
-          if (!seen_nulled.insert(row).second) return;
+          if (!nulled_emitted.insert(row).second) return;
         }
         // Memory accounting point: the accumulated result rows.
         exec_ctx_.ChargeMemory(row.size() * sizeof(uint64_t) + 16);
@@ -789,13 +789,12 @@ ResultTable Engine::ExecuteToTable(const ParsedQuery& query,
                                    QueryStats* stats, QueryControl* control) {
   ResultTable table;
   table.var_names = query.EffectiveProjection();
-  GlobalIds ids = GlobalIds::FromDictionary(*dict_);
   Execute(
       query,
       [&](const RawRow& row) {
         std::vector<std::optional<Term>> decoded(row.size());
         for (size_t i = 0; i < row.size(); ++i) {
-          if (row[i] != kNullBinding) decoded[i] = ids.Decode(*dict_, row[i]);
+          if (row[i] != kNullBinding) decoded[i] = dict_->TermAt(row[i]);
         }
         table.rows.push_back(std::move(decoded));
       },
@@ -806,13 +805,12 @@ ResultTable Engine::ExecuteToTable(const ParsedQuery& query,
 ResultTable Engine::ExecuteToTable(const std::string& sparql,
                                    QueryStats* stats, QueryControl* control) {
   ResultTable table;
-  GlobalIds ids = GlobalIds::FromDictionary(*dict_);
   Execute(
       sparql,
       [&](const RawRow& row) {
         std::vector<std::optional<Term>> decoded(row.size());
         for (size_t i = 0; i < row.size(); ++i) {
-          if (row[i] != kNullBinding) decoded[i] = ids.Decode(*dict_, row[i]);
+          if (row[i] != kNullBinding) decoded[i] = dict_->TermAt(row[i]);
         }
         table.rows.push_back(std::move(decoded));
       },

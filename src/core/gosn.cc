@@ -127,7 +127,7 @@ void Gosn::ComputeRelations() {
 
   // master_of_[a][b]: path a ->* b using bidi edges (either direction) and
   // uni edges (forward), containing at least one uni edge. BFS over states
-  // (node, seen_uni).
+  // (node, crossed a uni edge).
   std::vector<std::vector<std::pair<int, bool>>> adj(n);  // (to, is_uni)
   for (const auto& [a, b] : bidi_edges_) {
     adj[a].emplace_back(b, false);

@@ -5,7 +5,6 @@
 
 #include <cerrno>
 #include <cstring>
-#include <sstream>
 #include <vector>
 
 #include <fcntl.h>
@@ -37,9 +36,13 @@ struct TempFileGuard {
                       what + " " + path + ": " + std::strerror(err));
 }
 
-/// Throws SnapshotError(kChecksum) naming the first predicate with a side
-/// whose row directory or extent no longer matches its checksum.
-void RequireCleanSlices(const TripleIndex& index) {
+/// Throws SnapshotError(kChecksum) when the dict section, or a row
+/// directory or extent of some predicate, no longer matches its checksum.
+void RequireCleanImage(const TripleIndex& index) {
+  if (!index.DictChecksumMatches()) {
+    throw SnapshotError(SnapshotErrorCode::kChecksum,
+                        "dict section of " + index.image().path());
+  }
   std::vector<uint32_t> corrupt;
   index.VerifySlices(&corrupt, nullptr);
   if (!corrupt.empty()) {
@@ -53,9 +56,9 @@ void RequireCleanSlices(const TripleIndex& index) {
 }  // namespace
 
 void Database::SaveSnapshot(const std::string& path) const {
-  // The image is saved as it is mapped, so its slices are checked first:
-  // a damaged image must not become a fresh, trusted-looking file.
-  RequireCleanSlices(*index_);
+  // The image is saved as it is mapped, so its checksums are checked
+  // first: a damaged image must not become a fresh, trusted-looking file.
+  RequireCleanImage(*index_);
   const MappedFile& image = index_->image();
 
   // Crash-safe emission (DESIGN.md §12): the complete image is written to a
@@ -147,43 +150,13 @@ Database Database::OpenSnapshot(const std::string& path, EngineOptions options,
   } catch (const std::runtime_error& e) {
     throw SnapshotError(SnapshotErrorCode::kIo, e.what());
   }
-  const uint8_t* base = file->data();
-  SnapSectionEntry dict_span{};
   Database db;
   db.index_ = std::make_unique<TripleIndex>(
-      TripleIndex::Open(std::move(file), snap.paranoid, &dict_span));
-  const TripleIndex& index = *db.index_;
-
-  if (Checksum64(base + dict_span.offset, dict_span.size) !=
-      dict_span.checksum) {
-    throw SnapshotError(SnapshotErrorCode::kChecksum,
-                        "section " + std::to_string(kSnapSectionDict) +
-                            " of " + path);
-  }
-  try {
-    std::istringstream dict_in(
-        std::string(reinterpret_cast<const char*>(base + dict_span.offset),
-                    dict_span.size));
-    db.dict_ = std::make_unique<Dictionary>(Dictionary::ReadFrom(&dict_in));
-  } catch (const std::exception& e) {
-    throw SnapshotError(SnapshotErrorCode::kCorrupt,
-                        std::string("dict decode: ") + e.what());
-  }
-  // Each section checksums clean on its own; they must also describe the
-  // same graph, or the engine would decode ids out of bounds on the first
-  // query.
-  const Dictionary& dict = *db.dict_;
-  if (dict.num_subjects() != index.num_subjects() ||
-      dict.num_predicates() != index.num_predicates() ||
-      dict.num_objects() != index.num_objects() ||
-      dict.num_common() != index.num_common()) {
-    throw SnapshotError(SnapshotErrorCode::kCorrupt,
-                        "dict and meta sections disagree on the index "
-                        "dimensions in " + path);
-  }
+      TripleIndex::Open(std::move(file), snap.paranoid));
+  db.dict_ = std::make_unique<Dictionary>(db.index_->ImageDictionary());
   // Full-integrity open: one sequential pass over both sides of every
   // predicate (for operators validating a freshly copied snapshot).
-  if (snap.verify_extents) RequireCleanSlices(index);
+  if (snap.verify_extents) RequireCleanImage(*db.index_);
 
   db.engine_ = std::make_unique<Engine>(db.index_.get(), db.dict_.get(),
                                         options);

@@ -1,97 +1,127 @@
 #include "rdf/dictionary.h"
 
 #include <algorithm>
-#include <cassert>
-#include <istream>
-#include <ostream>
+#include <cstring>
 #include <stdexcept>
+#include <string>
+
+#include "bitmat/snapshot_format.h"
 
 namespace lbr {
 
 namespace {
-constexpr uint8_t kSeenS = 1;
-constexpr uint8_t kSeenO = 2;
-constexpr uint8_t kSeenP = 4;
-}  // namespace
 
-void Dictionary::Add(const TermTriple& t) {
-  assert(!finalized_);
-  seen_[t.s] |= kSeenS;
-  seen_[t.p] |= kSeenP;
-  seen_[t.o] |= kSeenO;
+constexpr char kDictMagic[8] = {'L', 'B', 'R', 'D', 'I', 'C', '0', '1'};
+/// The magic, then |Vso|, |Vs|, |Vp|, |Vo|; every term has a 5-byte header.
+constexpr uint64_t kHeaderBytes = 24;
+constexpr uint64_t kTermHeaderBytes = 5;
+
+[[noreturn]] void ThrowCorrupt(const std::string& what) {
+  throw SnapshotError(SnapshotErrorCode::kCorrupt, "dict section: " + what);
 }
 
-void Dictionary::Finalize() {
-  assert(!finalized_);
-  // Deterministic ID assignment: sort terms within each class so that equal
-  // datasets yield identical dictionaries regardless of insertion order.
-  std::vector<const Term*> common, s_only, o_only, preds;
-  for (const auto& [term, mask] : seen_) {
-    bool is_s = mask & kSeenS;
-    bool is_o = mask & kSeenO;
-    if (is_s && is_o) {
-      common.push_back(&term);
-    } else if (is_s) {
-      s_only.push_back(&term);
-    } else if (is_o) {
-      o_only.push_back(&term);
+}  // namespace
+
+Dictionary::Dictionary() : Dictionary(FromSortedClasses({})) {}
+
+Dictionary::Dictionary(std::shared_ptr<const void> owner, const uint8_t* data,
+                       uint64_t size)
+    : owner_(std::move(owner)), data_(data), size_(size) {
+  if (size < kHeaderBytes || std::memcmp(data, kDictMagic, 8) != 0) {
+    ThrowCorrupt("bad header");
+  }
+  num_common_ = ReadPod<uint32_t>(data, 8);
+  num_subjects_ = ReadPod<uint32_t>(data, 12);
+  num_predicates_ = ReadPod<uint32_t>(data, 16);
+  num_objects_ = ReadPod<uint32_t>(data, 20);
+  const uint64_t num_terms = predicate_base() + num_predicates_;
+  if (num_common_ > num_subjects_ || num_common_ > num_objects_ ||
+      num_terms > (size - kHeaderBytes) / kTermHeaderBytes) {
+    ThrowCorrupt("term counts disagree with each other or the size");
+  }
+  offsets_.reserve(num_terms);
+  uint64_t pos = kHeaderBytes;
+  for (uint64_t i = 0; i < num_terms; ++i) {
+    if (size - pos < kTermHeaderBytes ||
+        ReadPod<uint32_t>(data, pos + 1) > size - pos - kTermHeaderBytes ||
+        data[pos] > static_cast<uint8_t>(TermKind::kBlank)) {
+      ThrowCorrupt("term " + std::to_string(i) +
+                   " runs past the end or has an unknown kind");
     }
-    if (mask & kSeenP) preds.push_back(&term);
+    offsets_.push_back(pos);
+    pos += kTermHeaderBytes + ReadPod<uint32_t>(data, pos + 1);
   }
-  auto by_value = [](const Term* a, const Term* b) { return *a < *b; };
-  std::sort(common.begin(), common.end(), by_value);
-  std::sort(s_only.begin(), s_only.end(), by_value);
-  std::sort(o_only.begin(), o_only.end(), by_value);
-  std::sort(preds.begin(), preds.end(), by_value);
+  if (pos != size) ThrowCorrupt("trailing bytes after the last term");
+  // Lookups binary-search each class, so each must be strictly ascending.
+  for (uint64_t i = 1; i < num_terms; ++i) {
+    const bool class_start =
+        i == num_common_ || i == num_subjects_ || i == predicate_base();
+    if (!class_start && !(KeyOf(offsets_[i - 1]) < KeyOf(offsets_[i]))) {
+      ThrowCorrupt("term " + std::to_string(i) + " is out of order");
+    }
+  }
+}
 
-  num_common_ = static_cast<uint32_t>(common.size());
-  subject_terms_.reserve(common.size() + s_only.size());
-  object_terms_.reserve(common.size() + o_only.size());
-  predicate_terms_.reserve(preds.size());
+Dictionary Dictionary::FromSortedClasses(
+    const std::vector<const Term*> (&classes)[4]) {
+  auto section = std::make_shared<std::string>(kDictMagic, 8);
+  const uint32_t counts[4] = {
+      static_cast<uint32_t>(classes[0].size()),
+      static_cast<uint32_t>(classes[0].size() + classes[1].size()),
+      static_cast<uint32_t>(classes[3].size()),
+      static_cast<uint32_t>(classes[0].size() + classes[2].size())};
+  section->append(reinterpret_cast<const char*>(counts), sizeof(counts));
+  for (const auto& terms : classes) {
+    for (const Term* t : terms) {
+      const uint32_t len = static_cast<uint32_t>(t->value.size());
+      section->push_back(static_cast<char>(t->kind));
+      section->append(reinterpret_cast<const char*>(&len), sizeof(len));
+      section->append(t->value);
+    }
+  }
+  return Dictionary(section, reinterpret_cast<const uint8_t*>(section->data()),
+                    section->size());
+}
 
-  for (const Term* t : common) {
-    uint32_t id = static_cast<uint32_t>(subject_terms_.size());
-    subject_ids_[*t] = id;
-    object_ids_[*t] = id;
-    subject_terms_.push_back(*t);
-    object_terms_.push_back(*t);
-  }
-  for (const Term* t : s_only) {
-    subject_ids_[*t] = static_cast<uint32_t>(subject_terms_.size());
-    subject_terms_.push_back(*t);
-  }
-  for (const Term* t : o_only) {
-    object_ids_[*t] = static_cast<uint32_t>(object_terms_.size());
-    object_terms_.push_back(*t);
-  }
-  for (const Term* t : preds) {
-    predicate_ids_[*t] = static_cast<uint32_t>(predicate_terms_.size());
-    predicate_terms_.push_back(*t);
-  }
+Dictionary::Key Dictionary::KeyOf(uint64_t at) const {
+  return {data_[at],
+          std::string_view(
+              reinterpret_cast<const char*>(data_) + at + kTermHeaderBytes,
+              ReadPod<uint32_t>(data_, at + 1))};
+}
 
-  seen_.clear();
-  finalized_ = true;
+std::optional<uint32_t> Dictionary::Find(uint64_t lo, uint64_t hi,
+                                         const Term& t, uint64_t base) const {
+  const Key key{static_cast<uint8_t>(t.kind), t.value};
+  const auto first = offsets_.begin() + lo, last = offsets_.begin() + hi;
+  auto before = [this](uint64_t at, const Key& k) { return KeyOf(at) < k; };
+  const auto it = std::lower_bound(first, last, key, before);
+  if (it == last || KeyOf(*it) != key) return std::nullopt;
+  return static_cast<uint32_t>(it - offsets_.begin() - base);
 }
 
 std::optional<uint32_t> Dictionary::SubjectId(const Term& t) const {
-  assert(finalized_);
-  auto it = subject_ids_.find(t);
-  if (it == subject_ids_.end()) return std::nullopt;
-  return it->second;
+  if (auto id = Find(0, num_common_, t, 0)) return id;
+  return Find(num_common_, num_subjects_, t, 0);
 }
 
 std::optional<uint32_t> Dictionary::PredicateId(const Term& t) const {
-  assert(finalized_);
-  auto it = predicate_ids_.find(t);
-  if (it == predicate_ids_.end()) return std::nullopt;
-  return it->second;
+  const uint64_t base = predicate_base();
+  return Find(base, base + num_predicates_, t, base);
 }
 
 std::optional<uint32_t> Dictionary::ObjectId(const Term& t) const {
-  assert(finalized_);
-  auto it = object_ids_.find(t);
-  if (it == object_ids_.end()) return std::nullopt;
-  return it->second;
+  if (auto id = Find(0, num_common_, t, 0)) return id;
+  return Find(num_subjects_, predicate_base(), t,
+              num_subjects_ - num_common_);
+}
+
+Term Dictionary::TermAt(uint64_t index) const {
+  if (index >= offsets_.size()) {
+    throw std::out_of_range("Dictionary: no term " + std::to_string(index));
+  }
+  const Key key = KeyOf(offsets_[index]);
+  return Term(static_cast<TermKind>(key.first), std::string(key.second));
 }
 
 Triple Dictionary::Encode(const TermTriple& t) const {
@@ -104,91 +134,6 @@ Triple Dictionary::Encode(const TermTriple& t) const {
                                 t.o.ToString());
   }
   return Triple(*s, *p, *o);
-}
-
-TermTriple Dictionary::Decode(const Triple& t) const {
-  TermTriple out;
-  out.s = SubjectTerm(t.s);
-  out.p = PredicateTerm(t.p);
-  out.o = ObjectTerm(t.o);
-  return out;
-}
-
-namespace {
-
-void WriteTerm(const Term& t, std::ostream* out) {
-  uint8_t kind = static_cast<uint8_t>(t.kind);
-  uint32_t len = static_cast<uint32_t>(t.value.size());
-  out->write(reinterpret_cast<const char*>(&kind), 1);
-  out->write(reinterpret_cast<const char*>(&len), sizeof(len));
-  out->write(t.value.data(), len);
-}
-
-Term ReadTerm(std::istream* in) {
-  uint8_t kind = 0;
-  uint32_t len = 0;
-  in->read(reinterpret_cast<char*>(&kind), 1);
-  in->read(reinterpret_cast<char*>(&len), sizeof(len));
-  std::string value(len, '\0');
-  if (len > 0) in->read(value.data(), len);
-  return Term(static_cast<TermKind>(kind), std::move(value));
-}
-
-constexpr char kDictMagic[8] = {'L', 'B', 'R', 'D', 'I', 'C', '0', '1'};
-
-}  // namespace
-
-void Dictionary::WriteTo(std::ostream* out) const {
-  assert(finalized_);
-  out->write(kDictMagic, sizeof(kDictMagic));
-  uint32_t ns = num_subjects(), np = num_predicates(), no = num_objects();
-  out->write(reinterpret_cast<const char*>(&num_common_), 4);
-  out->write(reinterpret_cast<const char*>(&ns), 4);
-  out->write(reinterpret_cast<const char*>(&np), 4);
-  out->write(reinterpret_cast<const char*>(&no), 4);
-  // The common range is stored once (subject_terms_ prefix == object_terms_
-  // prefix); then the subject-only and object-only tails, then predicates.
-  for (uint32_t i = 0; i < ns; ++i) WriteTerm(subject_terms_[i], out);
-  for (uint32_t i = num_common_; i < no; ++i) WriteTerm(object_terms_[i], out);
-  for (uint32_t i = 0; i < np; ++i) WriteTerm(predicate_terms_[i], out);
-}
-
-Dictionary Dictionary::ReadFrom(std::istream* in) {
-  char magic[8];
-  in->read(magic, sizeof(magic));
-  if (!std::equal(magic, magic + 8, kDictMagic)) {
-    throw std::runtime_error("Dictionary: bad magic");
-  }
-  Dictionary dict;
-  uint32_t ns = 0, np = 0, no = 0;
-  in->read(reinterpret_cast<char*>(&dict.num_common_), 4);
-  in->read(reinterpret_cast<char*>(&ns), 4);
-  in->read(reinterpret_cast<char*>(&np), 4);
-  in->read(reinterpret_cast<char*>(&no), 4);
-  dict.subject_terms_.reserve(ns);
-  dict.object_terms_.reserve(no);
-  dict.predicate_terms_.reserve(np);
-  for (uint32_t i = 0; i < ns; ++i) {
-    Term t = ReadTerm(in);
-    dict.subject_ids_[t] = i;
-    if (i < dict.num_common_) {
-      dict.object_ids_[t] = i;
-      dict.object_terms_.push_back(t);
-    }
-    dict.subject_terms_.push_back(std::move(t));
-  }
-  for (uint32_t i = dict.num_common_; i < no; ++i) {
-    Term t = ReadTerm(in);
-    dict.object_ids_[t] = i;
-    dict.object_terms_.push_back(std::move(t));
-  }
-  for (uint32_t i = 0; i < np; ++i) {
-    Term t = ReadTerm(in);
-    dict.predicate_ids_[t] = i;
-    dict.predicate_terms_.push_back(std::move(t));
-  }
-  dict.finalized_ = true;
-  return dict;
 }
 
 }  // namespace lbr

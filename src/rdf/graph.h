@@ -9,8 +9,9 @@
 
 namespace lbr {
 
-/// An in-memory RDF graph: a finalized Dictionary plus the dictionary-encoded
-/// triple set, deduplicated and sorted in (S, P, O) order.
+/// An in-memory RDF graph: its Dictionary (the dict section bytes the index
+/// image stores unchanged) plus the dictionary-encoded triple set,
+/// deduplicated and sorted in (S, P, O) order.
 ///
 /// Graph is the hand-off point between the data-producing side (N-Triples
 /// parsing, workload generators) and the index builder (bitmat::TripleIndex).
@@ -19,22 +20,14 @@ class Graph {
   Graph() = default;
 
   /// Builds a graph from string-level triples. Duplicates are removed.
+  /// One hashing pass assigns provisional ids; sorting each term class once
+  /// yields the final ids and the dict section.
   static Graph FromTriples(const std::vector<TermTriple>& triples);
 
   const Dictionary& dict() const { return dict_; }
   const std::vector<Triple>& triples() const { return triples_; }
 
   size_t num_triples() const { return triples_.size(); }
-
-  /// Dataset-characteristics row of Table 6.1.
-  struct Stats {
-    size_t num_triples = 0;
-    uint32_t num_subjects = 0;
-    uint32_t num_predicates = 0;
-    uint32_t num_objects = 0;
-    uint32_t num_common = 0;  ///< |Vso|, not in the paper's table but useful.
-  };
-  Stats ComputeStats() const;
 
  private:
   Dictionary dict_;

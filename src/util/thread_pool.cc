@@ -54,15 +54,15 @@ void ThreadPool::RunChunks(const ChunkFn& fn, int slot) {
 }
 
 void ThreadPool::WorkerLoop(int slot) {
-  uint64_t seen_epoch = 0;
+  uint64_t last_epoch = 0;
   for (;;) {
     const ChunkFn* fn;
     {
       std::unique_lock<std::mutex> lk(mu_);
       work_cv_.wait(lk,
-                    [&] { return stop_ || job_epoch_ != seen_epoch; });
+                    [&] { return stop_ || job_epoch_ != last_epoch; });
       if (stop_) return;
-      seen_epoch = job_epoch_;
+      last_epoch = job_epoch_;
       fn = job_fn_;
     }
     RunChunks(*fn, slot);

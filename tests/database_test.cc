@@ -4,7 +4,6 @@
 
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 
 #include "core/result_writer.h"
 #include "rdf/ntriples.h"
@@ -22,33 +21,6 @@ std::vector<TermTriple> SitcomTriples() {
     out.push_back(graph.dict().Decode(t));
   }
   return out;
-}
-
-TEST(DictionarySerdeTest, RoundTrip) {
-  Graph g = testing::MakeGraph({
-      {"a", "p", "b"},
-      {"b", "q", "\"lit with spaces\""},
-      {"_:blank", "p", "a"},
-  });
-  std::stringstream ss;
-  g.dict().WriteTo(&ss);
-  Dictionary back = Dictionary::ReadFrom(&ss);
-
-  EXPECT_EQ(back.num_subjects(), g.dict().num_subjects());
-  EXPECT_EQ(back.num_predicates(), g.dict().num_predicates());
-  EXPECT_EQ(back.num_objects(), g.dict().num_objects());
-  EXPECT_EQ(back.num_common(), g.dict().num_common());
-  // Every encoded triple decodes identically through the reloaded dict.
-  for (const Triple& t : g.triples()) {
-    EXPECT_EQ(back.Decode(t), g.dict().Decode(t));
-    EXPECT_EQ(back.Encode(g.dict().Decode(t)), t);
-  }
-}
-
-TEST(DictionarySerdeTest, RejectsBadMagic) {
-  std::stringstream ss;
-  ss << "garbage bytes here";
-  EXPECT_THROW(Dictionary::ReadFrom(&ss), std::runtime_error);
 }
 
 TEST(DatabaseTest, BuildAndQuery) {

@@ -2,21 +2,33 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <set>
+#include <string>
+#include <vector>
+
+#include "core/database.h"
+#include "rdf/graph.h"
 #include "test_util.h"
+#include "util/checksum.h"
+#include "workload/dbpedia_gen.h"
+#include "workload/lubm_gen.h"
+#include "workload/uniprot_gen.h"
 
 namespace lbr {
 namespace {
 
 using testing::T;
 
+Dictionary DictOf(const std::vector<TermTriple>& triples) {
+  return Graph::FromTriples(triples).dict();
+}
+
 TEST(DictionaryTest, VsoMappingSharesLowIds) {
   // b and c occur as both subject and object (Vso); a is subject-only;
   // d is object-only.
-  Dictionary dict;
-  dict.Add(T("a", "p", "b"));
-  dict.Add(T("b", "p", "c"));
-  dict.Add(T("c", "p", "d"));
-  dict.Finalize();
+  Dictionary dict =
+      DictOf({T("a", "p", "b"), T("b", "p", "c"), T("c", "p", "d")});
 
   EXPECT_EQ(dict.num_common(), 2u);    // {b, c}
   EXPECT_EQ(dict.num_subjects(), 3u);  // {a, b, c}
@@ -37,9 +49,7 @@ TEST(DictionaryTest, VsoMappingSharesLowIds) {
 }
 
 TEST(DictionaryTest, UnknownTermsReturnNullopt) {
-  Dictionary dict;
-  dict.Add(T("a", "p", "b"));
-  dict.Finalize();
+  Dictionary dict = DictOf({T("a", "p", "b")});
   EXPECT_FALSE(dict.SubjectId(Term::Iri("zzz")).has_value());
   EXPECT_FALSE(dict.PredicateId(Term::Iri("zzz")).has_value());
   EXPECT_FALSE(dict.ObjectId(Term::Iri("zzz")).has_value());
@@ -50,12 +60,9 @@ TEST(DictionaryTest, UnknownTermsReturnNullopt) {
 }
 
 TEST(DictionaryTest, EncodeDecodeRoundTrip) {
-  Dictionary dict;
   TermTriple t1 = T("s1", "p1", "\"lit\"");
   TermTriple t2 = T("s1", "p2", "s1");  // s1 in Vso
-  dict.Add(t1);
-  dict.Add(t2);
-  dict.Finalize();
+  Dictionary dict = DictOf({t1, t2});
 
   for (const TermTriple& t : {t1, t2}) {
     Triple enc = dict.Encode(t);
@@ -65,18 +72,13 @@ TEST(DictionaryTest, EncodeDecodeRoundTrip) {
 }
 
 TEST(DictionaryTest, EncodeThrowsOnUnknown) {
-  Dictionary dict;
-  dict.Add(T("a", "p", "b"));
-  dict.Finalize();
+  Dictionary dict = DictOf({T("a", "p", "b")});
   EXPECT_THROW(dict.Encode(T("nope", "p", "b")), std::invalid_argument);
 }
 
 TEST(DictionaryTest, LiteralsAndIrisAreDistinctTerms) {
   // The literal "x" and the IRI x must get different object IDs.
-  Dictionary dict;
-  dict.Add(T("s", "p", "\"x\""));
-  dict.Add(T("s", "p", "x"));
-  dict.Finalize();
+  Dictionary dict = DictOf({T("s", "p", "\"x\""), T("s", "p", "x")});
   auto lit = dict.ObjectId(Term::Literal("x"));
   auto iri = dict.ObjectId(Term::Iri("x"));
   ASSERT_TRUE(lit && iri);
@@ -85,10 +87,7 @@ TEST(DictionaryTest, LiteralsAndIrisAreDistinctTerms) {
 
 TEST(DictionaryTest, BlankNodesAreEntities) {
   // Blank nodes join like IRIs (Section 2.2: they are not NULLs).
-  Dictionary dict;
-  dict.Add(T("_:b0", "p", "o"));
-  dict.Add(T("s", "p", "_:b0"));
-  dict.Finalize();
+  Dictionary dict = DictOf({T("_:b0", "p", "o"), T("s", "p", "_:b0")});
   auto s = dict.SubjectId(Term::Blank("b0"));
   auto o = dict.ObjectId(Term::Blank("b0"));
   ASSERT_TRUE(s && o);
@@ -97,26 +96,21 @@ TEST(DictionaryTest, BlankNodesAreEntities) {
 }
 
 TEST(DictionaryTest, DeterministicAcrossInsertionOrders) {
-  Dictionary d1, d2;
   TermTriple a = T("x", "p", "y");
   TermTriple b = T("y", "q", "z");
-  d1.Add(a);
-  d1.Add(b);
-  d2.Add(b);
-  d2.Add(a);
-  d1.Finalize();
-  d2.Finalize();
+  Dictionary d1 = DictOf({a, b});
+  Dictionary d2 = DictOf({b, a});
   EXPECT_EQ(d1.SubjectId(Term::Iri("x")), d2.SubjectId(Term::Iri("x")));
   EXPECT_EQ(d1.ObjectId(Term::Iri("z")), d2.ObjectId(Term::Iri("z")));
   EXPECT_EQ(d1.PredicateId(Term::Iri("q")), d2.PredicateId(Term::Iri("q")));
+  // The sections themselves are byte-identical.
+  ASSERT_EQ(d1.size(), d2.size());
+  EXPECT_EQ(Checksum64(d1.data(), d1.size()), Checksum64(d2.data(), d2.size()));
 }
 
 TEST(DictionaryTest, PredicatesGetDenseIds) {
-  Dictionary dict;
-  dict.Add(T("a", "p1", "b"));
-  dict.Add(T("a", "p2", "b"));
-  dict.Add(T("a", "p3", "b"));
-  dict.Finalize();
+  Dictionary dict =
+      DictOf({T("a", "p1", "b"), T("a", "p2", "b"), T("a", "p3", "b")});
   std::set<uint32_t> ids;
   for (const char* p : {"p1", "p2", "p3"}) {
     auto id = dict.PredicateId(Term::Iri(p));
@@ -130,12 +124,115 @@ TEST(DictionaryTest, PredicatesGetDenseIds) {
 TEST(DictionaryTest, PredicateAlsoUsableAsSubjectOrObject) {
   // The same term may occur as predicate and as an entity; the spaces are
   // independent.
-  Dictionary dict;
-  dict.Add(T("a", "knows", "b"));
-  dict.Add(T("knows", "type", "Property"));
-  dict.Finalize();
+  Dictionary dict =
+      DictOf({T("a", "knows", "b"), T("knows", "type", "Property")});
   EXPECT_TRUE(dict.PredicateId(Term::Iri("knows")).has_value());
   EXPECT_TRUE(dict.SubjectId(Term::Iri("knows")).has_value());
+}
+
+TEST(DictionaryTest, EmptyGraphHasNoTerms) {
+  Dictionary dict = DictOf({});
+  EXPECT_EQ(dict.num_subjects(), 0u);
+  EXPECT_EQ(dict.num_objects(), 0u);
+  EXPECT_EQ(dict.num_predicates(), 0u);
+  EXPECT_FALSE(dict.SubjectId(Term::Iri("a")).has_value());
+  EXPECT_THROW(dict.TermAt(0), std::out_of_range);
+  // A default dictionary is the same empty section.
+  Dictionary empty;
+  ASSERT_EQ(empty.size(), dict.size());
+  EXPECT_EQ(Checksum64(empty.data(), empty.size()),
+            Checksum64(dict.data(), dict.size()));
+}
+
+TEST(DictionaryTest, SitcomSectionChecksumIsPinned) {
+  // The dict section is snapshot format v3: the builder must keep writing
+  // these exact bytes, so files saved by earlier builds open unchanged.
+  const Dictionary dict = testing::SitcomGraph().dict();
+  EXPECT_EQ(dict.size(), 268u);
+  EXPECT_EQ(Checksum64(dict.data(), dict.size()), 0xcaa5e2cef40c370dull);
+}
+
+/// Every id on every dimension maps id -> term -> the same id, absent
+/// terms and terms asked for on the wrong dimension map to nullopt.
+void ExpectIdsRoundTrip(const Dictionary& dict) {
+  for (uint32_t id = 0; id < dict.num_subjects(); ++id) {
+    const Term t = dict.SubjectTerm(id);
+    ASSERT_EQ(dict.SubjectId(t), id) << t.ToString();
+    if (id >= dict.num_common()) {
+      EXPECT_FALSE(dict.ObjectId(t).has_value()) << t.ToString();
+    }
+  }
+  for (uint32_t id = 0; id < dict.num_objects(); ++id) {
+    const Term t = dict.ObjectTerm(id);
+    ASSERT_EQ(dict.ObjectId(t), id) << t.ToString();
+    if (id >= dict.num_common()) {
+      EXPECT_FALSE(dict.SubjectId(t).has_value()) << t.ToString();
+    }
+  }
+  for (uint32_t id = 0; id < dict.num_predicates(); ++id) {
+    const Term t = dict.PredicateTerm(id);
+    ASSERT_EQ(dict.PredicateId(t), id) << t.ToString();
+  }
+  const Term absent[] = {Term::Iri("urn:absent"), Term::Literal(""),
+                         Term::Blank("urn:t:s")};
+  for (const Term& t : absent) {
+    EXPECT_FALSE(dict.SubjectId(t).has_value()) << t.ToString();
+    EXPECT_FALSE(dict.PredicateId(t).has_value()) << t.ToString();
+    EXPECT_FALSE(dict.ObjectId(t).has_value()) << t.ToString();
+  }
+  // A literal and an IRI that share one lexical value, and bytes >= 0x80:
+  // lookups must order kind first, then unsigned bytes (Term::operator<).
+  const Term iri = Term::Iri("urn:t:s");
+  const Term lit = Term::Literal("urn:t:s");
+  const Term utf8 = Term::Literal("caf\xc3\xa9 \xe2\x98\x83");
+  ASSERT_TRUE(dict.SubjectId(iri).has_value());
+  EXPECT_FALSE(dict.ObjectId(iri).has_value());
+  EXPECT_FALSE(dict.SubjectId(lit).has_value());
+  ASSERT_TRUE(dict.ObjectId(lit).has_value());
+  EXPECT_EQ(dict.ObjectTerm(*dict.ObjectId(lit)), lit);
+  ASSERT_TRUE(dict.ObjectId(utf8).has_value());
+  EXPECT_EQ(dict.ObjectTerm(*dict.ObjectId(utf8)), utf8);
+  EXPECT_FALSE(dict.PredicateId(Term::Iri("urn:t:s")).has_value());
+}
+
+TEST(DictionaryTest, BuiltAndReopenedIdsRoundTrip) {
+  LubmConfig lubm;
+  lubm.num_universities = 1;
+  UniprotConfig uniprot;
+  uniprot.num_proteins = 300;
+  DbpediaConfig dbpedia;
+  dbpedia.num_places = 100;
+  dbpedia.num_persons = 150;
+  dbpedia.num_soccer_players = 80;
+  dbpedia.num_settlements = 50;
+  dbpedia.num_airports = 20;
+  dbpedia.num_companies = 60;
+  dbpedia.num_noise_predicates = 20;
+  dbpedia.num_noise_triples = 500;
+  const std::vector<std::pair<std::string, std::vector<TermTriple>>> inputs = {
+      {"lubm", GenerateLubm(lubm)},
+      {"uniprot", GenerateUniprot(uniprot)},
+      {"dbpedia", GenerateDbpedia(dbpedia)},
+  };
+  for (const auto& [name, generated] : inputs) {
+    SCOPED_TRACE(name);
+    std::vector<TermTriple> triples = generated;
+    triples.push_back(T("urn:t:s", "urn:t:p", "\"urn:t:s\""));
+    triples.push_back(T("urn:t:s", "urn:t:p", "\"caf\xc3\xa9 \xe2\x98\x83\""));
+    Database built = Database::Build(triples);
+    const std::string path = testing::TempPath(name + ".snap");
+    built.SaveSnapshot(path);
+    Database reopened = Database::OpenSnapshot(path);
+    std::remove(path.c_str());
+    {
+      SCOPED_TRACE("built");
+      ExpectIdsRoundTrip(built.dict());
+    }
+    {
+      SCOPED_TRACE("reopened");
+      ExpectIdsRoundTrip(reopened.dict());
+    }
+  }
 }
 
 }  // namespace

@@ -29,19 +29,18 @@ TEST(GraphTest, StatsMatchDictionary) {
       {"b", "q", "c"},
       {"c", "p", "\"lit\""},
   });
-  Graph::Stats s = g.ComputeStats();
-  EXPECT_EQ(s.num_triples, 3u);
-  EXPECT_EQ(s.num_subjects, 3u);   // a, b, c
-  EXPECT_EQ(s.num_predicates, 2u); // p, q
-  EXPECT_EQ(s.num_objects, 3u);    // b, c, "lit"
-  EXPECT_EQ(s.num_common, 2u);     // b, c
+  EXPECT_EQ(g.num_triples(), 3u);
+  EXPECT_EQ(g.dict().num_subjects(), 3u);    // a, b, c
+  EXPECT_EQ(g.dict().num_predicates(), 2u);  // p, q
+  EXPECT_EQ(g.dict().num_objects(), 3u);     // b, c, "lit"
+  EXPECT_EQ(g.dict().num_common(), 2u);      // b, c
 }
 
 TEST(GraphTest, EmptyGraph) {
   Graph g = Graph::FromTriples({});
   EXPECT_EQ(g.num_triples(), 0u);
-  Graph::Stats s = g.ComputeStats();
-  EXPECT_EQ(s.num_subjects, 0u);
+  EXPECT_EQ(g.dict().num_subjects(), 0u);
+  EXPECT_EQ(g.dict().num_predicates(), 0u);
 }
 
 TEST(GraphTest, EncodedTriplesDecodeBack) {

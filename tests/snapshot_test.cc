@@ -45,6 +45,17 @@ void WriteFileBytes(const std::string& path, const std::string& bytes) {
   ASSERT_TRUE(out.good()) << path;
 }
 
+/// Flips byte `off` of the file in place, so a database that maps it sees
+/// the damage without the file being replaced.
+void FlipFileByte(const std::string& path, uint64_t off) {
+  std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+  f.seekg(static_cast<std::streamoff>(off));
+  const char c = static_cast<char>(f.get());
+  f.seekp(static_cast<std::streamoff>(off));
+  f.put(static_cast<char>(c ^ 0x5a));
+  ASSERT_TRUE(f.good()) << path;
+}
+
 /// Locates a section by kind straight from the on-disk header, so the
 /// corruption tests hit the intended bytes regardless of layout changes.
 SnapSectionEntry FindSection(const std::string& bytes, uint32_t kind) {
@@ -319,37 +330,52 @@ TEST(SnapshotTest, ResaveFromMappedIndex) {
 }
 
 TEST(SnapshotTest, SaveRefusesDamagedImage) {
-  // Saving copies the image byte for byte, so it re-checks every slice
-  // first: a flipped extent byte must fail the save, not be laundered into
-  // a fresh file whose damage only shows at query time.
+  // Saving copies the image byte for byte, so it re-checks the dict section
+  // and every slice first: a flipped extent or dict byte must fail the
+  // save, not be laundered into a fresh file whose damage only shows at
+  // query time. Slices verify lazily, so the extent byte is flipped before
+  // the open; the open verifies the dict section, so its byte is flipped
+  // under the mapped database.
   Database built_db = SmallLubmDb();
   const std::string path = TempPath("snap_damaged.snap");
   const std::string resaved = TempPath("snap_damaged_resave.snap");
   built_db.SaveSnapshot(path);
-  std::string bytes = ReadFileBytes(path);
+  const std::string clean = ReadFileBytes(path);
   const uint32_t np = built_db.index().num_predicates();
-  const SnapSectionEntry ext = FindSection(bytes, kSnapSectionExtents);
+  const SnapSectionEntry ext = FindSection(clean, kSnapSectionExtents);
+  const SnapSectionEntry dict = FindSection(clean, kSnapSectionDict);
   const SnapSliceLocEntry loc =
-      FindSliceLoc(bytes, np, MemberOf(built_db), TripleIndex::Side::kSO);
+      FindSliceLoc(clean, np, MemberOf(built_db), TripleIndex::Side::kSO);
   ASSERT_GT(loc.extent_words, 0u);
-  const uint64_t off = ext.offset + loc.extent_off + loc.extent_words * 2;
-  bytes[off] = static_cast<char>(bytes[off] ^ 0x5a);
-  WriteFileBytes(path, bytes);
 
-  Database damaged = Database::OpenSnapshot(path);
-  std::remove(path.c_str());
-  try {
-    damaged.SaveSnapshot(resaved);
-    FAIL() << "saving a damaged image did not throw";
-  } catch (const SnapshotError& e) {
-    EXPECT_EQ(e.code(), SnapshotErrorCode::kChecksum) << e.what();
+  for (const bool in_dict : {false, true}) {
+    SCOPED_TRACE(in_dict ? "dict byte" : "extent byte");
+    WriteFileBytes(path, clean);
+    const uint64_t off =
+        in_dict ? dict.offset + dict.size / 2
+                : ext.offset + loc.extent_off + loc.extent_words * 2;
+    if (!in_dict) FlipFileByte(path, off);
+    Database damaged = Database::OpenSnapshot(path);
+    if (in_dict) FlipFileByte(path, off);
+
+    const Database::SnapshotVerifyReport report = damaged.VerifySnapshot();
+    EXPECT_FALSE(report.ok());
+    EXPECT_EQ(report.dict_corrupt, in_dict);
+    EXPECT_EQ(report.corrupt.empty(), in_dict);
+    try {
+      damaged.SaveSnapshot(resaved);
+      FAIL() << "saving a damaged image did not throw";
+    } catch (const SnapshotError& e) {
+      EXPECT_EQ(e.code(), SnapshotErrorCode::kChecksum) << e.what();
+    }
+    EXPECT_NE(::access(resaved.c_str(), F_OK), 0);
+    EXPECT_NE(::access((resaved + ".tmp." +
+                        std::to_string(static_cast<long>(::getpid())))
+                           .c_str(),
+                       F_OK),
+              0);
   }
-  EXPECT_NE(::access(resaved.c_str(), F_OK), 0);
-  EXPECT_NE(::access((resaved + ".tmp." +
-                      std::to_string(static_cast<long>(::getpid())))
-                         .c_str(),
-                     F_OK),
-            0);
+  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------
@@ -367,9 +393,10 @@ class SnapshotRejectTest : public ::testing::Test {
   }
   void TearDown() override { std::remove(path_.c_str()); }
 
-  /// Rewrites the file with the uint32 at `off` inside section `kind`
+  /// Rewrites the file with the value at `off` inside section `kind`
   /// replaced by `value`, with that section and the header re-sealed.
-  void RewriteSealed(uint32_t kind, uint64_t off, uint32_t value) {
+  template <typename V>
+  void RewriteSealed(uint32_t kind, uint64_t off, V value) {
     SnapSectionEntry s = FindSection(bytes_, kind);
     ASSERT_LE(off + sizeof(value), s.size);
     std::string mutated = bytes_;
@@ -407,7 +434,7 @@ TEST_F(SnapshotRejectTest, BadVersion) {
   EXPECT_EQ(OpenErrorCode(path_), SnapshotErrorCode::kBadVersion);
 }
 
-TEST_F(SnapshotRejectTest, VersionOneIsRejected) {
+TEST_F(SnapshotRejectTest, OlderVersionsAreRejected) {
   // Version 1 checksummed with FNV-1a and version 2 carried a statistics
   // section; this build reads only version 3.
   for (const uint32_t version : {1u, 2u}) {
@@ -450,7 +477,7 @@ TEST_F(SnapshotRejectTest, MetaChecksum) {
 // with the dictionary. Open must reject the file rather than hand the
 // engine a dictionary that does not match the index.
 
-TEST_F(SnapshotRejectTest, StatsPredicateCountDisagreesWithMeta) {
+TEST_F(SnapshotRejectTest, MetaPredicateCountDisagreesWithDict) {
   // Meta's |Vp| (the second uint32) sizes the per-predicate counts the
   // planner estimates from. A |Vp| one short of the dictionary's predicate
   // count decodes cleanly and would leave the last predicate uncounted.
@@ -475,6 +502,46 @@ TEST_F(SnapshotRejectTest, MetaDimensionsDisagreeWithDict) {
     RewriteSealed(kSnapSectionMeta, off, dim - 1);
     EXPECT_EQ(OpenErrorCode(path_), SnapshotErrorCode::kCorrupt);
   }
+}
+
+// The rewritten dict sections below checksum clean too; the open pass
+// that views the section must reject them as corrupt.
+
+TEST_F(SnapshotRejectTest, DictBadMagic) {
+  RewriteSealed(kSnapSectionDict, 0, uint8_t{'X'});
+  EXPECT_EQ(OpenErrorCode(path_), SnapshotErrorCode::kCorrupt);
+}
+
+TEST_F(SnapshotRejectTest, DictTermLengthRunsPastSectionEnd) {
+  // The first term's u32 length follows its kind byte at section offset
+  // 24 (after the magic and the four counts).
+  RewriteSealed(kSnapSectionDict, 25, uint32_t{0xfffffff0u});
+  EXPECT_EQ(OpenErrorCode(path_), SnapshotErrorCode::kCorrupt);
+}
+
+TEST_F(SnapshotRejectTest, DictTermKindOutOfRange) {
+  RewriteSealed(kSnapSectionDict, 24, uint8_t{3});
+  EXPECT_EQ(OpenErrorCode(path_), SnapshotErrorCode::kCorrupt);
+}
+
+TEST_F(SnapshotRejectTest, DictAdjacentTermsSwapped) {
+  // Swapping the first two Vso terms keeps every length, count and the
+  // section size; only the class order breaks. Reading it would silently
+  // renumber both terms.
+  SnapSectionEntry dict = FindSection(bytes_, kSnapSectionDict);
+  const uint8_t* base =
+      reinterpret_cast<const uint8_t*>(bytes_.data()) + dict.offset;
+  ASSERT_GE(ReadPod<uint32_t>(base, 8), 2u);  // |Vso|
+  const uint64_t first = 24;
+  const uint64_t second = first + 5 + ReadPod<uint32_t>(base, first + 1);
+  const uint64_t end = second + 5 + ReadPod<uint32_t>(base, second + 1);
+  std::string mutated = bytes_;
+  const std::string a = bytes_.substr(dict.offset + first, second - first);
+  const std::string b = bytes_.substr(dict.offset + second, end - second);
+  mutated.replace(dict.offset + first, end - first, b + a);
+  Reseal(&mutated, kSnapSectionDict);
+  WriteFileBytes(path_, mutated);
+  EXPECT_EQ(OpenErrorCode(path_), SnapshotErrorCode::kCorrupt);
 }
 
 TEST_F(SnapshotRejectTest, ExtentChecksumEager) {
