@@ -341,8 +341,11 @@ int main(int argc, char** argv) {
         std::cout << "-- " << stats.num_results << " rows ("
                   << stats.num_results_with_nulls << " with NULLs) in "
                   << stats.t_total_sec << " s; init " << stats.t_init_sec
-                  << " s, prune " << stats.t_prune_sec
-                  << " s; triples " << stats.initial_triples << " -> "
+                  << " s, prune " << stats.t_prune_sec << " s, join "
+                  << stats.t_join_sec << " s, best-match "
+                  << stats.t_best_match_sec << " s, project "
+                  << stats.t_project_sec << " s; triples "
+                  << stats.initial_triples << " -> "
                   << stats.triples_after_prune
                   << (stats.best_match_used ? "; best-match used" : "")
                   << (stats.empty_result_shortcut

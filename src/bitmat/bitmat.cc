@@ -227,9 +227,22 @@ void BitMat::Unfold(const Bitvector& mask, Dim retain, ExecContext* ctx) {
   CheckInvariants();
 }
 
+namespace {
+
+/// The one allocation behind a transpose's rows: every column's payload
+/// back to back, and the row objects viewing it. The transpose's handles
+/// alias into `rows` and share ownership of the whole arena, so it lives
+/// exactly as long as some copy of some transposed row.
+struct TransposeArena {
+  std::vector<uint32_t> words;
+  std::vector<CompressedRow> rows;
+};
+
+}  // namespace
+
 BitMat BitMat::Transposed() const {
   // Sort the set bits once by (column, row); each column's rows then form
-  // one ascending run, appended as row `column` of the transpose. The bits
+  // one ascending run, encoded as row `column` of the transpose. The bits
   // arrive row-major, so a stable sort on the column alone suffices: an
   // LSD radix sort over the column's significant bytes, O(bits) per pass.
   std::vector<uint64_t> bits;
@@ -247,7 +260,22 @@ BitMat BitMat::Transposed() const {
     for (uint64_t b : bits) sorted[starts[(b >> shift) & 0xff]++] = b;
     bits.swap(sorted);
   }
+  sorted = std::vector<uint64_t>();
+
+  // Encode every column into one temporary payload (no encoding is longer
+  // than its positions, so count_ words never reallocate), then copy it
+  // into the arena at its exact size and point the rows there: O(1)
+  // allocations however many columns the transpose has.
+  size_t num_cols_set = 0;
+  for (size_t i = 0; i < bits.size(); ++i) {
+    if (i == 0 || (bits[i] >> 32) != (bits[i - 1] >> 32)) ++num_cols_set;
+  }
   BitMat t(num_cols_, num_rows_);
+  t.ids_.reserve(num_cols_set);
+  auto arena = std::make_shared<TransposeArena>();
+  arena->rows.reserve(num_cols_set);
+  std::vector<uint32_t> payload;
+  payload.reserve(count_);
   std::vector<uint32_t> rows;
   for (size_t i = 0; i < bits.size();) {
     const uint32_t c = static_cast<uint32_t>(bits[i] >> 32);
@@ -255,8 +283,20 @@ BitMat BitMat::Transposed() const {
     for (; i < bits.size() && (bits[i] >> 32) == c; ++i) {
       rows.push_back(static_cast<uint32_t>(bits[i]));
     }
-    t.SetRow(c, rows);
+    arena->rows.push_back(CompressedRow::AppendEncoded(rows, &payload));
+    t.ids_.push_back(c);
+    t.non_empty_rows_.Set(c);
   }
+  arena->words.assign(payload.begin(), payload.end());
+  t.handles_.reserve(arena->rows.size());
+  for (CompressedRow& row : arena->rows) {
+    row = CompressedRow::View(
+        row.encoding(), row.first_bit(), row.Count(),
+        arena->words.data() + (row.pdata() - payload.data()), row.psize());
+    t.handles_.emplace_back(arena, &row);
+  }
+  t.count_ = count_;
+  t.RebuildRank();
   t.CheckInvariants();
   return t;
 }
@@ -272,7 +312,18 @@ BitMat BitMat::DeepCopy() const {
   BitMat out = *this;
   out.col_fold_ = FoldMemo();
   for (RowHandle& row : out.handles_) {
-    row = std::make_shared<const CompressedRow>(*row);
+    if (!row->is_view()) {
+      row = std::make_shared<const CompressedRow>(*row);
+      continue;
+    }
+    // A view's copy borrows the same payload, so it also holds the source
+    // handle: a transpose's arena (or a snapshot slice) outlives the copy.
+    struct Borrowed {
+      RowHandle owner;
+      CompressedRow row;
+    };
+    auto copy = std::make_shared<const Borrowed>(Borrowed{row, *row});
+    row = RowHandle(copy, &copy->row);
   }
   out.CheckInvariants();
   return out;

@@ -165,25 +165,37 @@ class BitMat {
   /// equal to Fold(Dim::kRow) but maintained incrementally.
   const Bitvector& NonEmptyRows() const { return non_empty_rows_; }
 
+  /// Number of non-empty rows, O(1): what one AppendColumnPositions scan
+  /// probes.
+  size_t NonEmptyRowCount() const { return ids_.size(); }
+
   /// Returns the transpose (rows<->cols). Used when the multi-way join needs
   /// column-keyed access to a TP whose BitMat is row-oriented. Sorts the
-  /// set bits once by (column, row) and appends each column's row list, so
-  /// the cost follows Count(), not num_cols().
+  /// set bits once by (column, row) and encodes every column into one
+  /// shared payload arena, so the cost follows Count(), not num_cols(), and
+  /// the allocations are O(1), not one per column. The rows are views of
+  /// the arena (PayloadBytes() counts it, HeapBytes() does not) and their
+  /// handles share its ownership: the transpose outlives this matrix,
+  /// copies share the arena, and a mutation (Unfold, or AndWithInPlace on a
+  /// copied-out row) re-encodes only the rows it changes into owned
+  /// storage.
   BitMat Transposed() const;
 
   /// Appends the (ascending) row indexes whose bit in column `c` is set —
   /// one transposed row, extracted without materializing the transpose.
-  /// Cost is O(populated rows × row test), so callers that end up visiting
-  /// many columns should fall forward to Transposed() (the multiway join's
-  /// lazy per-column transpose cache does exactly that).
+  /// Cost is O(NonEmptyRowCount() × row test), so callers that end up
+  /// visiting many columns should fall forward to Transposed() (the
+  /// multiway join's lazy per-column transpose cache does exactly that).
   void AppendColumnPositions(uint32_t c, std::vector<uint32_t>* out) const;
 
   /// A copy whose rows are freshly allocated instead of shared — the
   /// pre-CoW copying behavior. Kept for the ablation bench that quantifies
   /// what the CoW snapshot saves, and for callers that want to sever all
-  /// payload aliasing. Severing aliasing does not change thread
-  /// confinement: the copy is one more BitMat object, folded by one
-  /// thread at a time like any other.
+  /// row aliasing. A view row (a snapshot slice's, a transpose's arena's)
+  /// gets a fresh row object that still borrows the same payload and holds
+  /// the source handle, so the borrowed storage outlives the copy.
+  /// Severing aliasing does not change thread confinement: the copy is one
+  /// more BitMat object, folded by one thread at a time like any other.
   BitMat DeepCopy() const;
 
   /// Calls fn(row, col) for every set bit in row-major order.

@@ -425,6 +425,7 @@ Engine::BranchResult Engine::ExecuteBranchPlan(
   // emitted result row.
   std::unordered_set<RawRow, RawRowHash> nulled_emitted;
   bool any_nulled = false;
+  Stopwatch join_watch;
   join.Run(
       [&](const RawRow& row, bool nulled) {
         if (nulled) {
@@ -439,17 +440,26 @@ Engine::BranchResult Engine::ExecuteBranchPlan(
         full_rows.push_back(row);
       },
       &exec_ctx_);
+  if (stats != nullptr) {
+    stats->t_join_sec += join_watch.Seconds();
+    stats->join_columns_extracted += join.columns_extracted();
+    stats->join_rows_scanned += join.rows_scanned();
+    stats->join_transposes += join.transposes();
+  }
 
   // --- best-match (Alg 5.1 lines 10-13), needed when the query is cyclic
   // with multi-jvar slaves, or when FaN/nullification nulled some group.
   if (nb_reqd || join.nulling_applied() || any_nulled) {
+    Stopwatch best_match_watch;
     if (stats != nullptr) stats->best_match_used = true;
     exec_ctx_.CheckCancelNow();  // best-match is O(rows^2 worst case)
     full_rows =
         BestMatch(std::move(full_rows), join.MasterColumns(), &exec_ctx_);
+    if (stats != nullptr) stats->t_best_match_sec += best_match_watch.Seconds();
   }
 
   // Project onto the query projection.
+  Stopwatch project_watch;
   std::vector<int> col_of_projection(projection.size(), -1);
   for (size_t i = 0; i < projection.size(); ++i) {
     col_of_projection[i] = join.VarIndex(projection[i]);
@@ -466,6 +476,7 @@ Engine::BranchResult Engine::ExecuteBranchPlan(
     }
     result.rows.push_back(std::move(projected));
   }
+  if (stats != nullptr) stats->t_project_sec += project_watch.Seconds();
   return result;
 }
 
@@ -609,6 +620,7 @@ uint64_t Engine::ExecutePlanned(const CompiledPlan& plan,
   // first kind with a final best-match; fix the second by dividing the
   // multiplicity of fully-unmatched rows by the arm count.
   if (plan.may_have_spurious && plan.branches.size() > 1) {
+    Stopwatch best_match_watch;
     st->best_match_used = true;
     exec_ctx_.CheckCancelNow();  // best-match is O(rows^2 worst case)
     all_rows = BestMatch(std::move(all_rows), {}, &exec_ctx_);
@@ -652,6 +664,7 @@ uint64_t Engine::ExecutePlanned(const CompiledPlan& plan,
       }
       all_rows = std::move(filtered);
     }
+    st->t_best_match_sec += best_match_watch.Seconds();
   }
 
   // Commit point (DESIGN.md §9): one last forced poll, then the answer is

@@ -123,6 +123,19 @@ struct QueryStats {
   uint64_t faults_injected = 0;
   uint64_t fault_retries = 0;
   uint64_t quarantined_slices = 0;
+  /// The phases after prune, summed over UNION branches: the multi-way
+  /// join including its sink (row collection, nulled-row dedup), every
+  /// best-match pass (per branch and the final cross-branch one, with its
+  /// UNION-arm cleanup), and the projection onto the query's variables.
+  double t_join_sec = 0;
+  double t_best_match_sec = 0;
+  double t_project_sec = 0;
+  /// The join's column access (DESIGN.md §6), summed over UNION branches:
+  /// columns extracted lazily, the populated rows those extractions
+  /// scanned, and full transposes built.
+  uint64_t join_columns_extracted = 0;
+  uint64_t join_rows_scanned = 0;
+  uint64_t join_transposes = 0;
 };
 
 /// A fully decoded result table (SELECT projection applied).

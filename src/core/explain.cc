@@ -108,6 +108,15 @@ std::string ExplainCacheStats(const QueryStats& stats) {
   os << "termination: " << QueryTerminationName(stats.termination);
   if (stats.empty_result_shortcut) os << " (empty-master shortcut)";
   os << "\n";
+  os << "phases: plan " << stats.t_plan_sec * 1e3 << " ms, init "
+     << stats.t_init_sec * 1e3 << " ms, prune " << stats.t_prune_sec * 1e3
+     << " ms, join " << stats.t_join_sec * 1e3 << " ms, best-match "
+     << stats.t_best_match_sec * 1e3 << " ms, project "
+     << stats.t_project_sec * 1e3 << " ms of " << stats.t_total_sec * 1e3
+     << " ms\n";
+  os << "join: " << stats.join_columns_extracted
+     << " column(s) extracted, " << stats.join_rows_scanned
+     << " row(s) scanned, " << stats.join_transposes << " transpose(s)\n";
   os << "cache stats:\n";
   os << "  tp cache: " << stats.tp_cache_hits << " hit(s), "
      << stats.tp_cache_misses << " miss(es), " << stats.tp_cache_held_triples

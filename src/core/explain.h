@@ -29,10 +29,11 @@ std::string ExplainQuery(const Engine& engine, const ParsedQuery& query);
 /// Convenience overload: parses `sparql` first.
 std::string ExplainQuery(const Engine& engine, const std::string& sparql);
 
-/// Post-execution companion to ExplainQuery: renders the caching behavior a
-/// query actually exhibited — TpCache hits/misses and held triples, and the
-/// version-stamped fold-memo hits/misses — from its QueryStats. Appended by
-/// tools (e.g. the SPARQL shell's timing mode) after running the query.
+/// Post-execution companion to ExplainQuery: renders what a query actually
+/// did from its QueryStats — its termination, per-phase times, the join's
+/// column-access counters, TpCache hits/misses and held triples, and the
+/// version-stamped fold-memo hits/misses. Appended by tools (e.g. the
+/// SPARQL shell's timing mode) after running the query.
 std::string ExplainCacheStats(const QueryStats& stats);
 
 }  // namespace lbr

@@ -28,10 +28,6 @@ inline bool KindsCompatible(DomainKind a, DomainKind b) {
 /// same candidates in the same order.
 constexpr uint64_t kBufferedThreshold = 64;
 
-/// Distinct columns of one TP extracted lazily before the transpose cache
-/// falls forward to a full BitMat::Transposed() materialization.
-constexpr size_t kLazyTransposeThreshold = 64;
-
 /// Position count at which FilterPositions switches from per-position
 /// Test probes against a transposed column to extracting the column once
 /// (lazy transpose cache) and merging it through the candidate list.
@@ -132,6 +128,7 @@ const CompressedRow& MultiwayJoin::TransposedColumn(int tp_id, uint32_t col) {
     tc.version = bm.version();
     tc.full = false;
     tc.full_mat = BitMat();
+    tc.rows_scanned = 0;
     tc.cols.clear();
   }
   if (tc.full) return tc.full_mat.Row(col);
@@ -145,15 +142,24 @@ const CompressedRow& MultiwayJoin::TransposedColumn(int tp_id, uint32_t col) {
     // no RecurseOn in between — the bound-column pathology can chain
     // thousands of these, so the build path needs its own check.
     if (ctx_ != nullptr) ctx_->CheckCancel();
-    if (tc.cols.size() >= kLazyTransposeThreshold) {
-      // Enough distinct columns visited that finishing the whole transpose
-      // beats further per-column row scans.
+    // The cost rule: extract this one column while every scan so far plus
+    // this one stays within what one transpose costs (a pass over the set
+    // bits plus the column words), else transpose. Lazy extraction thus
+    // never spends more than about one transpose before falling forward,
+    // and a TP with few populated rows (each scan a handful of probes)
+    // stays lazy however many of its columns are visited.
+    const uint64_t scan = bm.NonEmptyRowCount();
+    const uint64_t transpose_cost = bm.Count() + bm.num_cols() / 64;
+    if (tc.rows_scanned + scan > transpose_cost) {
       tc.full_mat = bm.Transposed();
       tc.full = true;
-      // Memory accounting point: a full transpose holds roughly the source
-      // matrix's payload again (set-bit-proportional compressed rows).
-      if (ctx_ != nullptr) ctx_->ChargeMemory(bm.Count() / 4 + 256);
-      ++transpose_full_builds_;
+      // Memory accounting point: the transpose's arrays and row objects
+      // plus the payload arena its rows view.
+      if (ctx_ != nullptr) {
+        ctx_->ChargeMemory(tc.full_mat.HeapBytes() +
+                           tc.full_mat.PayloadBytes());
+      }
+      ++transposes_;
       tc.cols.clear();
       tc.cols.shrink_to_fit();
       return tc.full_mat.Row(col);
@@ -168,7 +174,9 @@ const CompressedRow& MultiwayJoin::TransposedColumn(int tp_id, uint32_t col) {
       ctx_->ChargeMemory(pos->size() * sizeof(uint32_t) + 64);
     }
     it = tc.cols.insert(it, {col, std::move(handle)});
-    ++transpose_cols_built_;
+    tc.rows_scanned += scan;
+    rows_scanned_ += scan;
+    ++columns_extracted_;
   }
   // The returned reference aims at the shared pointee, which inserts into
   // (and moves within) tc.cols never relocate.

@@ -77,10 +77,12 @@ class MultiwayJoin {
   /// used as the best-match grouping key.
   std::vector<int> MasterColumns() const;
 
-  /// Transposed rows served from the lazy per-column cache vs full
-  /// materializations (telemetry for tests/benches; cumulative over Runs).
-  uint64_t transpose_cols_built() const { return transpose_cols_built_; }
-  uint64_t transpose_full_builds() const { return transpose_full_builds_; }
+  /// Transpose-cache telemetry (cumulative over Runs): columns extracted
+  /// lazily, the populated rows those extractions scanned, and full
+  /// transposes built.
+  uint64_t columns_extracted() const { return columns_extracted_; }
+  uint64_t rows_scanned() const { return rows_scanned_; }
+  uint64_t transposes() const { return transposes_; }
 
   /// Enumeration telemetry (cumulative over Runs): candidates entering
   /// the constrained enumerations, and how many the static fold masks /
@@ -132,20 +134,22 @@ class MultiwayJoin {
   };
 
   /// Lazily built transpose of one TP's BitMat: only the columns the join
-  /// actually visits are extracted (as shared row handles); past
-  /// kLazyTransposeThreshold distinct columns the cache falls forward
-  /// to a full Transposed() matrix. Version-stamped like the fold memo —
-  /// a mutation of the source BitMat between Runs orphans the entry.
+  /// actually visits are extracted (as shared row handles), each by a scan
+  /// of the populated rows, while the rows scanned stay within the cost of
+  /// one full Transposed() (Count() + num_cols()/64); the miss that would
+  /// exceed it transposes instead. Version-stamped like the fold memo — a
+  /// mutation of the source BitMat between Runs orphans the entry.
   struct TransposeCache {
     bool valid = false;  ///< An entry exists (version is meaningful).
     uint64_t version = 0;
     bool full = false;
     BitMat full_mat;  // when `full`
-    /// Extracted columns, sorted by column index; at most
-    /// kLazyTransposeThreshold entries ever exist (then the cache falls
-    /// forward), so the structure stays O(visited columns), never
-    /// O(num_cols). A present entry with a null handle is an extracted
-    /// empty column.
+    /// Populated rows the lazy extractions of this entry have scanned.
+    uint64_t rows_scanned = 0;
+    /// Extracted columns, sorted by column index. Each costs a scan of at
+    /// least one row, so the cost rule caps them at the transpose cost:
+    /// O(visited columns), never O(num_cols). A present entry with a null
+    /// handle is an extracted empty column.
     std::vector<std::pair<uint32_t, BitMat::RowHandle>> cols;
   };
 
@@ -255,8 +259,9 @@ class MultiwayJoin {
   // dimensions, built lazily and version-stamped against their
   // contributors (the join never mutates BitMats mid-Run).
   std::vector<std::array<StaticMask, 2>> static_masks_;
-  uint64_t transpose_cols_built_ = 0;
-  uint64_t transpose_full_builds_ = 0;
+  uint64_t columns_extracted_ = 0;
+  uint64_t rows_scanned_ = 0;
+  uint64_t transposes_ = 0;
   uint64_t enum_candidates_ = 0;
   uint64_t enum_pruned_static_ = 0;
   uint64_t enum_pruned_bound_ = 0;

@@ -26,10 +26,9 @@ size_t CountRuns(const std::vector<uint32_t>& positions, bool* first_bit) {
   return runs;
 }
 
-void BuildRuns(const std::vector<uint32_t>& positions,
-               std::vector<uint32_t>* runs) {
-  runs->clear();
-  if (positions.empty()) return;
+// Appends the run lengths of `positions` (non-empty) to `*runs`.
+void AppendRuns(const std::vector<uint32_t>& positions,
+                std::vector<uint32_t>* runs) {
   if (positions[0] != 0) runs->push_back(positions[0]);  // leading 0-run
   uint32_t run_len = 1;
   for (size_t i = 1; i < positions.size(); ++i) {
@@ -42,6 +41,26 @@ void BuildRuns(const std::vector<uint32_t>& positions,
     }
   }
   runs->push_back(run_len);  // final 1-run; trailing zeros are implicit
+}
+
+// Appends the smaller encoding of non-empty sorted `positions` to
+// `*payload` (run lengths unless `allow_positions` and the positions are
+// strictly shorter); returns it and sets `*first_bit` (kRuns only). The
+// one place the hybrid choice is made.
+CompressedRow::Encoding AppendOptimal(const std::vector<uint32_t>& positions,
+                                      bool allow_positions,
+                                      std::vector<uint32_t>* payload,
+                                      bool* first_bit) {
+  size_t run_ints = CountRuns(positions, first_bit);
+  if (allow_positions && positions.size() < run_ints) {
+    *first_bit = false;
+    payload->insert(payload->end(), positions.begin(), positions.end());
+    return CompressedRow::Encoding::kPositions;
+  }
+  // AppendRuns never emits a leading 0-run of length 0; first_bit tells
+  // the decoder whether the first run is a 1-run or a 0-run.
+  AppendRuns(positions, payload);
+  return CompressedRow::Encoding::kRuns;
 }
 
 }  // namespace
@@ -67,19 +86,9 @@ void CompressedRow::EncodeOptimalInto(const std::vector<uint32_t>& positions,
     return;
   }
   row->count_ = static_cast<uint32_t>(positions.size());
-  bool first_bit = false;
-  size_t run_ints = CountRuns(positions, &first_bit);
-  if (allow_positions && positions.size() < run_ints) {
-    row->encoding_ = Encoding::kPositions;
-    row->first_bit_ = false;
-    row->payload_.assign(positions.begin(), positions.end());
-  } else {
-    row->encoding_ = Encoding::kRuns;
-    row->first_bit_ = first_bit;
-    BuildRuns(positions, &row->payload_);
-    // BuildRuns never emits a leading 0-run of length 0; first_bit_ tells the
-    // decoder whether payload_[0] is a 1-run or a 0-run.
-  }
+  row->payload_.clear();
+  row->encoding_ = AppendOptimal(positions, allow_positions, &row->payload_,
+                                 &row->first_bit_);
 }
 
 CompressedRow CompressedRow::FromBitvector(const Bitvector& bits) {
@@ -96,6 +105,20 @@ CompressedRow CompressedRow::RleOnlyFromPositions(
     const std::vector<uint32_t>& positions) {
   assert(std::is_sorted(positions.begin(), positions.end()));
   return EncodeOptimal(positions, /*allow_positions=*/false);
+}
+
+CompressedRow CompressedRow::AppendEncoded(
+    const std::vector<uint32_t>& positions, std::vector<uint32_t>* payload) {
+  assert(!positions.empty());
+  assert(std::is_sorted(positions.begin(), positions.end()));
+  assert(payload->capacity() - payload->size() >= positions.size());
+  const size_t offset = payload->size();
+  bool first_bit = false;
+  const Encoding encoding =
+      AppendOptimal(positions, /*allow_positions=*/true, payload, &first_bit);
+  return View(encoding, first_bit, static_cast<uint32_t>(positions.size()),
+              payload->data() + offset,
+              static_cast<uint32_t>(payload->size() - offset));
 }
 
 CompressedRow CompressedRow::View(Encoding encoding, bool first_bit,

@@ -49,6 +49,15 @@ class CompressedRow {
   static CompressedRow View(Encoding encoding, bool first_bit, uint32_t count,
                             const uint32_t* payload, uint32_t payload_words);
 
+  /// Bulk-build step for rows that share one payload allocation
+  /// (BitMat::Transposed's arena): appends the encoding FromPositions would
+  /// pick for sorted, non-empty `positions` to `*payload` and returns a view
+  /// of the appended words. `payload` must have spare capacity for
+  /// positions.size() words (no encoding is longer), so the append never
+  /// reallocates and views of earlier rows stay valid.
+  static CompressedRow AppendEncoded(const std::vector<uint32_t>& positions,
+                                     std::vector<uint32_t>* payload);
+
   /// True when the payload is borrowed (see View()).
   bool is_view() const { return ext_data_ != nullptr; }
 

@@ -221,5 +221,105 @@ TEST(BitMatCowTest, MemoizedFoldMatchesRecomputedFoldAfterRoundTrips) {
   }
 }
 
+// A transpose's rows view one payload arena that their handles share: it
+// outlives the source, copies share it, and a mutation re-encodes only the
+// rows it changes into owned storage.
+BitMat ArenaSource() {
+  // 12x9: column 7 is set in every row (one run once transposed); rows 0,
+  // 3, 6 and 9 add one low column each and row 5 adds column 8
+  // (positions once transposed).
+  BitMat bm(12, 9);
+  for (uint32_t r = 0; r < 12; ++r) {
+    std::vector<uint32_t> cols;
+    if (r % 3 == 0) cols.push_back(r % 7);
+    cols.push_back(7);
+    if (r == 5) cols.push_back(8);
+    bm.SetRow(r, cols);
+  }
+  return bm;
+}
+
+BitMat ExpectedArenaTranspose() {
+  BitMat t(9, 12);
+  t.SetRow(0, {0});
+  t.SetRow(2, {9});
+  t.SetRow(3, {3});
+  t.SetRow(6, {6});
+  t.SetRow(7, {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11});
+  t.SetRow(8, {5});
+  return t;
+}
+
+TEST(BitMatCowTest, TransposeOutlivesItsSource) {
+  BitMat t;
+  {
+    BitMat source = ArenaSource();
+    t = source.Transposed();
+  }
+  EXPECT_EQ(t, ExpectedArenaTranspose());
+  EXPECT_EQ(t.Row(7).encoding(), CompressedRow::Encoding::kRuns);
+  EXPECT_EQ(t.Row(3).encoding(), CompressedRow::Encoding::kPositions);
+  EXPECT_TRUE(t.Row(7).is_view());
+  EXPECT_TRUE(t.Row(3).is_view());
+  // The arena holds exactly the encoded payload: one run word for row 7,
+  // one position each for the other five rows.
+  EXPECT_EQ(t.PayloadBytes(), 6 * sizeof(uint32_t));
+}
+
+TEST(BitMatCowTest, TransposeCopiesShareOneArena) {
+  BitMat t = ArenaSource().Transposed();
+  BitMat copy = t;
+  const BitMat::RowHandle first = t.SharedRow(0);
+  t.ForEachRow([&](uint32_t r, const BitMat::RowHandle& h) {
+    EXPECT_TRUE(h->is_view()) << r;
+    EXPECT_EQ(copy.SharedRow(r).get(), h.get()) << r;
+    // Every row is owned by the same control block: the arena.
+    EXPECT_FALSE(h.owner_before(first) || first.owner_before(h)) << r;
+  });
+  // Six rows, each referenced from `t` and `copy`, plus `first`.
+  EXPECT_EQ(first.use_count(), 2 * 6 + 1);
+}
+
+TEST(BitMatCowTest, TransposedRowMutationsOwnOnlyThatRow) {
+  BitMat t = ArenaSource().Transposed();
+  Bitvector mask(12);
+  mask.Fill();
+  mask.Set(11, false);  // only transposed row 7 holds column 11
+
+  BitMat unfolded = t;
+  unfolded.Unfold(mask, Dim::kCol);
+  EXPECT_FALSE(unfolded.Row(7).is_view());
+  EXPECT_EQ(unfolded.Row(7).Count(), 11u);
+  EXPECT_FALSE(unfolded.Row(7).Test(11));
+  for (uint32_t r : {0u, 2u, 3u, 6u, 8u}) {
+    EXPECT_EQ(unfolded.SharedRow(r).get(), t.SharedRow(r).get()) << r;
+    EXPECT_TRUE(unfolded.Row(r).is_view()) << r;
+  }
+  // The source transpose is untouched.
+  EXPECT_EQ(t, ExpectedArenaTranspose());
+  EXPECT_TRUE(t.Row(7).is_view());
+
+  // The same through a copied-out row: re-encoding owns it; the arena row
+  // it was copied from keeps its bits and stays a view.
+  CompressedRow row = t.Row(7);
+  ASSERT_TRUE(row.is_view());
+  row.AndWithInPlace(mask);
+  EXPECT_FALSE(row.is_view());
+  EXPECT_EQ(row.Count(), 11u);
+  EXPECT_EQ(t.Row(7).Count(), 12u);
+  EXPECT_TRUE(t.Row(7).is_view());
+}
+
+TEST(BitMatCowTest, DeepCopyOfTransposeOutlivesIt) {
+  BitMat deep;
+  {
+    BitMat t = ArenaSource().Transposed();
+    deep = t.DeepCopy();
+    EXPECT_NE(deep.SharedRow(7).get(), t.SharedRow(7).get());
+  }
+  // The copied views still read the arena: each holds its source handle.
+  EXPECT_EQ(deep, ExpectedArenaTranspose());
+}
+
 }  // namespace
 }  // namespace lbr

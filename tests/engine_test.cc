@@ -7,6 +7,8 @@
 #include "bitmat/triple_index.h"
 #include "sparql/parser.h"
 #include "test_util.h"
+#include "workload/lubm_gen.h"
+#include "workload/query_sets.h"
 
 namespace lbr {
 namespace {
@@ -202,7 +204,35 @@ TEST(EngineTest, StatsTimingsArePopulated) {
   EXPECT_GE(stats.t_init_sec, 0.0);
   EXPECT_GE(stats.t_prune_sec, 0.0);
   EXPECT_GE(stats.t_total_sec, stats.t_init_sec + stats.t_prune_sec);
+  EXPECT_GT(stats.t_join_sec, 0.0);
+  EXPECT_GE(stats.t_best_match_sec, 0.0);
+  EXPECT_GE(stats.t_project_sec, 0.0);
+  EXPECT_GE(stats.t_total_sec,
+            stats.t_plan_sec + stats.t_init_sec + stats.t_prune_sec +
+                stats.t_join_sec + stats.t_best_match_sec +
+                stats.t_project_sec);
   EXPECT_EQ(stats.num_supernodes, 2);
+}
+
+TEST(EngineTest, StatsCountTheJoinsColumnAccess) {
+  // LUBM Q1 looks a TP up by column: over one university the join extracts
+  // a column lazily, then the cost rule transposes. The counters are per
+  // query: an identical rerun reports the same figures, not a running sum.
+  LubmConfig config;
+  config.num_universities = 1;
+  Graph graph = Graph::FromTriples(GenerateLubm(config));
+  TripleIndex index = TripleIndex::Build(graph);
+  Engine engine(&index, &graph.dict());
+  const std::string q1 = LubmQueries().front().sparql;
+  QueryStats first, second;
+  engine.ExecuteToTable(q1, &first);
+  engine.ExecuteToTable(q1, &second);
+  EXPECT_EQ(first.join_columns_extracted, 1u);
+  EXPECT_GT(first.join_rows_scanned, 0u);
+  EXPECT_EQ(first.join_transposes, 1u);
+  EXPECT_EQ(second.join_columns_extracted, first.join_columns_extracted);
+  EXPECT_EQ(second.join_rows_scanned, first.join_rows_scanned);
+  EXPECT_EQ(second.join_transposes, first.join_transposes);
 }
 
 TEST(EngineTest, DisabledPruningStillCorrect) {

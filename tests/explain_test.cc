@@ -115,5 +115,28 @@ TEST_F(ExplainTest, CacheStatsRendered) {
   EXPECT_NE(out.find("fold cache: 7 hit(s), 2 miss(es)"), std::string::npos);
 }
 
+TEST_F(ExplainTest, PhaseTimersAndJoinCountersRendered) {
+  QueryStats stats;
+  stats.t_plan_sec = 0.001;
+  stats.t_init_sec = 0.002;
+  stats.t_prune_sec = 0.003;
+  stats.t_join_sec = 0.004;
+  stats.t_best_match_sec = 0.005;
+  stats.t_project_sec = 0.006;
+  stats.t_total_sec = 0.025;
+  stats.join_columns_extracted = 4;
+  stats.join_rows_scanned = 636;
+  stats.join_transposes = 2;
+  std::string out = ExplainCacheStats(stats);
+  EXPECT_NE(out.find("phases: plan 1 ms, init 2 ms, prune 3 ms, join 4 ms, "
+                     "best-match 5 ms, project 6 ms of 25 ms"),
+            std::string::npos)
+      << out;
+  EXPECT_NE(out.find("join: 4 column(s) extracted, 636 row(s) scanned, "
+                     "2 transpose(s)"),
+            std::string::npos)
+      << out;
+}
+
 }  // namespace
 }  // namespace lbr

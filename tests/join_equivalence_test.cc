@@ -6,8 +6,8 @@
 // row multiset with pruning on and off — the unpruned run feeds the join
 // the large candidate sets the intersection filters hardest. Shapes
 // covered: cyclic master triangles (multi-constraint jvars), multi-jvar
-// slaves (nullification + best-match), FaN-filtered queries, the lazy
-// transpose cache's fall-forward boundary, and a random well-designed
+// slaves (nullification + best-match), FaN-filtered queries, both sides
+// of the lazy transpose cache's cost rule, and a random well-designed
 // sweep.
 
 #include <gtest/gtest.h>
@@ -44,11 +44,16 @@ using Emission = std::pair<RawRow, bool>;
 
 // Runs the pipeline up to the multiway join and returns the ordered
 // emission stream (no dedup, no best-match): the strictest equivalence
-// level, pinning enumeration order itself. `full_transposes`, when given,
-// receives the join's count of full transpose materializations.
+// level, pinning enumeration order itself. `access`, when given, receives
+// the join's column-access counters.
+struct ColumnAccess {
+  uint64_t columns_extracted = 0;
+  uint64_t rows_scanned = 0;
+  uint64_t transposes = 0;
+};
 std::vector<Emission> RunJoin(const Graph& graph, const std::string& group,
                               bool prune, bool nullification, bool use_filters,
-                              uint64_t* full_transposes = nullptr) {
+                              ColumnAccess* access = nullptr) {
   TripleIndex index = TripleIndex::Build(graph);
   Gosn gosn = Gosn::Build(*Parser::ParseGroup(group, {}));
   Goj goj = Goj::Build(gosn.tps());
@@ -80,8 +85,9 @@ std::vector<Emission> RunJoin(const Graph& graph, const std::string& group,
   join.Run(
       [&out](const RawRow& row, bool nulled) { out.emplace_back(row, nulled); },
       &ctx);
-  if (full_transposes != nullptr) {
-    *full_transposes = join.transpose_full_builds();
+  if (access != nullptr) {
+    *access = {join.columns_extracted(), join.rows_scanned(),
+               join.transposes()};
   }
   return out;
 }
@@ -200,29 +206,41 @@ TEST(JoinEquivalenceTest, SitcomPaperExample) {
                              /*nullification=*/true, /*use_filters=*/false);
 }
 
-TEST(JoinEquivalenceTest, LazyTransposeFallForwardRowsExact) {
-  // Seventy ?y columns are looked up through the lazy transpose cache of
-  // ?w <q> ?y: the first 64 are extracted one by one, the rest are served
-  // by the full transpose the cache falls forward to. Every one of the 70
-  // expected rows must come out exactly once, on both sides of the switch.
+// Joins ?s <p> ?y with ?w <q> ?y over `num_w` subjects w<j> holding
+// `per_w` objects each, where a <p> y<i> for the first `visits` y's, and
+// checks that every expected row comes out exactly once, with pruning on
+// and off, and the column access each run pins.
+void ExpectColumnLookupRowsExact(int num_w, int per_w, int visits,
+                                 const ColumnAccess& pruned,
+                                 const ColumnAccess& unpruned) {
   std::vector<std::vector<std::string>> triples;
   std::vector<std::string> expected;
-  for (int i = 0; i < 70; ++i) {
-    std::string n = std::to_string(i);
-    triples.push_back({"a", "p", "y" + n});
-    triples.push_back({"w" + n, "q", "y" + n});
-    expected.push_back("a w" + n + " y" + n);  // columns ?s ?w ?y
+  for (int j = 0; j < num_w; ++j) {
+    for (int m = 0; m < per_w; ++m) {
+      triples.push_back({"w" + std::to_string(j), "q",
+                         "y" + std::to_string(j * per_w + m)});
+    }
+  }
+  for (int i = 0; i < visits; ++i) {
+    std::string y = "y" + std::to_string(i);
+    triples.push_back({"a", "p", y});
+    expected.push_back("a w" + std::to_string(i / per_w) + " " +
+                       y);  // columns ?s ?w ?y
   }
   std::sort(expected.begin(), expected.end());
   Graph g = MakeGraph(triples);
   GlobalIds ids = GlobalIds::FromDictionary(g.dict());
   const std::string group = "{ ?s <p> ?y . ?w <q> ?y . }";
   for (bool prune : {true, false}) {
-    uint64_t full_transposes = 0;
+    const ColumnAccess& pinned = prune ? pruned : unpruned;
+    ColumnAccess access;
     std::vector<Emission> emitted =
         RunJoin(g, group, prune, /*nullification=*/false,
-                /*use_filters=*/false, &full_transposes);
-    EXPECT_EQ(full_transposes, 1u) << "prune=" << prune;
+                /*use_filters=*/false, &access);
+    EXPECT_EQ(access.columns_extracted, pinned.columns_extracted)
+        << "prune=" << prune;
+    EXPECT_EQ(access.rows_scanned, pinned.rows_scanned) << "prune=" << prune;
+    EXPECT_EQ(access.transposes, pinned.transposes) << "prune=" << prune;
     std::vector<std::string> got;
     for (const auto& [row, nulled] : emitted) {
       EXPECT_FALSE(nulled);
@@ -236,6 +254,29 @@ TEST(JoinEquivalenceTest, LazyTransposeFallForwardRowsExact) {
     std::sort(got.begin(), got.end());
     EXPECT_EQ(got, expected) << "prune=" << prune;
   }
+}
+
+TEST(JoinEquivalenceTest, LazyTransposeFallForwardRowsExact) {
+  // Seventy ?y columns are looked up through the lazy transpose cache of
+  // ?w <q> ?y, one row each: a column scan probes all 70 rows, one
+  // transpose costs 70 triples plus one column word, so the first column
+  // is extracted lazily and the second miss transposes, which serves the
+  // rest. Every one of the 70 expected rows must come out exactly once, on
+  // both sides of the switch. Pruning keeps every triple here.
+  const ColumnAccess pinned = {/*columns_extracted=*/1, /*rows_scanned=*/70,
+                               /*transposes=*/1};
+  ExpectColumnLookupRowsExact(/*num_w=*/70, /*per_w=*/1, /*visits=*/70,
+                              pinned, pinned);
+}
+
+TEST(JoinEquivalenceTest, FewPopulatedRowsStayLazyRowsExact) {
+  // Three rows of a hundred triples: 90 lookups scan 3 rows each, 270 in
+  // all, within one transpose (300) — every column stays lazy. Pruning
+  // keeps only row w0 (it holds every visited ?y) and its 90 visited
+  // triples: 90 one-row scans, exactly the transpose cost, still lazy.
+  ExpectColumnLookupRowsExact(/*num_w=*/3, /*per_w=*/100, /*visits=*/90,
+                              /*pruned=*/{90, 90, 0},
+                              /*unpruned=*/{90, 270, 0});
 }
 
 TEST(JoinEquivalenceTest, PredicateObjectMixedVarDoesNotDiverge) {

@@ -9,6 +9,7 @@
 #include "core/prune.h"
 #include "core/selectivity.h"
 #include "sparql/parser.h"
+#include "util/query_control.h"
 #include "test_util.h"
 
 namespace lbr {
@@ -202,8 +203,11 @@ TEST(MultiwayJoinTest, TransposeCacheInvalidatedOnSourceMutation) {
   GlobalIds ids = GlobalIds::FromDictionary(f.graph.dict());
   MultiwayJoin join(f.gosn, ids, f.graph.dict(), &f.states, stps, {});
   EXPECT_EQ(join.Run([](const RawRow&, bool) {}), 2u);
-  EXPECT_GT(join.transpose_cols_built(), 0u);
-  EXPECT_EQ(join.transpose_full_builds(), 0u);
+  // One column, one scan of the TP's three rows: within its transpose
+  // cost (three triples), so the column is extracted lazily.
+  EXPECT_EQ(join.columns_extracted(), 1u);
+  EXPECT_EQ(join.rows_scanned(), 3u);
+  EXPECT_EQ(join.transposes(), 0u);
 
   // Unfold away row c of the ?w <q> ?y TP; the rerun must see it.
   TpBitMat& q = f.states[1].mat;
@@ -215,26 +219,107 @@ TEST(MultiwayJoinTest, TransposeCacheInvalidatedOnSourceMutation) {
   keep.Set(*c, false);
   q.bm.Unfold(keep, Dim::kRow);
   EXPECT_EQ(join.Run([](const RawRow&, bool) {}), 1u);
+  // The orphaned entry starts afresh: column b is scanned again, over the
+  // two remaining rows.
+  EXPECT_EQ(join.columns_extracted(), 2u);
+  EXPECT_EQ(join.rows_scanned(), 5u);
+  EXPECT_EQ(join.transposes(), 0u);
 }
 
-TEST(MultiwayJoinTest, LazyTransposeFallsForwardPastThreshold) {
-  // Seventy distinct ?y bindings force seventy transposed-column visits on
-  // the ?w <q> ?y TP: the cache extracts 64 columns lazily (its fixed
-  // threshold) and then falls forward to one full materialization, which
-  // serves the remaining visits.
+TEST(MultiwayJoinTest, FullTransposeInvalidatedOnSourceMutation) {
+  // As above, but past the cost rule: seventy ?y columns of ?w <q> ?y are
+  // visited, so the first Run ends on a full transpose. Row v adds a
+  // second bit to column y0; dropping it keeps y0 in the fold, so only
+  // the version check can retire the stale transposed column.
   std::vector<std::vector<std::string>> triples;
   for (int i = 0; i < 70; ++i) {
     std::string y = "y" + std::to_string(i);
     triples.push_back({"a", "p", y});
     triples.push_back({"w" + std::to_string(i), "q", y});
   }
+  triples.push_back({"v", "q", "y0"});
   JoinFixture f(testing::MakeGraph(triples), "{ ?s <p> ?y . ?w <q> ?y . }");
   std::vector<int> stps = {0, 1};
   GlobalIds ids = GlobalIds::FromDictionary(f.graph.dict());
   MultiwayJoin join(f.gosn, ids, f.graph.dict(), &f.states, stps, {});
+  EXPECT_EQ(join.Run([](const RawRow&, bool) {}), 71u);
+  // 71 rows and 71 triples: one scan fits the transpose cost, the second
+  // would not.
+  EXPECT_EQ(join.columns_extracted(), 1u);
+  EXPECT_EQ(join.transposes(), 1u);
+
+  TpBitMat& q = f.states[1].mat;
+  ASSERT_EQ(q.row_var, "w");
+  std::optional<uint32_t> v = ids.ToLocal(
+      q.row_kind, *f.graph.dict().SubjectId(Term::Iri("v")));
+  ASSERT_TRUE(v.has_value());
+  Bitvector keep(q.bm.num_rows(), /*value=*/true);
+  keep.Set(*v, false);
+  q.bm.Unfold(keep, Dim::kRow);
   EXPECT_EQ(join.Run([](const RawRow&, bool) {}), 70u);
-  EXPECT_EQ(join.transpose_cols_built(), 64u);
-  EXPECT_EQ(join.transpose_full_builds(), 1u);
+  EXPECT_EQ(join.columns_extracted(), 2u);
+  EXPECT_EQ(join.transposes(), 2u);
+}
+
+// `num_w` subjects w<j>, each with `per_w` objects of its own
+// (w<j> <q> y<j*per_w + m>), and a <p> y<i> for the first `visits` y's: a
+// query joining the two visits `visits` distinct columns of ?w <q> ?y.
+Graph SpreadGraph(int num_w, int per_w, int visits) {
+  std::vector<std::vector<std::string>> triples;
+  for (int j = 0; j < num_w; ++j) {
+    for (int m = 0; m < per_w; ++m) {
+      triples.push_back({"w" + std::to_string(j), "q",
+                         "y" + std::to_string(j * per_w + m)});
+    }
+  }
+  for (int i = 0; i < visits; ++i) {
+    triples.push_back({"a", "p", "y" + std::to_string(i)});
+  }
+  return testing::MakeGraph(triples);
+}
+
+TEST(MultiwayJoinTest, LazyTransposeFallsForwardPastThreshold) {
+  // Ten rows of five triples each: a column scan probes 10 rows, and one
+  // transpose costs 50 (the triples; 50 columns add no whole column word),
+  // so five columns are extracted lazily and the sixth miss transposes.
+  // Both sides of that boundary: five visits stay lazy, six transpose.
+  for (int visits : {5, 6}) {
+    SCOPED_TRACE(visits);
+    JoinFixture f(SpreadGraph(10, 5, visits), "{ ?s <p> ?y . ?w <q> ?y . }");
+    const BitMat& q = f.states[1].mat.bm;
+    ASSERT_EQ(q.NonEmptyRowCount(), 10u);
+    ASSERT_EQ(q.Count() + q.num_cols() / 64, 50u);
+    std::vector<int> stps = {0, 1};
+    GlobalIds ids = GlobalIds::FromDictionary(f.graph.dict());
+    MultiwayJoin join(f.gosn, ids, f.graph.dict(), &f.states, stps, {});
+    EXPECT_EQ(join.Run([](const RawRow&, bool) {}),
+              static_cast<uint64_t>(visits));
+    EXPECT_EQ(join.columns_extracted(), 5u);
+    EXPECT_EQ(join.rows_scanned(), 50u);
+    EXPECT_EQ(join.transposes(), visits == 5 ? 0u : 1u);
+  }
+}
+
+TEST(MultiwayJoinTest, FullTransposeChargesItsMemory) {
+  // Two columns of a 2000-row TP are visited: the second miss transposes.
+  // The query's memory charge must cover what the transpose holds — its
+  // arrays, row objects and payload arena — not a fraction of it.
+  JoinFixture f(SpreadGraph(2000, 1, 2), "{ ?s <p> ?y . ?w <q> ?y . }");
+  const BitMat expected = f.states[1].mat.bm.Transposed();
+  const uint64_t held = expected.HeapBytes() + expected.PayloadBytes();
+  std::vector<int> stps = {0, 1};
+  GlobalIds ids = GlobalIds::FromDictionary(f.graph.dict());
+  MultiwayJoin join(f.gosn, ids, f.graph.dict(), &f.states, stps, {});
+  QueryControl control;
+  ExecContext ctx;
+  ctx.SetQueryControl(&control);
+  EXPECT_EQ(join.Run([](const RawRow&, bool) {}, &ctx), 2u);
+  ASSERT_EQ(join.transposes(), 1u);
+  ASSERT_EQ(join.columns_extracted(), 1u);
+  // The one lazy column (a single row position) plus the transpose.
+  EXPECT_EQ(control.memory_used(), sizeof(uint32_t) + 64 + held);
+  EXPECT_GT(held, 2000u * sizeof(uint32_t));
+  ctx.SetQueryControl(nullptr);
 }
 
 TEST(MultiwayJoinTest, ColumnConstrainedLookupUsesTranspose) {
