@@ -1,5 +1,6 @@
 #include "bitmat/bitmat.h"
 
+#include <algorithm>
 #include <cassert>
 #include <utility>
 
@@ -32,7 +33,10 @@ void BitMat::SetRowShared(uint32_t r, RowHandle row) {
   assert(r < num_rows_);
   if (row != nullptr && row->IsEmpty()) row = nullptr;
   if (ids_.empty() || r > ids_.back()) {
-    if (row != nullptr) Append(r, std::move(row));
+    if (row != nullptr) {
+      count_ += row->Count();
+      Append(r, std::move(row));
+    }
   } else {
     Splice(r, std::move(row));
     CheckInvariants();
@@ -47,7 +51,6 @@ void BitMat::Append(uint32_t r, RowHandle row) {
   if (rank_.size() <= w) {
     rank_.resize(w + 1, static_cast<uint32_t>(ids_.size()));
   }
-  count_ += row->Count();
   ids_.push_back(r);
   handles_.push_back(std::move(row));
   non_empty_rows_.Set(r);
@@ -227,18 +230,95 @@ void BitMat::Unfold(const Bitvector& mask, Dim retain, ExecContext* ctx) {
   CheckInvariants();
 }
 
-namespace {
+BitMat::Builder::Builder(uint32_t num_rows, uint32_t num_cols)
+    : bm_(num_rows, num_cols) {}
 
-/// The one allocation behind a transpose's rows: every column's payload
-/// back to back, and the row objects viewing it. The transpose's handles
-/// alias into `rows` and share ownership of the whole arena, so it lives
-/// exactly as long as some copy of some transposed row.
-struct TransposeArena {
-  std::vector<uint32_t> words;
-  std::vector<CompressedRow> rows;
-};
+void BitMat::Builder::Reserve(size_t rows, size_t payload_words) {
+  bm_.ids_.reserve(rows);
+  bm_.handles_.reserve(rows);
+  rows_hint_ = rows;
+  if (payload_words > 0) next_block_words_ = payload_words;
+}
 
-}  // namespace
+BitMat::Builder::Arena& BitMat::Builder::GetArena() {
+  if (arena_ == nullptr) {
+    arena_ = std::make_shared<Arena>();
+    arena_->rows.reserve(rows_hint_);
+  }
+  return *arena_;
+}
+
+std::vector<uint32_t>* BitMat::Builder::BlockWithRoom(size_t words) {
+  std::vector<std::vector<uint32_t>>& blocks = GetArena().blocks;
+  if (blocks.empty() ||
+      blocks.back().capacity() - blocks.back().size() < words) {
+    const size_t size = std::max(words, next_block_words_);
+    blocks.emplace_back();
+    blocks.back().reserve(size);
+    next_block_words_ = 2 * size;
+  }
+  return &blocks.back();
+}
+
+void BitMat::Builder::Place(uint32_t r, CompressedRow row) {
+  Arena& arena = GetArena();
+  bm_.count_ += row.Count();
+  arena.rows.push_back(std::move(row));
+  bm_.Append(r, nullptr);  // Finish points the slot at the arena row
+}
+
+void BitMat::Builder::Add(uint32_t r, const CompressedRow& row) {
+  if (row.IsEmpty()) return;
+  if (row.is_view()) {
+    Place(r, row);
+    return;
+  }
+  std::vector<uint32_t>* block = BlockWithRoom(row.psize());
+  const uint32_t* words = block->data() + block->size();
+  block->insert(block->end(), row.pdata(), row.pdata() + row.psize());
+  bm_.arena_bytes_ += row.PayloadBytes();
+  Place(r, CompressedRow::View(row.encoding(), row.first_bit(), row.Count(),
+                               words, static_cast<uint32_t>(row.psize())));
+}
+
+void BitMat::Builder::AddPositions(uint32_t r,
+                                   const std::vector<uint32_t>& positions) {
+  if (positions.empty()) return;
+  CompressedRow row = CompressedRow::AppendEncoded(
+      positions, BlockWithRoom(positions.size()));
+  bm_.arena_bytes_ += row.PayloadBytes();
+  Place(r, std::move(row));
+}
+
+void BitMat::Builder::AddMasked(uint32_t r, const CompressedRow& row,
+                                const Bitvector& mask,
+                                std::vector<uint32_t>* scratch) {
+  if (row.IsSubsetOf(mask)) {  // no bit dropped: keep the row as is
+    Add(r, row);
+    return;
+  }
+  scratch->clear();
+  row.AppendMaskedPositions(mask, scratch);
+  AddPositions(r, *scratch);
+}
+
+void BitMat::Builder::AddShared(uint32_t r, RowHandle row) {
+  bm_.count_ += row->Count();
+  bm_.Append(r, std::move(row));
+}
+
+BitMat BitMat::Builder::Finish() {
+  if (arena_ != nullptr) {
+    // The arena's rows are final now, so their addresses are stable.
+    size_t k = 0;
+    for (RowHandle& slot : bm_.handles_) {
+      if (slot == nullptr) slot = RowHandle(arena_, &arena_->rows[k++]);
+    }
+    assert(k == arena_->rows.size());
+  }
+  bm_.CheckInvariants();
+  return std::move(bm_);
+}
 
 BitMat BitMat::Transposed() const {
   // Sort the set bits once by (column, row); each column's rows then form
@@ -262,20 +342,14 @@ BitMat BitMat::Transposed() const {
   }
   sorted = std::vector<uint64_t>();
 
-  // Encode every column into one temporary payload (no encoding is longer
-  // than its positions, so count_ words never reallocate), then copy it
-  // into the arena at its exact size and point the rows there: O(1)
-  // allocations however many columns the transpose has.
+  // Every column's encoding fits in one payload block of count_ words (no
+  // encoding is longer than its positions).
   size_t num_cols_set = 0;
   for (size_t i = 0; i < bits.size(); ++i) {
     if (i == 0 || (bits[i] >> 32) != (bits[i - 1] >> 32)) ++num_cols_set;
   }
-  BitMat t(num_cols_, num_rows_);
-  t.ids_.reserve(num_cols_set);
-  auto arena = std::make_shared<TransposeArena>();
-  arena->rows.reserve(num_cols_set);
-  std::vector<uint32_t> payload;
-  payload.reserve(count_);
+  Builder t(num_cols_, num_rows_);
+  t.Reserve(num_cols_set, count_);
   std::vector<uint32_t> rows;
   for (size_t i = 0; i < bits.size();) {
     const uint32_t c = static_cast<uint32_t>(bits[i] >> 32);
@@ -283,22 +357,9 @@ BitMat BitMat::Transposed() const {
     for (; i < bits.size() && (bits[i] >> 32) == c; ++i) {
       rows.push_back(static_cast<uint32_t>(bits[i]));
     }
-    arena->rows.push_back(CompressedRow::AppendEncoded(rows, &payload));
-    t.ids_.push_back(c);
-    t.non_empty_rows_.Set(c);
+    t.AddPositions(c, rows);
   }
-  arena->words.assign(payload.begin(), payload.end());
-  t.handles_.reserve(arena->rows.size());
-  for (CompressedRow& row : arena->rows) {
-    row = CompressedRow::View(
-        row.encoding(), row.first_bit(), row.Count(),
-        arena->words.data() + (row.pdata() - payload.data()), row.psize());
-    t.handles_.emplace_back(arena, &row);
-  }
-  t.count_ = count_;
-  t.RebuildRank();
-  t.CheckInvariants();
-  return t;
+  return t.Finish();
 }
 
 void BitMat::AppendColumnPositions(uint32_t c,
@@ -317,7 +378,7 @@ BitMat BitMat::DeepCopy() const {
       continue;
     }
     // A view's copy borrows the same payload, so it also holds the source
-    // handle: a transpose's arena (or a snapshot slice) outlives the copy.
+    // handle: the arena it was built in outlives the copy.
     struct Borrowed {
       RowHandle owner;
       CompressedRow row;

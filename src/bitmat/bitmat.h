@@ -171,14 +171,9 @@ class BitMat {
 
   /// Returns the transpose (rows<->cols). Used when the multi-way join needs
   /// column-keyed access to a TP whose BitMat is row-oriented. Sorts the
-  /// set bits once by (column, row) and encodes every column into one
-  /// shared payload arena, so the cost follows Count(), not num_cols(), and
-  /// the allocations are O(1), not one per column. The rows are views of
-  /// the arena (PayloadBytes() counts it, HeapBytes() does not) and their
-  /// handles share its ownership: the transpose outlives this matrix,
-  /// copies share the arena, and a mutation (Unfold, or AndWithInPlace on a
-  /// copied-out row) re-encodes only the rows it changes into owned
-  /// storage.
+  /// set bits once by (column, row) and encodes every column into the
+  /// Builder's arena, so the cost follows Count(), not num_cols(), and the
+  /// allocations are O(1), not one per column.
   BitMat Transposed() const;
 
   /// Appends the (ascending) row indexes whose bit in column `c` is set —
@@ -191,7 +186,7 @@ class BitMat {
   /// A copy whose rows are freshly allocated instead of shared — the
   /// pre-CoW copying behavior. Kept for the ablation bench that quantifies
   /// what the CoW snapshot saves, and for callers that want to sever all
-  /// row aliasing. A view row (a snapshot slice's, a transpose's arena's)
+  /// row aliasing. A view row (a snapshot slice's, a Builder arena's)
   /// gets a fresh row object that still borrows the same payload and holds
   /// the source handle, so the borrowed storage outlives the copy.
   /// Severing aliasing does not change thread confinement: the copy is one
@@ -213,11 +208,19 @@ class BitMat {
 
   /// Approximate heap bytes this matrix holds: its id, handle and rank
   /// arrays, the non-empty-row words, and each row's owned payload (the
-  /// static UnitRow() and zero-copy views of a mapped snapshot own none).
-  /// Shared rows are counted once per referencing matrix.
+  /// static UnitRow() and views, of a mapped snapshot or of an arena, own
+  /// none). Shared rows are counted once per referencing matrix.
   size_t HeapBytes() const;
 
+  /// Payload bytes the Builder encoded into this matrix's arena (0 for a
+  /// matrix built row by row). Not part of HeapBytes(): the arena is
+  /// shared by every copy, and each copy reports the same figure.
+  size_t ArenaBytes() const { return arena_bytes_; }
+
   bool operator==(const BitMat& other) const;
+
+  /// Bulk construction in one shared arena (below).
+  class Builder;
 
   /// Debug-build consistency check, asserted after every mutating op:
   /// ids ascending and in range, one non-null non-empty handle per id, the
@@ -242,8 +245,10 @@ class BitMat {
     return &handles_[rank_[r >> 6] + __builtin_popcountll(word & (bit - 1))];
   }
 
-  /// Stores non-empty `row` as row `r` past the last non-empty row: O(1)
-  /// amortized (rank words are filled up to r's word).
+  /// Stores `row` as row `r` past the last non-empty row: O(1) amortized
+  /// (rank words are filled up to r's word). The caller adds the row's
+  /// bits to count_ (a Builder passes a null handle and fills it in
+  /// Finish).
   void Append(uint32_t r, RowHandle row);
   /// Out-of-order replace, insert or erase of row `r <= ids_.back()`:
   /// O(non-empty rows + rows/64).
@@ -267,6 +272,7 @@ class BitMat {
   uint32_t num_cols_ = 0;
   uint64_t count_ = 0;
   uint64_t version_ = 0;
+  size_t arena_bytes_ = 0;
   /// Ascending ids of the non-empty rows; handles_[i] is row ids_[i] and
   /// is never null.
   std::vector<uint32_t> ids_;
@@ -285,6 +291,67 @@ class BitMat {
     std::shared_ptr<const Bitvector> bits;
   };
   mutable FoldMemo col_fold_;
+};
+
+/// Bulk construction in one shared arena (DESIGN.md §4): rows are added
+/// in ascending order, the row objects live in one arena vector, and the
+/// payload of rows the Builder encodes (positions, or an owned row's
+/// copied words) lives in the arena's payload blocks, which never move.
+/// Every handle of the result aliases the arena and shares its
+/// ownership, so the matrix outlives whatever it was built from, copies
+/// share the arena, and a later mutation (Unfold, SetRow) re-encodes only
+/// the rows it changes into owned storage. A view row added as is (a
+/// mapped snapshot row) stays a view of the words it borrows. The cost is
+/// O(1) allocations per matrix plus one per payload block, not one per
+/// row. Used by the TP loader and Transposed().
+class BitMat::Builder {
+ public:
+  Builder(uint32_t num_rows, uint32_t num_cols);
+
+  /// Capacity hints: `rows` row objects, `payload_words` encoded words
+  /// (the first payload block's size).
+  void Reserve(size_t rows, size_t payload_words);
+
+  /// Appends `row` as row `r`. A view keeps borrowing its words (the
+  /// caller guarantees they outlive the matrix, as snapshot extents
+  /// do); an owned row's payload is copied into the arena. Empty rows
+  /// are skipped. `r` must exceed every row added before.
+  void Add(uint32_t r, const CompressedRow& row);
+  /// Appends row `r` with the set bits at sorted, duplicate-free
+  /// `positions`, encoded as FromPositions would into the arena.
+  void AddPositions(uint32_t r, const std::vector<uint32_t>& positions);
+  /// Appends `row` masked by `mask` (the active-pruning column mask):
+  /// the row as is (Add) when the mask drops no bit, its surviving bits
+  /// (AddPositions) when it drops some, nothing when none survive.
+  /// `scratch` keeps its capacity across calls.
+  void AddMasked(uint32_t r, const CompressedRow& row,
+                 const Bitvector& mask, std::vector<uint32_t>* scratch);
+  /// Appends a shared handle as row `r` without touching the arena
+  /// (UnitRow()).
+  void AddShared(uint32_t r, RowHandle row);
+
+  /// The built matrix; the Builder is spent afterwards.
+  BitMat Finish();
+
+ private:
+  struct Arena {
+    std::vector<CompressedRow> rows;
+    std::vector<std::vector<uint32_t>> blocks;
+  };
+  /// A payload block with room for `words` more words (a new one when
+  /// the current block is full, so earlier views never move).
+  std::vector<uint32_t>* BlockWithRoom(size_t words);
+  Arena& GetArena();
+  /// Appends `row` (non-empty; a view of words that outlive the
+  /// matrix) as row `r` in the arena.
+  void Place(uint32_t r, CompressedRow row);
+
+  BitMat bm_;
+  /// Created by the first arena row: a matrix of shared rows only (the
+  /// unit rows of a one-column TP) allocates none.
+  std::shared_ptr<Arena> arena_;
+  size_t rows_hint_ = 0;
+  size_t next_block_words_ = 64;
 };
 
 }  // namespace lbr

@@ -37,12 +37,12 @@ TpBitMat SnapshotFor(const TpBitMat& cached, const TriplePattern& tp) {
 }
 
 // Approximate heap bytes of a cached TpBitMat: the matrix's sparse row
-// arrays and non-empty-row words plus the owned payload of every row
-// (BitMat::HeapBytes). Rows that are zero-copy views into a mapped
-// snapshot own nothing and cost only their slot — exactly the marginal
-// heap the entry pins, which is what the shared meter tracks.
+// arrays, non-empty-row words and row objects (BitMat::HeapBytes) plus the
+// payload its arena holds (ArenaBytes). Rows that are zero-copy views into
+// a mapped snapshot own nothing and cost only their slot — exactly the
+// marginal heap the entry pins, which is what the shared meter tracks.
 uint64_t TpBitMatHeapBytes(const TpBitMat& t) {
-  return sizeof(TpBitMat) + t.bm.HeapBytes();
+  return sizeof(TpBitMat) + t.bm.HeapBytes() + t.bm.ArenaBytes();
 }
 
 }  // namespace

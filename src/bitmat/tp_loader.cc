@@ -1,53 +1,63 @@
 #include "bitmat/tp_loader.h"
 
+#include <algorithm>
+
 #include "util/fault_injection.h"
 
 namespace lbr {
 
 namespace {
 
-// Applies active-pruning masks while copying (id, row) pairs into `bm`.
-void FillRows(const std::vector<std::pair<uint32_t, CompressedRow>>& rows,
-              const ActiveMasks& masks, ExecContext* ctx, BitMat* bm) {
+// True when `mask` (an optional active-pruning mask) keeps coordinate `id`.
+bool Admits(const Bitvector* mask, uint32_t id) {
+  return mask == nullptr || (id < mask->size() && mask->Get(id));
+}
+
+// A bound on the rows a load keeps out of `candidates` source rows: a
+// selective row mask must not size the matrix's arrays by the whole slice.
+size_t RowBound(size_t candidates, const Bitvector* row_mask) {
+  return row_mask == nullptr ? candidates
+                             : std::min<size_t>(candidates, row_mask->Count());
+}
+
+// Builds the matrix of a slice's (id, row) pairs in one arena, applying the
+// active-pruning masks. A row the column mask leaves whole stays the
+// slice's row (a view of the mapped extent); only rows that lose bits are
+// re-encoded. `diagonal` restricts a same-variable TP (?x :p ?x) to its
+// diagonal: only IDs in the shared Vso range can denote the same term on
+// both dimensions.
+BitMat FillRows(const std::vector<std::pair<uint32_t, CompressedRow>>& rows,
+                const ActiveMasks& masks, bool diagonal, uint32_t num_common,
+                ExecContext* ctx, uint32_t num_rows, uint32_t num_cols) {
+  BitMat::Builder b(num_rows, num_cols);
+  b.Reserve(RowBound(rows.size(), masks.row_mask), 0);
   ScratchPositions scratch(ctx);
   for (const auto& [id, row] : rows) {
-    if (masks.row_mask != nullptr &&
-        (id >= masks.row_mask->size() || !masks.row_mask->Get(id))) {
-      continue;
-    }
-    if (masks.col_mask != nullptr) {
-      SetRowMasked(id, row, *masks.col_mask, scratch.get(), bm);
+    if (!Admits(masks.row_mask, id)) continue;
+    if (diagonal) {
+      if (id < num_common && row.Test(id) && Admits(masks.col_mask, id)) {
+        scratch->assign(1, id);
+        b.AddPositions(id, *scratch);
+      }
+    } else if (masks.col_mask != nullptr) {
+      b.AddMasked(id, row, *masks.col_mask, scratch.get());
     } else {
-      bm->SetRow(id, row);
+      b.Add(id, row);
     }
   }
+  return b.Finish();
 }
 
-// Sets the single-column rows of `bm` from the set bits of `row`, honoring
-// the row-domain mask. Every row is the shared unit row.
-void FillColumnVector(const CompressedRow& row, const ActiveMasks& masks,
-                      BitMat* bm) {
+// The single-column matrix of the set bits of `row`, honoring the
+// row-domain mask. Every row is the shared unit row.
+BitMat FillColumnVector(const CompressedRow& row, const ActiveMasks& masks,
+                        uint32_t num_rows) {
+  BitMat::Builder b(num_rows, 1);
+  b.Reserve(RowBound(row.Count(), masks.row_mask), 0);
   row.ForEachSetBit([&](uint32_t id) {
-    if (masks.row_mask != nullptr &&
-        (id >= masks.row_mask->size() || !masks.row_mask->Get(id))) {
-      return;
-    }
-    bm->SetRowShared(id, BitMat::UnitRow());
+    if (Admits(masks.row_mask, id)) b.AddShared(id, BitMat::UnitRow());
   });
-}
-
-// Restricts a same-variable TP (?x p ?x) to its diagonal: only IDs in the
-// shared Vso range can denote the same term on both dimensions. Walks the
-// non-empty rows once, appending each surviving diagonal bit to a fresh
-// matrix.
-void KeepDiagonal(uint32_t num_common, BitMat* bm) {
-  BitMat diag(bm->num_rows(), bm->num_cols());
-  bm->ForEachRow([&](uint32_t r, const BitMat::RowHandle& row) {
-    if (r < num_common && row->Test(r)) {
-      diag.SetRow(r, CompressedRow::FromPositions({r}));
-    }
-  });
-  *bm = std::move(diag);
+  return b.Finish();
 }
 
 }  // namespace
@@ -119,47 +129,40 @@ TpBitMat LoadTpBitMatImpl(const TripleIndex& index, const Dictionary& dict,
       // Pin the slice across the copy-out so a concurrent snapshot spill
       // cannot free the row vectors mid-iteration.
       TripleIndex::SlicePin pin = p ? index.Slice(*p, side) : nullptr;
-      if (side == TripleIndex::Side::kSO) {
-        out.row_kind = DomainKind::kSubject;
-        out.col_kind = DomainKind::kObject;
-        out.row_var = tp.s.var;
-        out.col_var = tp.o.var;
-        out.bm = BitMat(index.num_subjects(), index.num_objects());
-      } else {
-        out.row_kind = DomainKind::kObject;
-        out.col_kind = DomainKind::kSubject;
-        out.row_var = tp.o.var;
-        out.col_var = tp.s.var;
-        out.bm = BitMat(index.num_objects(), index.num_subjects());
-      }
-      if (pin) FillRows(pin->rows, masks, ctx, &out.bm);
-      if (tp.s.var == tp.o.var) KeepDiagonal(index.num_common(), &out.bm);
+      const bool so = side == TripleIndex::Side::kSO;
+      out.row_kind = so ? DomainKind::kSubject : DomainKind::kObject;
+      out.col_kind = so ? DomainKind::kObject : DomainKind::kSubject;
+      out.row_var = so ? tp.s.var : tp.o.var;
+      out.col_var = so ? tp.o.var : tp.s.var;
+      const uint32_t num_rows =
+          so ? index.num_subjects() : index.num_objects();
+      const uint32_t num_cols =
+          so ? index.num_objects() : index.num_subjects();
+      out.bm = pin ? FillRows(pin->rows, masks, tp.s.var == tp.o.var,
+                              index.num_common(), ctx, num_rows, num_cols)
+                   : BitMat(num_rows, num_cols);
       return out;
     }
     if (sv) {
       // (?a :p :o): one row of the P-S BitMat of :o == row o of the O-S slice.
       out.row_kind = DomainKind::kSubject;
       out.row_var = tp.s.var;
-      out.bm = BitMat(index.num_subjects(), 1);
       std::optional<uint32_t> o = object_id();
-      if (p && o) {
-        TripleIndex::SlicePin pin = index.Slice(*p, side);
-        FillColumnVector(TripleIndex::FindRowIn(pin->rows, *o), masks,
-                         &out.bm);
-      }
+      TripleIndex::SlicePin pin = p && o ? index.Slice(*p, side) : nullptr;
+      out.bm = pin ? FillColumnVector(TripleIndex::FindRowIn(pin->rows, *o),
+                                      masks, index.num_subjects())
+                   : BitMat(index.num_subjects(), 1);
       return out;
     }
     if (ov) {
       // (:s :p ?b): one row of the P-O BitMat of :s == row s of the S-O slice.
       out.row_kind = DomainKind::kObject;
       out.row_var = tp.o.var;
-      out.bm = BitMat(index.num_objects(), 1);
       std::optional<uint32_t> s = subject_id();
-      if (p && s) {
-        TripleIndex::SlicePin pin = index.Slice(*p, side);
-        FillColumnVector(TripleIndex::FindRowIn(pin->rows, *s), masks,
-                         &out.bm);
-      }
+      TripleIndex::SlicePin pin = p && s ? index.Slice(*p, side) : nullptr;
+      out.bm = pin ? FillColumnVector(TripleIndex::FindRowIn(pin->rows, *s),
+                                      masks, index.num_objects())
+                   : BitMat(index.num_objects(), 1);
       return out;
     }
     // Fully fixed (:s :p :o): a 1x1 existence matrix.
@@ -175,59 +178,32 @@ TpBitMat LoadTpBitMatImpl(const TripleIndex& index, const Dictionary& dict,
     return out;
   }
 
-  // Variable predicate.
-  if (!sv && ov) {
-    // (:s ?p ?b): the P-O BitMat of :s.
+  // Variable predicate: (:s ?p ?b) is the P-O BitMat of :s and (?a ?p :o)
+  // the P-S BitMat of :o; row p of either is row `key` of p's slice.
+  if (sv != ov) {
     out.row_kind = DomainKind::kPredicate;
-    out.col_kind = DomainKind::kObject;
     out.row_var = tp.p.var;
-    out.col_var = tp.o.var;
-    out.bm = BitMat(index.num_predicates(), index.num_objects());
-    std::optional<uint32_t> s = subject_id();
-    if (s) {
+    out.col_kind = sv ? DomainKind::kSubject : DomainKind::kObject;
+    out.col_var = sv ? tp.s.var : tp.o.var;
+    BitMat::Builder b(index.num_predicates(),
+                      sv ? index.num_subjects() : index.num_objects());
+    std::optional<uint32_t> key = sv ? object_id() : subject_id();
+    if (key) {
       ScratchPositions scratch(ctx);
       for (uint32_t p = 0; p < index.num_predicates(); ++p) {
-        if (masks.row_mask != nullptr &&
-            (p >= masks.row_mask->size() || !masks.row_mask->Get(p))) {
-          continue;
-        }
+        if (!Admits(masks.row_mask, p)) continue;
+        // The row leaves the pin only as a view of the mapped extent or as
+        // words copied into the arena, so releasing the pin is safe.
         TripleIndex::SlicePin pin = index.Slice(p, side);
-        const CompressedRow& row = TripleIndex::FindRowIn(pin->rows, *s);
-        if (row.IsEmpty()) continue;
+        const CompressedRow& row = TripleIndex::FindRowIn(pin->rows, *key);
         if (masks.col_mask != nullptr) {
-          SetRowMasked(p, row, *masks.col_mask, scratch.get(), &out.bm);
+          b.AddMasked(p, row, *masks.col_mask, scratch.get());
         } else {
-          out.bm.SetRow(p, row);
+          b.Add(p, row);
         }
       }
     }
-    return out;
-  }
-  if (sv && !ov) {
-    // (?a ?p :o): the P-S BitMat of :o.
-    out.row_kind = DomainKind::kPredicate;
-    out.col_kind = DomainKind::kSubject;
-    out.row_var = tp.p.var;
-    out.col_var = tp.s.var;
-    out.bm = BitMat(index.num_predicates(), index.num_subjects());
-    std::optional<uint32_t> o = object_id();
-    if (o) {
-      ScratchPositions scratch(ctx);
-      for (uint32_t p = 0; p < index.num_predicates(); ++p) {
-        if (masks.row_mask != nullptr &&
-            (p >= masks.row_mask->size() || !masks.row_mask->Get(p))) {
-          continue;
-        }
-        TripleIndex::SlicePin pin = index.Slice(p, side);
-        const CompressedRow& row = TripleIndex::FindRowIn(pin->rows, *o);
-        if (row.IsEmpty()) continue;
-        if (masks.col_mask != nullptr) {
-          SetRowMasked(p, row, *masks.col_mask, scratch.get(), &out.bm);
-        } else {
-          out.bm.SetRow(p, row);
-        }
-      }
-    }
+    out.bm = b.Finish();
     return out;
   }
   // (:s ?p :o): predicates linking the fixed pair.
@@ -238,10 +214,7 @@ TpBitMat LoadTpBitMatImpl(const TripleIndex& index, const Dictionary& dict,
   std::optional<uint32_t> o = object_id();
   if (s && o) {
     for (uint32_t p = 0; p < index.num_predicates(); ++p) {
-      if (masks.row_mask != nullptr &&
-          (p >= masks.row_mask->size() || !masks.row_mask->Get(p))) {
-        continue;
-      }
+      if (!Admits(masks.row_mask, p)) continue;
       TripleIndex::SlicePin pin = index.Slice(p, side);
       if (TripleIndex::FindRowIn(pin->rows, *s).Test(*o)) {
         out.bm.SetRowShared(p, BitMat::UnitRow());

@@ -79,23 +79,12 @@ void AlignMaskInto(const Bitvector& src, DomainKind src_kind,
                    DomainKind dst_kind, uint32_t num_common,
                    uint32_t dst_size, Bitvector* out);
 
-/// Stores `row` masked by `col_mask` as row `id` of `*bm`; rows with no
-/// surviving bit are skipped without copying. The single implementation of
-/// the active-pruning column-masking protocol, shared by the loader and the
-/// TP cache. `scratch` is reused across calls (pass one in loops).
-inline void SetRowMasked(uint32_t id, const CompressedRow& row,
-                         const Bitvector& col_mask,
-                         std::vector<uint32_t>* scratch, BitMat* bm) {
-  if (!row.IntersectsWith(col_mask)) return;
-  CompressedRow masked = row;
-  masked.AndWithInPlace(col_mask, scratch);
-  bm->SetRow(id, std::move(masked));
-}
-
-/// Handle-sharing variant of SetRowMasked for copy-on-write sources (the
-/// TP cache's masked copy-out): when the mask drops no bit of `row`, the
-/// shared handle itself is stored — no payload copy, no re-encode; only
-/// rows that actually lose bits are rebuilt. `row` must be non-null.
+/// Stores `row` masked by `col_mask` as row `id` of `*bm`, for
+/// copy-on-write sources (the TP cache's masked copy-out): when the mask
+/// drops no bit of `row`, the shared handle itself is stored — no payload
+/// copy, no re-encode; only rows that actually lose bits are rebuilt, and
+/// rows with no surviving bit are skipped. `row` must be non-null.
+/// `scratch` is reused across calls (pass one in loops).
 inline void SetRowMaskedShared(uint32_t id, const BitMat::RowHandle& row,
                                const Bitvector& col_mask,
                                std::vector<uint32_t>* scratch, BitMat* bm) {
@@ -118,9 +107,10 @@ TripleIndex::Side TpReadSide(const TriplePattern& tp,
 /// derives it from the bottom-up join-variable order. Fixed terms unknown to
 /// the dictionary yield an empty BitMat of the right shape.
 ///
-/// `ctx` (optional) supplies pooled scratch for the active-pruning row
-/// masking; without it each masked row allocates its own kept-position
-/// buffer.
+/// All rows are built in one shared arena (BitMat::Builder): a row the
+/// active-pruning column mask leaves whole stays the slice's row, a row
+/// that loses bits is re-encoded into the arena. `ctx` (optional) supplies
+/// pooled scratch for that masking.
 ///
 /// Throws UnsupportedQueryError for (?s ?p ?o) patterns.
 TpBitMat LoadTpBitMat(const TripleIndex& index, const Dictionary& dict,

@@ -9,7 +9,7 @@ namespace lbr {
 
 namespace {
 
-uint64_t HashKey(const RawRow& row, const std::vector<int>& cols) {
+uint64_t HashKey(const uint64_t* row, const std::vector<int>& cols) {
   uint64_t h = 0xcbf29ce484222325ull;
   for (int c : cols) {
     h ^= row[c];
@@ -18,7 +18,7 @@ uint64_t HashKey(const RawRow& row, const std::vector<int>& cols) {
   return h;
 }
 
-bool KeysEqual(const RawRow& a, const RawRow& b,
+bool KeysEqual(const uint64_t* a, const uint64_t* b,
                const std::vector<int>& cols) {
   for (int c : cols) {
     if (a[c] != b[c]) return false;
@@ -28,10 +28,10 @@ bool KeysEqual(const RawRow& a, const RawRow& b,
 
 }  // namespace
 
-std::vector<RawRow> BestMatch(std::vector<RawRow> rows,
-                              const std::vector<int>& master_cols,
-                              ExecContext* ctx) {
+RowSlab BestMatch(const RowSlab& rows, const std::vector<int>& master_cols,
+                  ExecContext* ctx) {
   if (rows.size() < 2) return rows;
+  const size_t width = rows.width();
 
   // Bucket rows by the never-null key columns. On multi-million-row
   // results this pass alone outweighs the join, so it carries the stride
@@ -40,7 +40,7 @@ std::vector<RawRow> BestMatch(std::vector<RawRow> rows,
   buckets.reserve(rows.size());
   for (size_t i = 0; i < rows.size(); ++i) {
     if (ctx != nullptr) ctx->CheckCancel();
-    buckets[HashKey(rows[i], master_cols)].push_back(i);
+    buckets[HashKey(rows.row(i), master_cols)].push_back(i);
   }
 
   std::vector<bool> removed(rows.size(), false);
@@ -55,23 +55,24 @@ std::vector<RawRow> BestMatch(std::vector<RawRow> rows,
     // subsumed by a row with strictly more non-nulls, so each row needs to
     // be checked against earlier (fuller) rows only.
     std::stable_sort(indexes.begin(), indexes.end(),
-                     [&rows](size_t a, size_t b) {
-                       return CountNulls(rows[a]) < CountNulls(rows[b]);
+                     [&rows, width](size_t a, size_t b) {
+                       return CountNulls(rows.row(a), width) <
+                              CountNulls(rows.row(b), width);
                      });
     for (size_t i = 1; i < indexes.size(); ++i) {
       // The inner scan below makes this loop quadratic in the bucket size;
       // on a subsumption-heavy result it dominates the whole query, so it
       // polls for cancellation independently of the join's checks.
       if (ctx != nullptr) ctx->CheckCancel();
-      const RawRow& candidate = rows[indexes[i]];
+      const uint64_t* candidate = rows.row(indexes[i]);
       for (size_t j = 0; j < i; ++j) {
         // One outer step alone scans up to i fuller rows, so the giant-
         // bucket case (empty master_cols) needs a check here as well.
         if (ctx != nullptr && (++scan_steps & 0x3F) == 0) ctx->CheckCancel();
         if (removed[indexes[j]]) continue;
-        const RawRow& fuller = rows[indexes[j]];
+        const uint64_t* fuller = rows.row(indexes[j]);
         if (!KeysEqual(candidate, fuller, master_cols)) continue;  // hash collision
-        if (IsSubsumedBy(candidate, fuller)) {
+        if (IsSubsumedBy(candidate, fuller, width)) {
           removed[indexes[i]] = true;
           break;
         }
@@ -79,11 +80,11 @@ std::vector<RawRow> BestMatch(std::vector<RawRow> rows,
     }
   }
 
-  std::vector<RawRow> out;
-  out.reserve(rows.size());
+  RowSlab out(width);
+  out.Reserve(rows.size());
   for (size_t i = 0; i < rows.size(); ++i) {
     if (ctx != nullptr) ctx->CheckCancel();
-    if (!removed[i]) out.push_back(std::move(rows[i]));
+    if (!removed[i]) out.Append(rows.row(i));
   }
   return out;
 }

@@ -24,9 +24,8 @@ class ExecContext;
 /// Subsumption is quadratic within a bucket (and the empty-`master_cols`
 /// fallback is one bucket), so `ctx` — when non-null — is polled for
 /// cancellation as the scan advances (DESIGN.md §9).
-std::vector<RawRow> BestMatch(std::vector<RawRow> rows,
-                              const std::vector<int>& master_cols,
-                              ExecContext* ctx = nullptr);
+RowSlab BestMatch(const RowSlab& rows, const std::vector<int>& master_cols,
+                  ExecContext* ctx = nullptr);
 
 }  // namespace lbr
 

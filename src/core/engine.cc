@@ -5,8 +5,6 @@
 #include <chrono>
 #include <map>
 #include <set>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "core/bestmatch.h"
 #include "core/global_ids.h"
@@ -67,8 +65,7 @@ TriplePattern BindTp(const TriplePattern& tp,
 }  // namespace
 
 struct Engine::BranchResult {
-  std::vector<RawRow> rows;        // projected onto the query projection
-  bool needs_best_match = false;   // within-branch flag (already applied)
+  RowSlab rows;  // projected onto the query projection
 };
 
 Engine::Engine(const TripleIndex* index, const Dictionary* dict,
@@ -207,7 +204,7 @@ BranchPlan Engine::PlanBranch(const Algebra& branch,
 Engine::BranchResult Engine::ExecuteBranchPlan(
     const BranchPlan& plan, const ReboundTerms* rebound,
     const std::vector<std::string>& projection, QueryStats* stats) {
-  BranchResult result;
+  BranchResult result{RowSlab(projection.size())};
   const Gosn& gosn = plan.gosn;
   // Terms come from the rebinding overlay when one exists; all structural
   // reads (supernodes, master/peer relations) go to the shared template.
@@ -215,7 +212,7 @@ Engine::BranchResult Engine::ExecuteBranchPlan(
       rebound != nullptr && !rebound->tps.empty() ? rebound->tps : gosn.tps();
   if (tps.empty()) {
     // Empty pattern: one empty mapping.
-    result.rows.emplace_back(projection.size(), kNullBinding);
+    result.rows.AppendNulls();
     return result;
   }
   const Goj& goj = plan.goj;
@@ -354,9 +351,10 @@ Engine::BranchResult Engine::ExecuteBranchPlan(
                             masks, &exec_ctx_);
     }
     st.initial_count = st.mat.bm.Count();
-    // Memory accounting point: the loaded BitMat's payload is proportional
-    // to its set bits (compressed rows).
-    exec_ctx_.ChargeMemory(st.initial_count / 4 + 1024);
+    // Memory accounting point: the loaded BitMat's arrays and row objects
+    // plus the payload its arena holds (rows that view the mapped index
+    // hold none).
+    exec_ctx_.ChargeMemory(st.mat.bm.HeapBytes() + st.mat.bm.ArenaBytes());
     loaded.push_back(static_cast<int>(i));
 
     // Simple optimization (Section 5): an empty absolute-master TP means an
@@ -420,24 +418,26 @@ Engine::BranchResult Engine::ExecuteBranchPlan(
 
   // Collect FULL rows (every branch variable) so that phantom-row cleanup
   // and best-match see pre-projection granularity; project afterwards.
-  std::vector<RawRow> full_rows;
-  // Dedup key for nulled phantom rows; hashed — this insert runs once per
-  // emitted result row.
-  std::unordered_set<RawRow, RawRowHash> nulled_emitted;
+  RowSlab full_rows(join.var_names().size());
+  // Dedup of nulled phantom rows, keyed by their offsets in full_rows.
+  SlabRowCounter nulled_emitted(&full_rows);
   bool any_nulled = false;
   Stopwatch join_watch;
   join.Run(
       [&](const RawRow& row, bool nulled) {
+        full_rows.Append(row.data());
         if (nulled) {
           any_nulled = true;
           // A nulled row is one enumeration attempt of a slave group that
           // failed under the original join order; all attempts collapse to
           // the same nulled row — keep one (Rao et al.'s minimum union).
-          if (!nulled_emitted.insert(row).second) return;
+          if (nulled_emitted.Add(full_rows.size() - 1) > 1) {
+            full_rows.PopBack();
+            return;
+          }
         }
         // Memory accounting point: the accumulated result rows.
-        exec_ctx_.ChargeMemory(row.size() * sizeof(uint64_t) + 16);
-        full_rows.push_back(row);
+        exec_ctx_.ChargeMemory(row.size() * sizeof(uint64_t));
       },
       &exec_ctx_);
   if (stats != nullptr) {
@@ -453,8 +453,7 @@ Engine::BranchResult Engine::ExecuteBranchPlan(
     Stopwatch best_match_watch;
     if (stats != nullptr) stats->best_match_used = true;
     exec_ctx_.CheckCancelNow();  // best-match is O(rows^2 worst case)
-    full_rows =
-        BestMatch(std::move(full_rows), join.MasterColumns(), &exec_ctx_);
+    full_rows = BestMatch(full_rows, join.MasterColumns(), &exec_ctx_);
     if (stats != nullptr) stats->t_best_match_sec += best_match_watch.Seconds();
   }
 
@@ -464,24 +463,27 @@ Engine::BranchResult Engine::ExecuteBranchPlan(
   for (size_t i = 0; i < projection.size(); ++i) {
     col_of_projection[i] = join.VarIndex(projection[i]);
   }
-  result.rows.reserve(full_rows.size());
-  for (const RawRow& row : full_rows) {
+  // Memory accounting point: the projected rows.
+  exec_ctx_.ChargeMemory(full_rows.size() * projection.size() *
+                         sizeof(uint64_t));
+  result.rows.Reserve(full_rows.size());
+  for (size_t r = 0; r < full_rows.size(); ++r) {
     // Post-join phases scale with the result, not the data; on large
     // answers they dominate the tail, so they need checks of their own.
     exec_ctx_.CheckCancel();
-    exec_ctx_.ChargeMemory(projection.size() * sizeof(uint64_t) + 16);
-    RawRow projected(projection.size(), kNullBinding);
+    const uint64_t* row = full_rows.row(r);
+    uint64_t* projected = result.rows.AppendNulls();
     for (size_t i = 0; i < projection.size(); ++i) {
       if (col_of_projection[i] >= 0) projected[i] = row[col_of_projection[i]];
     }
-    result.rows.push_back(std::move(projected));
   }
   if (stats != nullptr) stats->t_project_sec += project_watch.Seconds();
   return result;
 }
 
-uint64_t Engine::Execute(const ParsedQuery& query, const RowSink& sink,
-                         QueryStats* stats, QueryControl* control) {
+uint64_t Engine::Controlled(
+    QueryStats* stats, QueryControl* control,
+    const std::function<uint64_t(QueryStats*, const Stopwatch&)>& body) {
   Stopwatch total_watch;
   QueryStats local_stats;
   QueryStats* st = stats ? stats : &local_stats;
@@ -498,7 +500,7 @@ uint64_t Engine::Execute(const ParsedQuery& query, const RowSink& sink,
   exec_ctx_.SetQueryControl(control);
 
   try {
-    return ExecuteControlled(query, sink, st, total_watch);
+    return body(st, total_watch);
   } catch (const QueryAbortedError& e) {
     // Structured abort: report the true termination reason with whatever
     // partial stats the phases accumulated, then let the caller decide.
@@ -506,6 +508,44 @@ uint64_t Engine::Execute(const ParsedQuery& query, const RowSink& sink,
     st->t_total_sec = total_watch.Seconds();
     throw;
   }
+}
+
+namespace {
+
+// Feeds a committed answer to a row-at-a-time sink through one reused row.
+std::function<void(const RowSlab&)> FeedRows(const Engine::RowSink& sink) {
+  return [&sink](const RowSlab& rows) {
+    RawRow row(rows.width());
+    for (size_t r = 0; r < rows.size(); ++r) {
+      std::copy(rows.row(r), rows.row(r) + rows.width(), row.begin());
+      sink(row);
+    }
+  };
+}
+
+// Decodes a committed answer into `table`'s rows.
+void DecodeInto(const RowSlab& rows, const Dictionary& dict,
+                ResultTable* table) {
+  table->rows.reserve(rows.size());
+  for (size_t r = 0; r < rows.size(); ++r) {
+    const uint64_t* row = rows.row(r);
+    std::vector<std::optional<Term>>& decoded =
+        table->rows.emplace_back(rows.width());
+    for (size_t i = 0; i < rows.width(); ++i) {
+      if (row[i] != kNullBinding) decoded[i] = dict.TermAt(row[i]);
+    }
+  }
+}
+
+}  // namespace
+
+uint64_t Engine::Execute(const ParsedQuery& query, const RowSink& sink,
+                         QueryStats* stats, QueryControl* control) {
+  return Controlled(stats, control,
+                    [&](QueryStats* st, const Stopwatch& total_watch) {
+                      return ExecuteControlled(query, FeedRows(sink), st,
+                                               total_watch);
+                    });
 }
 
 CompiledPlan Engine::CompilePlan(const ParsedQuery& query,
@@ -553,7 +593,7 @@ CompiledPlan Engine::CompilePlan(const ParsedQuery& query,
 }
 
 uint64_t Engine::ExecuteControlled(const ParsedQuery& query,
-                                   const RowSink& sink, QueryStats* st,
+                                   const SlabSink& sink, QueryStats* st,
                                    const Stopwatch& total_watch) {
   // A deadline already in the past aborts before any work.
   exec_ctx_.CheckCancelNow();
@@ -565,7 +605,7 @@ uint64_t Engine::ExecuteControlled(const ParsedQuery& query,
 
 uint64_t Engine::ExecutePlanned(const CompiledPlan& plan,
                                 const std::vector<ReboundTerms>* rebound,
-                                const RowSink& sink, QueryStats* st,
+                                const SlabSink& sink, QueryStats* st,
                                 const Stopwatch& total_watch) {
   const std::vector<std::string>& projection = plan.projection;
   st->num_union_branches = static_cast<int>(plan.branches.size());
@@ -585,15 +625,17 @@ uint64_t Engine::ExecutePlanned(const CompiledPlan& plan,
   const uint64_t faults0 = faults.injected_total();
   const uint64_t retries0 = faults.retries_total();
 
-  std::vector<RawRow> all_rows;
+  RowSlab all_rows(projection.size());
   for (size_t bi = 0; bi < plan.branches.size(); ++bi) {
     const BranchPlan& branch = plan.branches[bi];
     const ReboundTerms* branch_rebound =
         rebound != nullptr ? &(*rebound)[bi] : nullptr;
     BranchResult br = ExecuteBranchPlan(branch, branch_rebound, projection, st);
-    for (RawRow& row : br.rows) {
-      exec_ctx_.CheckCancel();
-      all_rows.push_back(std::move(row));
+    exec_ctx_.CheckCancel();
+    if (all_rows.empty()) {
+      all_rows = std::move(br.rows);
+    } else {
+      all_rows.AppendAll(br.rows);
     }
   }
 
@@ -623,7 +665,7 @@ uint64_t Engine::ExecutePlanned(const CompiledPlan& plan,
     Stopwatch best_match_watch;
     st->best_match_used = true;
     exec_ctx_.CheckCancelNow();  // best-match is O(rows^2 worst case)
-    all_rows = BestMatch(std::move(all_rows), {}, &exec_ctx_);
+    all_rows = BestMatch(all_rows, {}, &exec_ctx_);
     for (const UnfResult::Rule3Info& info : plan.rule3) {
       if (info.arm_count < 2 || info.exclusive_vars.empty()) continue;
       // Projection columns of the OPT pattern's exclusive variables. If any
@@ -642,11 +684,12 @@ uint64_t Engine::ExecutePlanned(const CompiledPlan& plan,
       if (!all_projected) continue;
       // Keep ceil(count / arm_count) copies of each distinct unmatched row
       // (the rewrite emitted arm_count copies per original row).
-      std::unordered_map<RawRow, int, RawRowHash> kept;
-      std::vector<RawRow> filtered;
-      filtered.reserve(all_rows.size());
-      for (RawRow& row : all_rows) {
+      SlabRowCounter kept(&all_rows);
+      RowSlab filtered(all_rows.width());
+      filtered.Reserve(all_rows.size());
+      for (size_t r = 0; r < all_rows.size(); ++r) {
         exec_ctx_.CheckCancel();
+        const uint64_t* row = all_rows.row(r);
         bool unmatched = true;
         for (int c : cols) {
           if (row[c] != kNullBinding) {
@@ -654,12 +697,8 @@ uint64_t Engine::ExecutePlanned(const CompiledPlan& plan,
             break;
           }
         }
-        if (!unmatched) {
-          filtered.push_back(std::move(row));
-          continue;
-        }
-        if (++kept[row] % info.arm_count == 1 || info.arm_count == 1) {
-          filtered.push_back(std::move(row));
+        if (!unmatched || kept.Add(r) % info.arm_count == 1) {
+          filtered.Append(row);
         }
       }
       all_rows = std::move(filtered);
@@ -672,10 +711,12 @@ uint64_t Engine::ExecutePlanned(const CompiledPlan& plan,
   // reached the sink, so an abort can never leak a partial result.
   exec_ctx_.CheckCancelNow();
   st->num_results = all_rows.size();
-  for (const RawRow& row : all_rows) {
-    if (CountNulls(row) > 0) ++st->num_results_with_nulls;
-    sink(row);
+  for (size_t r = 0; r < all_rows.size(); ++r) {
+    if (CountNulls(all_rows.row(r), all_rows.width()) > 0) {
+      ++st->num_results_with_nulls;
+    }
   }
+  sink(all_rows);
   st->t_total_sec = total_watch.Seconds();
   return st->num_results;
 }
@@ -683,30 +724,16 @@ uint64_t Engine::ExecutePlanned(const CompiledPlan& plan,
 uint64_t Engine::Execute(const std::string& sparql, const RowSink& sink,
                          QueryStats* stats, QueryControl* control,
                          std::vector<std::string>* projection_out) {
-  Stopwatch total_watch;
-  QueryStats local_stats;
-  QueryStats* st = stats ? stats : &local_stats;
-  *st = QueryStats{};
-
-  // Same lifecycle-control protocol as the ParsedQuery entry point.
-  struct ControlGuard {
-    ExecContext* ctx;
-    ~ControlGuard() { ctx->SetQueryControl(nullptr); }
-  } control_guard{&exec_ctx_};
-  exec_ctx_.SetQueryControl(control);
-
-  try {
-    return ExecuteTextControlled(sparql, sink, st, total_watch,
-                                 projection_out);
-  } catch (const QueryAbortedError& e) {
-    st->termination = e.code();
-    st->t_total_sec = total_watch.Seconds();
-    throw;
-  }
+  return Controlled(stats, control,
+                    [&](QueryStats* st, const Stopwatch& total_watch) {
+                      return ExecuteTextControlled(sparql, FeedRows(sink), st,
+                                                   total_watch,
+                                                   projection_out);
+                    });
 }
 
 uint64_t Engine::ExecuteTextControlled(
-    const std::string& sparql, const RowSink& sink, QueryStats* st,
+    const std::string& sparql, const SlabSink& sink, QueryStats* st,
     const Stopwatch& total_watch, std::vector<std::string>* projection_out) {
   exec_ctx_.CheckCancelNow();
 
@@ -802,32 +829,24 @@ ResultTable Engine::ExecuteToTable(const ParsedQuery& query,
                                    QueryStats* stats, QueryControl* control) {
   ResultTable table;
   table.var_names = query.EffectiveProjection();
-  Execute(
-      query,
-      [&](const RawRow& row) {
-        std::vector<std::optional<Term>> decoded(row.size());
-        for (size_t i = 0; i < row.size(); ++i) {
-          if (row[i] != kNullBinding) decoded[i] = dict_->TermAt(row[i]);
-        }
-        table.rows.push_back(std::move(decoded));
-      },
-      stats, control);
+  Controlled(stats, control, [&](QueryStats* st, const Stopwatch& total_watch) {
+    return ExecuteControlled(
+        query,
+        [&](const RowSlab& rows) { DecodeInto(rows, *dict_, &table); }, st,
+        total_watch);
+  });
   return table;
 }
 
 ResultTable Engine::ExecuteToTable(const std::string& sparql,
                                    QueryStats* stats, QueryControl* control) {
   ResultTable table;
-  Execute(
-      sparql,
-      [&](const RawRow& row) {
-        std::vector<std::optional<Term>> decoded(row.size());
-        for (size_t i = 0; i < row.size(); ++i) {
-          if (row[i] != kNullBinding) decoded[i] = dict_->TermAt(row[i]);
-        }
-        table.rows.push_back(std::move(decoded));
-      },
-      stats, control, &table.var_names);
+  Controlled(stats, control, [&](QueryStats* st, const Stopwatch& total_watch) {
+    return ExecuteTextControlled(
+        sparql,
+        [&](const RowSlab& rows) { DecodeInto(rows, *dict_, &table); }, st,
+        total_watch, &table.var_names);
+  });
   return table;
 }
 

@@ -292,6 +292,10 @@ class Engine {
 
  private:
   struct BranchResult;
+  /// Receives a query's whole projected answer at its commit point
+  /// (DESIGN.md §9): FeedRows hands it to a RowSink row by row,
+  /// ExecuteToTable decodes it straight into its table.
+  using SlabSink = std::function<void(const RowSlab&)>;
   /// Per-branch rebinding overlay for plan-cache hits: just the Terms that
   /// can differ from the template. Empty vectors mean "use the template's"
   /// — a branch whose TPs/filters contain no slot markers copies nothing.
@@ -315,20 +319,27 @@ class Engine {
                                  const ReboundTerms* rebound,
                                  const std::vector<std::string>& projection,
                                  QueryStats* stats);
+  /// Every entry point's lifecycle protocol: resets `*stats` (or a local
+  /// QueryStats), attaches `control` for the duration of `body`, detaches
+  /// it on every exit, and on an abort stamps the termination and total
+  /// time before rethrowing.
+  uint64_t Controlled(
+      QueryStats* stats, QueryControl* control,
+      const std::function<uint64_t(QueryStats*, const Stopwatch&)>& body);
   /// Branch loop + rule-3 spurious cleanup + sink delivery. `rebound`
   /// (nullable, parallel to plan.branches) supplies per-branch constant
   /// overlays on a plan-cache hit; null means the plan is already concrete.
   uint64_t ExecutePlanned(const CompiledPlan& plan,
                           const std::vector<ReboundTerms>* rebound,
-                          const RowSink& sink, QueryStats* st,
+                          const SlabSink& sink, QueryStats* st,
                           const Stopwatch& total_watch);
   /// Execute's body once the lifecycle control is attached: Execute wraps
   /// it to stamp stats->termination and detach the control on abort.
-  uint64_t ExecuteControlled(const ParsedQuery& query, const RowSink& sink,
+  uint64_t ExecuteControlled(const ParsedQuery& query, const SlabSink& sink,
                              QueryStats* st, const Stopwatch& total_watch);
   /// Text-path body: canonicalize, fetch-or-compile, rebind, execute.
   uint64_t ExecuteTextControlled(const std::string& sparql,
-                                 const RowSink& sink, QueryStats* st,
+                                 const SlabSink& sink, QueryStats* st,
                                  const Stopwatch& total_watch,
                                  std::vector<std::string>* projection_out);
 

@@ -157,7 +157,7 @@ const CompressedRow& MultiwayJoin::TransposedColumn(int tp_id, uint32_t col) {
       // plus the payload arena its rows view.
       if (ctx_ != nullptr) {
         ctx_->ChargeMemory(tc.full_mat.HeapBytes() +
-                           tc.full_mat.PayloadBytes());
+                           tc.full_mat.ArenaBytes());
       }
       ++transposes_;
       tc.cols.clear();

@@ -50,7 +50,7 @@ class CompressedRow {
                             const uint32_t* payload, uint32_t payload_words);
 
   /// Bulk-build step for rows that share one payload allocation
-  /// (BitMat::Transposed's arena): appends the encoding FromPositions would
+  /// (a BitMat::Builder arena's payload block): appends the encoding FromPositions would
   /// pick for sorted, non-empty `positions` to `*payload` and returns a view
   /// of the appended words. `payload` must have spare capacity for
   /// positions.size() words (no encoding is longer), so the append never

@@ -7,6 +7,19 @@ namespace {
 
 constexpr uint64_t N = kNullBinding;
 
+// BestMatch over rows stated as RawRows: through a RowSlab and back.
+std::vector<RawRow> BestMatchRows(const std::vector<RawRow>& rows,
+                                  const std::vector<int>& master_cols) {
+  RowSlab slab(rows.empty() ? 0 : rows[0].size());
+  for (const RawRow& row : rows) slab.Append(row.data());
+  RowSlab kept = BestMatch(slab, master_cols);
+  std::vector<RawRow> out;
+  for (size_t i = 0; i < kept.size(); ++i) {
+    out.emplace_back(kept.row(i), kept.row(i) + kept.width());
+  }
+  return out;
+}
+
 TEST(RowTest, SubsumptionDefinition) {
   // r1 is subsumed by r2 iff non-nulls agree and r2 binds strictly more.
   EXPECT_TRUE(IsSubsumedBy({1, N, N}, {1, 2, 3}));
@@ -23,6 +36,38 @@ TEST(RowTest, CountNulls) {
   EXPECT_EQ(CountNulls({}), 0u);
 }
 
+TEST(RowTest, SlabCountsZeroWidthRows) {
+  RowSlab slab(0);
+  slab.Append(nullptr);
+  slab.AppendNulls();
+  EXPECT_EQ(slab.size(), 2u);
+  RowSlab more(0);
+  more.AppendAll(slab);
+  more.PopBack();
+  EXPECT_EQ(more.size(), 1u);
+  EXPECT_EQ(BestMatch(slab, {}).size(), 2u);  // equal rows: bag semantics
+}
+
+TEST(RowTest, SlabRowCounterCountsEqualRows) {
+  RowSlab slab(2);
+  std::vector<RawRow> rows;
+  for (uint64_t i = 0; i < 300; ++i) rows.push_back({i % 100, N});
+  for (const RawRow& row : rows) slab.Append(row.data());
+  SlabRowCounter counter(&slab);
+  for (size_t i = 0; i < slab.size(); ++i) {
+    EXPECT_EQ(counter.Add(i), i / 100 + 1) << i;  // across table growth
+  }
+  // A dropped duplicate leaves the counts of the rows kept intact.
+  RowSlab dedup(2);
+  SlabRowCounter seen(&dedup);
+  for (const RawRow& row : rows) {
+    dedup.Append(row.data());
+    if (seen.Add(dedup.size() - 1) > 1) dedup.PopBack();
+  }
+  ASSERT_EQ(dedup.size(), 100u);
+  for (size_t i = 0; i < dedup.size(); ++i) EXPECT_EQ(dedup.row(i)[0], i);
+}
+
 TEST(BestMatchTest, PaperFigure32Res2ToRes3) {
   // After nullification the paper's example has rows 2-5 where rows 3-5
   // (Julia with NULL sitcom) are subsumed by row 2 (Julia, Seinfeld).
@@ -33,7 +78,7 @@ TEST(BestMatchTest, PaperFigure32Res2ToRes3) {
       {11, N},
       {11, N},
   };
-  std::vector<RawRow> out = BestMatch(rows, {0});
+  std::vector<RawRow> out = BestMatchRows(rows, {0});
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[0], (RawRow{10, N}));
   EXPECT_EQ(out[1], (RawRow{11, 20}));
@@ -42,7 +87,7 @@ TEST(BestMatchTest, PaperFigure32Res2ToRes3) {
 TEST(BestMatchTest, ExactDuplicatesKept) {
   // Bag semantics: equal rows are not subsumed by each other.
   std::vector<RawRow> rows{{1, 2}, {1, 2}};
-  EXPECT_EQ(BestMatch(rows, {0}).size(), 2u);
+  EXPECT_EQ(BestMatchRows(rows, {0}).size(), 2u);
 }
 
 TEST(BestMatchTest, GroupsByMasterColumns) {
@@ -52,10 +97,10 @@ TEST(BestMatchTest, GroupsByMasterColumns) {
       {1, 5, N},
       {2, 5, 7},  // different master binding: no subsumption
   };
-  EXPECT_EQ(BestMatch(rows, {0}).size(), 2u);
+  EXPECT_EQ(BestMatchRows(rows, {0}).size(), 2u);
   // Without grouping (empty master cols) the first row IS subsumed... it is
   // not: column 0 differs (1 vs 2), so non-null disagreement. Still 2.
-  EXPECT_EQ(BestMatch(rows, {}).size(), 2u);
+  EXPECT_EQ(BestMatchRows(rows, {}).size(), 2u);
 }
 
 TEST(BestMatchTest, ChainOfSubsumption) {
@@ -64,7 +109,7 @@ TEST(BestMatchTest, ChainOfSubsumption) {
       {1, 2, N},
       {1, 2, 3},
   };
-  std::vector<RawRow> out = BestMatch(rows, {0});
+  std::vector<RawRow> out = BestMatchRows(rows, {0});
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0], (RawRow{1, 2, 3}));
 }
@@ -74,13 +119,13 @@ TEST(BestMatchTest, IncomparableNullPatternsAllSurvive) {
       {1, 2, N},
       {1, N, 3},
   };
-  EXPECT_EQ(BestMatch(rows, {0}).size(), 2u);
+  EXPECT_EQ(BestMatchRows(rows, {0}).size(), 2u);
 }
 
 TEST(BestMatchTest, EmptyAndSingleton) {
-  EXPECT_TRUE(BestMatch({}, {}).empty());
+  EXPECT_TRUE(BestMatchRows({}, {}).empty());
   std::vector<RawRow> one{{1, N}};
-  EXPECT_EQ(BestMatch(one, {}).size(), 1u);
+  EXPECT_EQ(BestMatchRows(one, {}).size(), 1u);
 }
 
 TEST(BestMatchTest, EmptyMasterColumnsSingleGroup) {
@@ -88,7 +133,7 @@ TEST(BestMatchTest, EmptyMasterColumnsSingleGroup) {
       {1, N},
       {1, 2},
   };
-  std::vector<RawRow> out = BestMatch(rows, {});
+  std::vector<RawRow> out = BestMatchRows(rows, {});
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0], (RawRow{1, 2}));
 }
@@ -102,7 +147,7 @@ TEST(BestMatchTest, NullMasterKeySentinelHandled) {
       {N, 1, N},
       {N, 1, 2},
   };
-  std::vector<RawRow> out = BestMatch(rows, {0});
+  std::vector<RawRow> out = BestMatchRows(rows, {0});
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0], (RawRow{N, 1, 2}));
 }
@@ -115,7 +160,7 @@ TEST(BestMatchTest, ManyDistinctGroupsNoCrossTalk) {
     rows.push_back({g, 5, N});
     rows.push_back({g, 5, 9});
   }
-  std::vector<RawRow> out = BestMatch(rows, {0});
+  std::vector<RawRow> out = BestMatchRows(rows, {0});
   EXPECT_EQ(out.size(), 1000u);
   for (const RawRow& row : out) {
     EXPECT_EQ(row[2], 9u);
@@ -131,7 +176,7 @@ TEST(BestMatchTest, LargeGroupStress) {
     rows.push_back({7, 1, N, N});
     rows.push_back({8 + i, 1, 2, N});  // different master: kept
   }
-  std::vector<RawRow> out = BestMatch(rows, {0});
+  std::vector<RawRow> out = BestMatchRows(rows, {0});
   // Survivors: the full row + 50 distinct-master rows... plus the
   // duplicates of subsumed rows are all removed.
   EXPECT_EQ(out.size(), 51u);

@@ -321,5 +321,87 @@ TEST(BitMatCowTest, DeepCopyOfTransposeOutlivesIt) {
   EXPECT_EQ(deep, ExpectedArenaTranspose());
 }
 
+// The Builder behind loads and transposes: owned rows added to it are
+// copied into its arena, so the result outlives them, and every handle
+// aliases that one arena.
+BitMat BuiltFromOwnedRows() {
+  BitMat::Builder b(6, 70);
+  b.Add(0, CompressedRow::FromPositions({1, 3}));
+  b.AddShared(1, BitMat::UnitRow());
+  b.AddPositions(2, {0, 1, 2, 3, 4, 5, 6, 7, 8, 9});
+  b.Add(3, CompressedRow());  // empty: skipped
+  b.Add(4, CompressedRow::FromPositions({64, 69}));
+  return b.Finish();
+}
+
+TEST(BitMatCowTest, BuilderRowsShareOneArena) {
+  BitMat bm = BuiltFromOwnedRows();
+  BitMat expected(6, 70);
+  expected.SetRow(0, {1, 3});
+  expected.SetRow(1, {0});
+  expected.SetRow(2, {0, 1, 2, 3, 4, 5, 6, 7, 8, 9});
+  expected.SetRow(4, {64, 69});
+  EXPECT_EQ(bm, expected);
+  bm.CheckInvariants();
+  EXPECT_EQ(bm.SharedRow(1).get(), BitMat::UnitRow().get());
+  // Two positions, one run, two positions: the arena's payload.
+  EXPECT_EQ(bm.ArenaBytes(), 5 * sizeof(uint32_t));
+  const BitMat::RowHandle first = bm.SharedRow(0);
+  BitMat copy = bm;
+  for (uint32_t r : {0u, 2u, 4u}) {
+    const BitMat::RowHandle& h = bm.SharedRow(r);
+    EXPECT_TRUE(h->is_view()) << r;
+    EXPECT_FALSE(h.owner_before(first) || first.owner_before(h)) << r;
+    EXPECT_EQ(copy.SharedRow(r).get(), h.get()) << r;
+  }
+  EXPECT_EQ(copy.ArenaBytes(), bm.ArenaBytes());
+  // Three arena rows, each referenced from `bm` and `copy`, plus `first`.
+  EXPECT_EQ(first.use_count(), 2 * 3 + 1);
+}
+
+TEST(BitMatCowTest, BuilderPayloadBlocksNeverMove) {
+  // Far more payload than the first block holds: later blocks are new
+  // allocations, so the rows encoded early still read their own words.
+  BitMat::Builder b(500, 1000);
+  for (uint32_t r = 0; r < 500; ++r) b.AddPositions(r, {r, r + 2, r + 4});
+  BitMat bm = b.Finish();
+  EXPECT_EQ(bm.Count(), 1500u);
+  for (uint32_t r = 0; r < 500; ++r) {
+    ASSERT_EQ(bm.Row(r).SetBits(), (std::vector<uint32_t>{r, r + 2, r + 4}));
+  }
+  EXPECT_EQ(bm.ArenaBytes(), bm.PayloadBytes());
+}
+
+TEST(BitMatCowTest, UnfoldOfBuiltMatrixOwnsOnlyChangedRows) {
+  BitMat bm = BuiltFromOwnedRows();
+  Bitvector mask(70);
+  mask.Fill();
+  mask.Set(9, false);  // only row 2 holds column 9
+  BitMat unfolded = bm;
+  unfolded.Unfold(mask, Dim::kCol);
+  EXPECT_FALSE(unfolded.Row(2).is_view());
+  EXPECT_EQ(unfolded.Row(2).Count(), 9u);
+  for (uint32_t r : {0u, 1u, 4u}) {
+    EXPECT_EQ(unfolded.SharedRow(r).get(), bm.SharedRow(r).get()) << r;
+  }
+  EXPECT_TRUE(unfolded.Row(0).is_view());
+  EXPECT_TRUE(bm.Row(2).is_view());
+  EXPECT_EQ(bm.Row(2).Count(), 10u);
+}
+
+TEST(BitMatCowTest, DeepCopyOfBuiltMatrixOutlivesIt) {
+  BitMat deep;
+  BitMat expected;
+  {
+    BitMat bm = BuiltFromOwnedRows();
+    expected = bm.DeepCopy();
+    deep = bm.DeepCopy();
+    EXPECT_NE(deep.SharedRow(2).get(), bm.SharedRow(2).get());
+  }
+  EXPECT_EQ(deep, expected);
+  EXPECT_EQ(deep.Row(2).Count(), 10u);
+  EXPECT_TRUE(deep.Test(4, 69));
+}
+
 }  // namespace
 }  // namespace lbr

@@ -235,6 +235,69 @@ TEST(EngineTest, StatsCountTheJoinsColumnAccess) {
   EXPECT_EQ(second.join_transposes, first.join_transposes);
 }
 
+// Zero-width answers: an all-constant pattern binds no variable, so its
+// answer is one empty mapping when the triple exists and none when it does
+// not. The row count cannot be derived from the (empty) bindings.
+TEST(EngineTest, AllConstantPatternYieldsOneEmptyRow) {
+  EngineFixture f(MakeGraph({{"a", "p", "b"}, {"b", "q", "x"}}));
+  const std::string query = "SELECT * WHERE { <a> <p> <b> }";
+  ResultTable t = f.Run(query);
+  EXPECT_TRUE(t.var_names.empty());
+  ASSERT_EQ(t.rows.size(), 1u);
+  EXPECT_TRUE(t.rows[0].empty());
+  f.ExpectMatchesOracle(query);
+  size_t sunk = 0;
+  EXPECT_EQ(f.engine.Execute(query,
+                             [&sunk](const RawRow& row) {
+                               EXPECT_TRUE(row.empty());
+                               ++sunk;
+                             }),
+            1u);
+  EXPECT_EQ(sunk, 1u);
+}
+
+TEST(EngineTest, AbsentAllConstantPatternYieldsNoRow) {
+  EngineFixture f(MakeGraph({{"a", "p", "b"}, {"b", "q", "x"}}));
+  for (const std::string query : {"SELECT * WHERE { <a> <p> <x> }",
+                                  "SELECT * WHERE { <a> <q> <b> }"}) {
+    EXPECT_TRUE(f.Run(query).rows.empty()) << query;
+    f.ExpectMatchesOracle(query);
+  }
+}
+
+TEST(EngineTest, AllConstantOptionalKeepsTheRow) {
+  // The OPTIONAL triple absent, then present: one empty row either way.
+  for (const std::string& c : {"c", "x"}) {
+    EngineFixture f(MakeGraph({{"a", "p", "b"}, {"b", "q", "x"}}));
+    const std::string query =
+        "SELECT * WHERE { <a> <p> <b> OPTIONAL { <b> <q> <" + c + "> } }";
+    ResultTable t = f.Run(query);
+    ASSERT_EQ(t.rows.size(), 1u) << query;
+    EXPECT_TRUE(t.rows[0].empty());
+    f.ExpectMatchesOracle(query);
+  }
+}
+
+TEST(EngineTest, LoadChargesWhatTheTpHolds) {
+  // One TP, no join column, no best-match: the query's memory charge is
+  // the loaded BitMat's arrays and row objects plus its arena payload (the
+  // rows view the mapped index here, so none), and the cells of the full
+  // and the projected result rows.
+  EngineFixture f(MakeGraph({{"a", "p", "b"}, {"a", "p", "c"},
+                             {"b", "p", "c"}, {"c", "q", "a"}}));
+  TriplePattern tp(PatternTerm::Var("s"), PatternTerm::Fixed(Term::Iri("p")),
+                   PatternTerm::Var("o"));
+  const TpBitMat loaded = LoadTpBitMat(f.index, f.graph.dict(), tp, true);
+  const uint64_t held = loaded.bm.HeapBytes() + loaded.bm.ArenaBytes();
+  EXPECT_GT(held, 2 * sizeof(CompressedRow));
+  QueryControl control;
+  ResultTable t = f.engine.ExecuteToTable("SELECT * WHERE { ?s <p> ?o }",
+                                          nullptr, &control);
+  ASSERT_EQ(t.rows.size(), 3u);
+  const uint64_t cells = 3 * 2 * sizeof(uint64_t);
+  EXPECT_EQ(control.memory_used(), held + 2 * cells);
+}
+
 TEST(EngineTest, DisabledPruningStillCorrect) {
   EngineOptions options;
   options.enable_prune = false;

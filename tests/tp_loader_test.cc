@@ -231,6 +231,114 @@ TEST_F(TpLoaderTest, ActiveMasksRestrictCols) {
   EXPECT_EQ(m.bm.Count(), 1u);  // only (a p b)
 }
 
+// Loads build every row in one arena (BitMat::Builder): the handles share
+// one owner, the matrix outlives the slice pin and a spill of the slice,
+// and a row the active-pruning mask leaves whole stays the slice's row.
+TEST_F(TpLoaderTest, LoadedRowsShareOneArena) {
+  for (bool subject_rows : {true, false}) {
+    TpBitMat m =
+        LoadTpBitMat(index_, graph_.dict(), Tp("?x", "p", "?y"), subject_rows);
+    ASSERT_EQ(m.bm.NonEmptyRowCount(), 2u);
+    const BitMat::RowHandle first = m.bm.SharedRow(m.bm.NonEmptyRows()
+                                                       .SetBits()
+                                                       .front());
+    TpBitMat copy = m;
+    m.bm.ForEachRow([&](uint32_t r, const BitMat::RowHandle& h) {
+      EXPECT_TRUE(h->is_view()) << r;
+      EXPECT_FALSE(h.owner_before(first) || first.owner_before(h)) << r;
+      EXPECT_EQ(copy.bm.SharedRow(r).get(), h.get()) << r;
+    });
+    // Two rows, each referenced from `m` and `copy`, plus `first`.
+    EXPECT_EQ(first.use_count(), 2 * 2 + 1);
+  }
+}
+
+TEST_F(TpLoaderTest, LoadedTpOutlivesItsSlicePinAndSpill) {
+  Graph graph = MakeGraph({
+      {"a", "p", "b"},
+      {"a", "p", "c"},
+      {"b", "p", "c"},
+      {"c", "p", "a"},
+  });
+  TripleIndex index = TripleIndex::Build(graph);
+  TriplePattern tp(PatternTerm::Var("x"), PatternTerm::Fixed(Term::Iri("p")),
+                   PatternTerm::Var("y"));
+  TpBitMat m = LoadTpBitMat(index, graph.dict(), tp, true);
+  BitMat expected(m.bm.num_rows(), m.bm.num_cols());
+  m.bm.ForEachRow([&](uint32_t r, const BitMat::RowHandle& h) {
+    expected.SetRow(r, h->SetBits());
+  });
+  // The loader released its pin; now spill every slice under a budget, so
+  // a slice of owned rows (paranoid reads) frees them.
+  index.SetMemoryBudget(1);
+  index.SpillToFit();
+  EXPECT_GT(index.snapshot_spills(), 0u);
+  EXPECT_EQ(index.snapshot_resident_bytes(), 0u);
+  EXPECT_EQ(m.bm, expected);
+  EXPECT_EQ(m.bm.Count(), 4u);
+  // Reloading after the spill rematerializes the slice: same bits.
+  EXPECT_EQ(LoadTpBitMat(index, graph.dict(), tp, true).bm, expected);
+}
+
+TEST_F(TpLoaderTest, DeepCopyOfLoadedTpOutlivesIt) {
+  BitMat deep;
+  {
+    TpBitMat m =
+        LoadTpBitMat(index_, graph_.dict(), Tp("?x", "p", "?y"), true);
+    deep = m.bm.DeepCopy();
+    EXPECT_NE(deep.SharedRow(Sid("a")).get(), m.bm.SharedRow(Sid("a")).get());
+  }
+  EXPECT_EQ(deep.Count(), 3u);
+  EXPECT_TRUE(deep.Test(Sid("a"), Oid("b")));
+  EXPECT_TRUE(deep.Test(Sid("a"), Oid("c")));
+  EXPECT_TRUE(deep.Test(Sid("b"), Oid("c")));
+}
+
+TEST_F(TpLoaderTest, UnfoldReencodesOnlyTheRowsItChanges) {
+  TpBitMat m = LoadTpBitMat(index_, graph_.dict(), Tp("?x", "p", "?y"), true);
+  const TpBitMat loaded = m;
+  Bitvector mask(index_.num_objects());
+  mask.Fill();
+  mask.Set(Oid("b"), false);  // only row a holds (a p b)
+  m.bm.Unfold(mask, Dim::kCol);
+  EXPECT_FALSE(m.bm.Row(Sid("a")).is_view());
+  EXPECT_EQ(m.bm.Row(Sid("a")).Count(), 1u);
+  EXPECT_EQ(m.bm.SharedRow(Sid("b")).get(),
+            loaded.bm.SharedRow(Sid("b")).get());
+  EXPECT_TRUE(m.bm.Row(Sid("b")).is_view());
+  EXPECT_EQ(loaded.bm.Row(Sid("a")).Count(), 2u);  // the load is untouched
+}
+
+TEST_F(TpLoaderTest, MaskThatDropsNoBitKeepsTheSliceRow) {
+  TripleIndex::SlicePin pin =
+      index_.Slice(*graph_.dict().PredicateId(Term::Iri("p")),
+                   TripleIndex::Side::kSO);
+  const CompressedRow& slice_row = TripleIndex::FindRowIn(pin->rows, Sid("a"));
+  Bitvector col_mask(index_.num_objects());
+  col_mask.Set(Oid("b"));
+  col_mask.Set(Oid("c"));
+  ActiveMasks masks;
+  masks.col_mask = &col_mask;
+  TpBitMat whole =
+      LoadTpBitMat(index_, graph_.dict(), Tp("?x", "p", "?y"), true, masks);
+  EXPECT_EQ(whole.bm.Count(), 3u);
+  EXPECT_TRUE(whole.bm.Row(Sid("a")).is_view());
+  if (slice_row.is_view()) {
+    // Mapped slice rows are shared as they are: nothing was re-encoded.
+    EXPECT_EQ(whole.bm.Row(Sid("a")).pdata(), slice_row.pdata());
+    EXPECT_EQ(whole.bm.ArenaBytes(), 0u);
+  }
+
+  col_mask.Set(Oid("b"), false);  // drops (a p b): row a is re-encoded
+  TpBitMat masked =
+      LoadTpBitMat(index_, graph_.dict(), Tp("?x", "p", "?y"), true, masks);
+  EXPECT_EQ(masked.bm.Count(), 2u);
+  EXPECT_EQ(masked.bm.Row(Sid("a")).SetBits(),
+            (std::vector<uint32_t>{Oid("c")}));
+  EXPECT_NE(masked.bm.Row(Sid("a")).pdata(), slice_row.pdata());
+  EXPECT_GT(masked.bm.ArenaBytes(), 0u);
+}
+
 TEST(AlignMaskTest, SameKindCopies) {
   Bitvector src(10);
   src.Set(3);
