@@ -1,7 +1,7 @@
 // Ablation A4b: the parallel execution layer, whose unit is a whole
 // query. Engine::ExecuteBatch fans the LUBM query set (replicated) across
-// 1/2/4/8 runner threads, every runner engine sharing one striped
-// TpCache — the server deployment shape.
+// 1/2/4/8 runner threads, every runner engine sharing one TpCache — the
+// server deployment shape.
 //
 // With LBR_BENCH_JSON=<path> (or argv[1]) results are written as
 // google-benchmark-style JSON (the same schema as micro_bitops /
@@ -46,12 +46,10 @@ std::vector<SweepResult> RunBatchSweep(const Graph& graph,
     ThreadPool pool(threads);
     BatchOptions options;
     options.engine.enable_tp_cache = true;
+    options.pool = threads > 1 ? &pool : nullptr;
     // Unbounded budget: eviction noise would corrupt the scaling numbers
     // at high LBR_SCALE.
-    options.engine.tp_cache_budget = ~uint64_t{0};
-    options.pool = threads > 1 ? &pool : nullptr;
-    options.shared_cache =
-        std::make_shared<TpCache>(options.engine.tp_cache_budget);
+    options.shared_cache = std::make_shared<TpCache>(~uint64_t{0});
 
     SweepResult r;
     r.threads = threads;

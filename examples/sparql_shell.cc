@@ -191,11 +191,20 @@ int main(int argc, char** argv) {
     batch_options.pool = pool.get();
     batch_options.timeout_ms = timeout_ms;
     batch_options.memory_budget = maxmem_bytes;
+    // Cache-wide counter deltas around the whole batch: summing each
+    // query's deltas would count concurrent runners' traffic more than once.
+    const TpCache& cache = db.engine().tp_cache();
+    const uint64_t hits0 = cache.hits(), misses0 = cache.misses();
+    const uint64_t contention0 = cache.lock_contention();
+    const uint64_t flight_waits0 = cache.single_flight_waits();
     std::vector<BatchResult> results =
         db.ExecuteBatch(queries, std::move(batch_options));
     double wall = watch.Seconds();
+    const uint64_t hits = cache.hits() - hits0;
+    const uint64_t misses = cache.misses() - misses0;
+    const uint64_t contention = cache.lock_contention() - contention0;
+    const uint64_t flight_waits = cache.single_flight_waits() - flight_waits0;
     uint64_t total_rows = 0, failures = 0;
-    uint64_t hits = 0, misses = 0, contention = 0, flight_waits = 0;
     for (size_t i = 0; i < results.size(); ++i) {
       const BatchResult& r = results[i];
       if (!r.ok()) {
@@ -206,10 +215,6 @@ int main(int argc, char** argv) {
         continue;
       }
       total_rows += r.stats.num_results;
-      hits += r.stats.tp_cache_hits;
-      misses += r.stats.tp_cache_misses;
-      contention += r.stats.tp_cache_contention;
-      flight_waits += r.stats.tp_cache_flight_waits;
       std::cout << "  q" << i << ": " << r.stats.num_results << " rows in "
                 << r.stats.t_total_sec << " s\n";
     }

@@ -138,7 +138,10 @@ void BitMat::FoldInto(Dim retain, Bitvector* out, ExecContext* ctx) const {
     if (ctx != nullptr) ctx->CountFoldHit();
     return;
   }
-  ComputeColFoldInto(out);
+  out->Resize(num_cols_);
+  out->Clear();
+  // Only non-empty rows are stored; each ORs in word-at-a-time.
+  for (const RowHandle& row : handles_) row->OrInto(out);
   if (ctx != nullptr) ctx->CountFoldMiss();
   if (!col_fold_.seen) {
     // First fold at this version: only record that it happened.
@@ -147,20 +150,6 @@ void BitMat::FoldInto(Dim retain, Bitvector* out, ExecContext* ctx) const {
   }
   // Second fold at this version: the result is evidently reused.
   col_fold_.bits = std::make_shared<const Bitvector>(*out);
-}
-
-void BitMat::ComputeColFoldInto(Bitvector* out) const {
-  out->Resize(num_cols_);
-  out->Clear();
-  // Only non-empty rows are stored; each ORs in word-at-a-time.
-  for (const RowHandle& row : handles_) row->OrInto(out);
-}
-
-void BitMat::MemoizeColFold() const {
-  if (ColFoldMemoized()) return;
-  auto fold = std::make_shared<Bitvector>();
-  ComputeColFoldInto(fold.get());
-  col_fold_.bits = std::move(fold);
 }
 
 BitMat::RowHandle BitMat::MaskedRow(const RowHandle& row,

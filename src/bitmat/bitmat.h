@@ -140,12 +140,6 @@ class BitMat {
   /// True iff the next FoldInto(kCol) would be served from the memo.
   bool ColFoldMemoized() const { return col_fold_.bits != nullptr; }
 
-  /// Computes and stores the column-fold memo immediately, bypassing the
-  /// second-touch policy — for owners that know the fold will be reused
-  /// (TpCache warms entries before inserting them so every snapshot of a
-  /// warm cache starts memoized). No-op when already memoized.
-  void MemoizeColFold() const;
-
   /// Masks a non-null row handle: returns `row` itself when the mask drops
   /// no bit (callers keep sharing), null when nothing survives, or a fresh
   /// handle with the surviving bits. The single implementation of the CoW
@@ -256,10 +250,6 @@ class BitMat {
   /// Recomputes `rank_` from `non_empty_rows_` after ids were inserted or
   /// removed.
   void RebuildRank();
-
-  /// The raw column fold (resize + clear + OR of every non-empty row),
-  /// shared by the miss path of FoldInto and by MemoizeColFold.
-  void ComputeColFoldInto(Bitvector* out) const;
 
   /// Records a bit-content change: bumps the version and drops the fold
   /// memo, so the next fold starts the second-touch count afresh.

@@ -61,11 +61,6 @@ class Database {
   Engine& engine() { return *engine_; }
   const Engine& engine() const { return *engine_; }
 
-  /// Version-stamped plan invalidation: compiled plans cached before this
-  /// call recompile on next use. The hook future incremental updates call
-  /// after changing the index.
-  void InvalidatePlans() { engine_->InvalidatePlans(); }
-
   /// Fans a batch of SPARQL queries across `pool` (null = serial), one
   /// engine per pool slot, sharing this database's index and the main
   /// engine's TP cache — so an interactive session and a batch run warm

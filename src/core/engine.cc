@@ -79,7 +79,7 @@ Engine::Engine(const TripleIndex* index, const Dictionary* dict,
       options_(options),
       tp_cache_(shared_cache != nullptr
                     ? std::move(shared_cache)
-                    : std::make_shared<TpCache>(options.tp_cache_budget)),
+                    : std::make_shared<TpCache>()),
       plan_cache_(options.plan_cache != nullptr
                       ? options.plan_cache
                       : std::make_shared<PlanCache>()) {}
@@ -860,7 +860,7 @@ std::vector<BatchResult> Engine::ExecuteBatch(
 
   std::shared_ptr<TpCache> cache = options.shared_cache;
   if (cache == nullptr && engine_options.enable_tp_cache) {
-    cache = std::make_shared<TpCache>(engine_options.tp_cache_budget);
+    cache = std::make_shared<TpCache>();
   }
   // One plan cache for all workers: batch queries are text, so they route
   // through the shape-keyed compiled-plan cache; repeated shapes across

@@ -39,8 +39,6 @@ struct EngineOptions {
   /// for short-running queries); active-pruning masks are re-applied on the
   /// cached copies.
   bool enable_tp_cache = false;
-  /// Triple budget for the TP cache (total set bits held).
-  uint64_t tp_cache_budget = 4u << 20;
   /// Cache compiled plan skeletons keyed by query shape, so parameterized
   /// traffic pays parse/rewrite/GoSN/jvar-order once per shape. Only the
   /// text entry points (Execute(std::string), ExecuteToTable(std::string))
@@ -85,8 +83,8 @@ struct QueryStats {
   uint64_t tp_cache_held_triples = 0;
   uint64_t fold_cache_hits = 0;
   uint64_t fold_cache_misses = 0;
-  // Contention observability (shared-cache deployments): shard-lock
-  // acquisitions that found the lock held, and single-flight sleeps behind
+  // Contention observability (shared-cache deployments): acquisitions of
+  // the cache's lock that found it held, and single-flight sleeps behind
   // another thread's load of the same pattern, during this query.
   uint64_t tp_cache_contention = 0;
   uint64_t tp_cache_flight_waits = 0;
@@ -277,9 +275,6 @@ class Engine {
   /// The compiled-plan cache (meaningful when enable_plan_cache is set).
   const PlanCache& plan_cache() const { return *plan_cache_; }
   std::shared_ptr<PlanCache> shared_plan_cache() const { return plan_cache_; }
-  /// Version-stamped invalidation hook: cached plans compiled before this
-  /// call are recompiled on next use (for future incremental updates).
-  void InvalidatePlans() { plan_cache_->BumpEpoch(); }
 
   /// Whole-query planning, bypassing the plan cache: rewrite to UNF, then
   /// PlanBranch per branch. The one planner behind every execution and

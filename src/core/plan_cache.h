@@ -1,22 +1,17 @@
 #ifndef LBR_CORE_PLAN_CACHE_H_
 #define LBR_CORE_PLAN_CACHE_H_
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "core/goj.h"
 #include "core/gosn.h"
 #include "core/jvar_order.h"
 #include "sparql/rewrite.h"
+#include "util/lru_cache.h"
 
 namespace lbr {
 
@@ -82,87 +77,39 @@ struct CompiledPlan {
   /// Number of constant slots the shape abstracts; rebinding supplies
   /// exactly this many terms.
   size_t num_slots = 0;
-  /// PlanCache epoch at compile time; entries from older epochs are
-  /// treated as misses (version-stamped invalidation).
-  uint64_t epoch = 0;
 };
 
-/// Sharded LRU cache of compiled plans keyed by query shape, mirroring
-/// TpCache's striped single-flight design (DESIGN.md §5, §10):
-///  - entries stripe across shards by key hash; each shard has its own
-///    mutex/cv/LRU list, so concurrent engines sharing a warm cache only
-///    collide on the same stripe;
-///  - compilation is single-flight per key: the first thread to miss marks
-///    the key in flight and compiles outside the shard lock; concurrent
-///    callers of the same shape wait and are served the published plan as
-///    hits — one parse/rewrite/plan, N consumers;
-///  - a failed compile clears the in-flight mark, wakes waiters (who fall
-///    through to their own attempt), and caches nothing — no poisoned
-///    entries;
-///  - BumpEpoch() is the invalidation hook for future incremental updates:
-///    it never blocks on shard locks; stale entries are lazily evicted on
-///    next lookup.
+/// LRU cache of compiled plans keyed by query shape (DESIGN.md §10): an
+/// entry-count capacity over the shared single-flight LRU, so one parse/
+/// rewrite/plan serves every concurrent caller of a shape, and a failed
+/// compile caches nothing (its waiters compile for themselves).
 class PlanCache {
  public:
-  /// `capacity`: maximum cached plans (global across shards). Tests that
-  /// pin exact LRU behavior pass `num_shards = 1`.
-  explicit PlanCache(size_t capacity = 256, size_t num_shards = 8);
+  /// `capacity`: maximum cached plans.
+  explicit PlanCache(size_t capacity = 256)
+      : lru_(capacity > 0 ? capacity : 1) {}
 
-  using Compiler = std::function<std::shared_ptr<CompiledPlan>()>;
+  using Compiler = std::function<std::shared_ptr<const CompiledPlan>()>;
 
   /// Returns the cached plan for `key`, or runs `compile` (single-flight),
-  /// publishes, and returns its result. The compiler runs outside shard
-  /// locks; its exceptions propagate to the calling thread only. The
-  /// returned plan is stamped with the epoch current at call entry.
+  /// publishes, and returns its result. The compiler runs outside the
+  /// cache's lock; its exceptions propagate to the calling thread only.
   std::shared_ptr<const CompiledPlan> GetOrCompile(const std::string& key,
-                                                   const Compiler& compile);
-
-  /// Version-stamped invalidation: plans compiled before the bump are
-  /// treated as misses and recompiled on next use. O(1); eviction of stale
-  /// entries is lazy.
-  void BumpEpoch() { epoch_.fetch_add(1, std::memory_order_acq_rel); }
-  uint64_t epoch() const { return epoch_.load(std::memory_order_acquire); }
+                                                   const Compiler& compile) {
+    return lru_.GetOrLoad(key, [&] { return Lru::Loaded{compile(), 1}; });
+  }
 
   /// Drops everything immediately.
-  void Clear();
+  void Clear() { lru_.Clear(); }
 
-  uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
-  uint64_t single_flight_waits() const {
-    return flight_waits_.load(std::memory_order_relaxed);
-  }
-  size_t size() const { return entries_.load(std::memory_order_relaxed); }
-  size_t capacity() const { return capacity_; }
-  size_t num_shards() const { return shards_.size(); }
+  uint64_t hits() const { return lru_.hits(); }
+  uint64_t misses() const { return lru_.misses(); }
+  uint64_t single_flight_waits() const { return lru_.single_flight_waits(); }
+  size_t size() const { return lru_.size(); }
 
  private:
-  struct Entry {
-    std::shared_ptr<const CompiledPlan> plan;
-    std::list<std::string>::iterator lru_it;
-  };
-
-  struct Shard {
-    std::mutex mu;
-    std::condition_variable cv;  ///< Signaled when a compile publishes/fails.
-    std::list<std::string> lru;  ///< front = most recent
-    std::unordered_map<std::string, Entry> entries;
-    std::unordered_set<std::string> loading;  ///< Keys being compiled.
-  };
-
-  Shard& ShardFor(const std::string& key) const;
-  /// Drops `shard`'s LRU tail. Caller holds the shard lock.
-  void EvictOne(Shard* shard);
-  /// Evicts until the global entry count fits capacity: own tail first,
-  /// then other stripes via try-lock (never blocking).
-  void EvictToCapacity(Shard* shard);
-
-  size_t capacity_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::atomic<uint64_t> epoch_{0};
-  std::atomic<size_t> entries_{0};
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> misses_{0};
-  std::atomic<uint64_t> flight_waits_{0};
+  using Lru = SingleFlightLru<CompiledPlan>;
+  Lru lru_;
 };
 
 }  // namespace lbr

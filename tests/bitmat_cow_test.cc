@@ -145,20 +145,6 @@ TEST(BitMatCowTest, FoldIntoMemoizesColumnFoldOnSecondTouch) {
   EXPECT_EQ(ctx.fold_cache_misses(), 2u);
 }
 
-TEST(BitMatCowTest, MemoizeColFoldStoresImmediately) {
-  // The explicit warm-up path (used by TpCache on insert) bypasses the
-  // second-touch policy: the very next fold is a hit.
-  ExecContext ctx;
-  BitMat bm = SampleBitMat();
-  bm.MemoizeColFold();
-  EXPECT_TRUE(bm.ColFoldMemoized());
-  Bitvector out;
-  bm.FoldInto(Dim::kCol, &out, &ctx);
-  EXPECT_EQ(ctx.fold_cache_hits(), 1u);
-  EXPECT_EQ(ctx.fold_cache_misses(), 0u);
-  EXPECT_EQ(out.SetBits(), (std::vector<uint32_t>{0, 1, 2, 3, 5}));
-}
-
 TEST(BitMatCowTest, FoldMemoInvalidatedByMutation) {
   ExecContext ctx;
   BitMat bm = SampleBitMat();

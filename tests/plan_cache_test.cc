@@ -113,7 +113,7 @@ std::shared_ptr<CompiledPlan> TrivialPlan() {
 }
 
 TEST(PlanCacheTest, MissThenHit) {
-  PlanCache cache(8, 1);
+  PlanCache cache(8);
   int compiles = 0;
   auto compile = [&] {
     ++compiles;
@@ -129,7 +129,7 @@ TEST(PlanCacheTest, MissThenHit) {
 }
 
 TEST(PlanCacheTest, LruEvictsOldest) {
-  PlanCache cache(2, 1);
+  PlanCache cache(2);
   int compiles = 0;
   auto compile = [&] {
     ++compiles;
@@ -146,26 +146,8 @@ TEST(PlanCacheTest, LruEvictsOldest) {
   EXPECT_EQ(compiles, 4);  // b was evicted
 }
 
-TEST(PlanCacheTest, BumpEpochInvalidates) {
-  PlanCache cache(8, 1);
-  int compiles = 0;
-  auto compile = [&] {
-    ++compiles;
-    return TrivialPlan();
-  };
-  auto a = cache.GetOrCompile("k", compile);
-  EXPECT_EQ(a->epoch, 0u);
-  cache.BumpEpoch();
-  auto b = cache.GetOrCompile("k", compile);
-  EXPECT_EQ(compiles, 2);
-  EXPECT_EQ(b->epoch, 1u);
-  // The recompiled plan is published under the new epoch: hit again.
-  cache.GetOrCompile("k", compile);
-  EXPECT_EQ(compiles, 2);
-}
-
 TEST(PlanCacheTest, ClearDropsEverything) {
-  PlanCache cache(8, 4);
+  PlanCache cache(8);
   int compiles = 0;
   auto compile = [&] {
     ++compiles;
@@ -181,7 +163,7 @@ TEST(PlanCacheTest, ClearDropsEverything) {
 }
 
 TEST(PlanCacheTest, FailedCompileCachesNothing) {
-  PlanCache cache(8, 1);
+  PlanCache cache(8);
   EXPECT_THROW(
       cache.GetOrCompile(
           "k", []() -> std::shared_ptr<CompiledPlan> {
@@ -198,7 +180,7 @@ TEST(PlanCacheTest, FailedCompileCachesNothing) {
 }
 
 TEST(PlanCacheTest, SingleFlightCompilesOnce) {
-  PlanCache cache(8, 1);
+  PlanCache cache(8);
   std::atomic<int> compiles{0};
   std::atomic<int> arrived{0};
   constexpr int kThreads = 8;
@@ -314,22 +296,6 @@ TEST_F(PlanCacheEngineTest, DifferentOptionalNestingMisses) {
   EXPECT_EQ(s1.plan_cache_misses, 1u);
   EXPECT_EQ(s2.plan_cache_misses, 1u);
   EXPECT_EQ(s2.plan_cache_hits, 0u);
-}
-
-TEST_F(PlanCacheEngineTest, InvalidatePlansForcesRecompile) {
-  Engine engine = MakeEngine();
-  QueryStats s1, s2, s3;
-  engine.ExecuteToTable(SitcomQuery(), &s1);
-  engine.InvalidatePlans();
-  ResultTable after = engine.ExecuteToTable(SitcomQuery(), &s2);
-  EXPECT_EQ(s2.plan_cache_misses, 1u);
-  EXPECT_GE(s2.planning_parses, 1u);
-  // And the recompiled plan caches again.
-  engine.ExecuteToTable(SitcomQuery(), &s3);
-  EXPECT_EQ(s3.plan_cache_hits, 1u);
-
-  Engine cold = MakeEngine();
-  EXPECT_EQ(Canonicalize(after), Canonicalize(cold.ExecuteToTable(SitcomQuery())));
 }
 
 TEST_F(PlanCacheEngineTest, CacheDisabledStillWorks) {

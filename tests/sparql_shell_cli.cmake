@@ -3,7 +3,8 @@
 # and a data file that cannot be opened (missing, or a .lbr file that is
 # not a snapshot) exits 1 with a one-line "error: ..." message. An abort
 # (std::terminate) fails every case. Also checks that --threads N sizes the
-# .batch runner pool: a .batch file exits 0 and reports N thread(s).
+# .batch runner pool: a .batch file exits 0, reports N thread(s), and
+# counts each TP cache lookup of the batch once.
 #
 #   cmake -DSHELL=<path to sparql_shell> -P tests/sparql_shell_cli.cmake
 
@@ -56,7 +57,14 @@ if(NOT code STREQUAL "0")
   message(FATAL_ERROR "sparql_shell --threads 2 .batch: exit '${code}', "
                       "expected 0; stderr:\n${err}")
 endif()
-if(NOT out MATCHES "batch: 2 queries \\(0 failed\\), [0-9]+ rows in [^\n]* on 2 thread\\(s\\)")
+if(NOT out MATCHES "batch: 2 queries \\(0 failed\\), [0-9]+ rows in [^\n]* on 2 thread\\(s\\); tp cache ([0-9]+) hit\\(s\\) / ([0-9]+) miss")
   message(FATAL_ERROR "sparql_shell --threads 2 .batch: no 'batch: ... on 2 "
-                      "thread(s)' line in:\n${out}")
+                      "thread(s); tp cache ...' line in:\n${out}")
+endif()
+# The batch's cache totals count each TP lookup once, whichever runner made
+# it: 1 + 2 TPs.
+math(EXPR lookups "${CMAKE_MATCH_1} + ${CMAKE_MATCH_2}")
+if(NOT lookups EQUAL 3)
+  message(FATAL_ERROR "sparql_shell --threads 2 .batch: ${lookups} tp cache "
+                      "lookups (hits + misses), expected 3, in:\n${out}")
 endif()

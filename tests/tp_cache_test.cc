@@ -94,9 +94,9 @@ TEST_F(TpCacheTest, EvictsLruWhenOverBudget) {
 }
 
 TEST_F(TpCacheTest, EntryLargerThanStripeSliceIsStillCached) {
-  // The budget is global, not a per-stripe slice: with 8 stripes and a
-  // budget of 16, an entry of cost 3 (> 16/8) must still be admitted.
-  TpCache cache(/*triple_budget=*/16, /*num_shards=*/8);
+  // The budget is one global total: with a budget of 16, an entry of
+  // cost 3 (more than 16/8) is admitted.
+  TpCache cache(/*triple_budget=*/16);
   cache.GetOrLoad(index_, graph_.dict(), Tp("?x", "p", "?y"), true);  // 3 bits
   EXPECT_EQ(cache.size(), 1u);
   cache.GetOrLoad(index_, graph_.dict(), Tp("?x", "p", "?y"), true);
@@ -104,10 +104,9 @@ TEST_F(TpCacheTest, EntryLargerThanStripeSliceIsStillCached) {
 }
 
 TEST_F(TpCacheTest, GlobalBudgetEnforcedAcrossStripes) {
-  // Two stripes, budget 3: after inserting p (3 bits) and q (1 bit) the
-  // held total must be reclaimed down to the budget no matter which
-  // stripes the keys hash to.
-  TpCache cache(/*triple_budget=*/3, /*num_shards=*/2);
+  // Budget 3: after inserting p (3 bits) and q (1 bit) the held total is
+  // reclaimed down to the budget.
+  TpCache cache(/*triple_budget=*/3);
   cache.GetOrLoad(index_, graph_.dict(), Tp("?x", "p", "?y"), true);
   cache.GetOrLoad(index_, graph_.dict(), Tp("?x", "q", "?y"), true);
   EXPECT_LE(cache.held_triples(), 3u);
@@ -322,7 +321,7 @@ TEST_F(TpCacheTest, SparseEntryIsChargedForItsRowsNotItsDimension) {
   ASSERT_GE(index.num_subjects(), static_cast<uint32_t>(kSubjects));
 
   QueryControl meter;
-  TpCache cache(/*triple_budget=*/1u << 20, /*num_shards=*/1);
+  TpCache cache(/*triple_budget=*/1u << 20);
   cache.SetMemoryAccounting(&meter, /*budget_bytes=*/0);
   TpBitMat m =
       cache.GetOrLoad(index, graph.dict(), Tp("?x", "p", "?y"), true);
