@@ -123,7 +123,9 @@ struct JoinSetup {
     ExecContext ctx;
     uint64_t n = 0;
     auto run_once = [&] {
-      n = join.Run([](const RawRow&, bool) {}, &ctx);
+      RowSlab rows(join.var_names().size());
+      rows.Reserve(n);  // the previous run's count: one allocation per run
+      n = join.Run(&rows, &ctx);
     };
     double sec = TimeMinSample(run_once, min_sample_sec);
     if (force_scalar) bitops::ResetKernelBackend();

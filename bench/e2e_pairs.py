@@ -12,6 +12,9 @@ per-query-group medians. At the end it prints, per
 end-to-end metric of BENCHMARK.json and per side, the median, the
 interquartile range and, for the change, the pairs it won; then the
 reference's median round per side and, with --queries, per-group medians.
+With --fail-on-bound it also exits non-zero when the change's median of
+any end-to-end metric is worse than the parent's by more than that
+metric's `bound` in BENCHMARK.json (a relative share: 0.25 is 25%).
 
 Example:
   python3 bench/e2e_pairs.py --parent ../parent --change . \\
@@ -153,6 +156,33 @@ def summarize(runs, pairs, benchmark, queries):
     return 1 if failed else 0
 
 
+def bound_failures(runs, benchmark):
+    """End-to-end metrics whose change median is worse than the parent
+    median by more than the metric's relative bound; prints one line per
+    checked metric."""
+    failures = []
+    for m in benchmark["end_to_end"]:
+        med = {}
+        for side in ("parent", "change"):
+            vals = [r["result"]["metrics"][m["name"]]["value"] for r in runs
+                    if r["side"] == side and "result" in r and
+                    m["name"] in r["result"].get("metrics", {})]
+            if vals:
+                med[side] = statistics.median(vals)
+        if len(med) < 2 or med["parent"] == 0:
+            continue
+        delta = (med["change"] - med["parent"]) / med["parent"]
+        worse = delta if m["better"] == "lower" else -delta
+        bad = worse > m["bound"]
+        print("bound %-16s parent %.5g change %.5g worse by %+.1f%% "
+              "(bound %.0f%%)%s" % (m["name"], med["parent"], med["change"],
+                                    100 * worse, 100 * m["bound"],
+                                    " EXCEEDED" if bad else ""))
+        if bad:
+            failures.append(m["name"])
+    return failures
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True, help="parent checkout")
@@ -170,6 +200,10 @@ def main():
     ap.add_argument("--queries", default="",
                     help="comma-separated query groups to summarize")
     ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_e2e.json"))
+    ap.add_argument("--fail-on-bound", action="store_true",
+                    help="exit 3 when a change median of an end-to-end "
+                    "metric is worse than the parent's beyond its "
+                    "BENCHMARK.json bound")
     args = ap.parse_args()
 
     sides = {}
@@ -204,7 +238,10 @@ def main():
                     "geomean_ms", "latency_p50_ms", "latency_p99_ms",
                     "qps"))), flush=True)
     queries = [q for q in args.queries.split(",") if q]
-    sys.exit(summarize(runs, args.pairs, benchmark, queries))
+    code = summarize(runs, args.pairs, benchmark, queries)
+    if args.fail_on_bound and bound_failures(runs, benchmark) and code == 0:
+        code = 3
+    sys.exit(code)
 
 
 if __name__ == "__main__":

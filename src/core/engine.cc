@@ -417,29 +417,18 @@ Engine::BranchResult Engine::ExecuteBranchPlan(
   MultiwayJoin join(gosn, ids, *dict_, &states, stps, join_options);
 
   // Collect FULL rows (every branch variable) so that phantom-row cleanup
-  // and best-match see pre-projection granularity; project afterwards.
+  // and best-match see pre-projection granularity; project afterwards. The
+  // join writes them straight into the slab and charges their memory.
   RowSlab full_rows(join.var_names().size());
   // Dedup of nulled phantom rows, keyed by their offsets in full_rows.
   SlabRowCounter nulled_emitted(&full_rows);
-  bool any_nulled = false;
   Stopwatch join_watch;
-  join.Run(
-      [&](const RawRow& row, bool nulled) {
-        full_rows.Append(row.data());
-        if (nulled) {
-          any_nulled = true;
-          // A nulled row is one enumeration attempt of a slave group that
-          // failed under the original join order; all attempts collapse to
-          // the same nulled row — keep one (Rao et al.'s minimum union).
-          if (nulled_emitted.Add(full_rows.size() - 1) > 1) {
-            full_rows.PopBack();
-            return;
-          }
-        }
-        // Memory accounting point: the accumulated result rows.
-        exec_ctx_.ChargeMemory(row.size() * sizeof(uint64_t));
-      },
-      &exec_ctx_);
+  join.Run(&full_rows, &exec_ctx_, [&](size_t row) {
+    // A nulled row is one enumeration attempt of a slave group that failed
+    // under the original join order; all attempts collapse to the same
+    // nulled row — keep one (Rao et al.'s minimum union).
+    if (nulled_emitted.Add(row) > 1) full_rows.PopBack();
+  });
   if (stats != nullptr) {
     stats->t_join_sec += join_watch.Seconds();
     stats->join_columns_extracted += join.columns_extracted();
@@ -449,7 +438,7 @@ Engine::BranchResult Engine::ExecuteBranchPlan(
 
   // --- best-match (Alg 5.1 lines 10-13), needed when the query is cyclic
   // with multi-jvar slaves, or when FaN/nullification nulled some group.
-  if (nb_reqd || join.nulling_applied() || any_nulled) {
+  if (nb_reqd || join.nulling_applied()) {
     Stopwatch best_match_watch;
     if (stats != nullptr) stats->best_match_used = true;
     exec_ctx_.CheckCancelNow();  // best-match is O(rows^2 worst case)

@@ -75,8 +75,6 @@ MultiwayJoin::MultiwayJoin(const Gosn& gosn, const GlobalIds& ids,
     if (!mat.col_var.empty()) col_var_of_tp_[i] = VarIndex(mat.col_var);
   }
 
-  vmap_.assign(var_names_.size(), {});
-  visited_.assign(tps_->size(), false);
   transpose_cache_.resize(tps_->size());
   static_masks_.resize(tps_->size());
 
@@ -105,17 +103,21 @@ MultiwayJoin::MultiwayJoin(const Gosn& gosn, const GlobalIds& ids,
     }
   }
 
+  // The best-match grouping key: every variable an absolute master uses.
+  for (size_t v = 0; v < var_names_.size(); ++v) {
+    if (std::any_of(tps_->begin(), tps_->end(), [&](const TpState& tp) {
+          return gosn_.IsAbsoluteMaster(tp.sn_id) &&
+                 tp.tp.UsesVar(var_names_[v]);
+        })) {
+      master_columns_.push_back(static_cast<int>(v));
+    }
+  }
 }
 
 int MultiwayJoin::VarIndex(const std::string& name) const {
   auto it = std::lower_bound(var_names_.begin(), var_names_.end(), name);
   if (it == var_names_.end() || *it != name) return -1;
   return static_cast<int>(it - var_names_.begin());
-}
-
-const MultiwayJoin::Entry* MultiwayJoin::FirstEntry(int var) const {
-  if (var < 0 || vmap_[var].empty()) return nullptr;
-  return &vmap_[var].front();
 }
 
 const CompressedRow& MultiwayJoin::TransposedColumn(int tp_id, uint32_t col) {
@@ -251,23 +253,21 @@ const Bitvector* MultiwayJoin::StaticFoldMask(int var, int chosen_tp,
 }
 
 int MultiwayJoin::PrepareBoundChecks(
-    int var, int chosen_tp, DomainKind dst_kind,
+    int var, size_t depth, DomainKind dst_kind,
     std::array<BoundCheck, kMaxBoundChecks>* out) {
   int n = 0;
   for (const MasterConstraint& mc : masters_of_var_[var]) {
     if (n == kMaxBoundChecks) break;  // a constraint subset is still sound
-    if (mc.tp_id == chosen_tp || visited_[mc.tp_id]) continue;
+    if (depth_of_tp_[mc.tp_id] <= depth) continue;  // chosen or visited
     // Only TPs whose other dimension is already bound add anything beyond
     // the static fold mask; diagonal TPs (other_var == var, free here)
     // are covered by their fold.
     if (mc.other_var < 0 || mc.other_var == var) continue;
     if (!KindsCompatible(mc.kind, dst_kind)) continue;
-    const Entry* e = FirstEntry(mc.other_var);
-    if (e == nullptr) continue;
+    const uint64_t* value = BindingAt(mc.other_var, depth);
+    if (value == nullptr) continue;
     std::optional<uint32_t> bound;
-    if (e->value != kNullBinding) {
-      bound = ids_.ToLocal(mc.other_kind, e->value);
-    }
+    if (*value != kNullBinding) bound = ids_.ToLocal(mc.other_kind, *value);
     // A master whose bound side is NULL or outside its domain (or whose
     // bound row is empty) can never match: the whole branch will roll
     // back, so no candidate survives.
@@ -330,102 +330,118 @@ void MultiwayJoin::FilterPositions(
   }
 }
 
-uint64_t MultiwayJoin::Run(const Sink& sink, ExecContext* ctx) {
-  sink_ = sink;
+uint64_t MultiwayJoin::Run(RowSlab* rows, ExecContext* ctx,
+                           const NulledRowHook& on_nulled) {
+  rows_ = rows;
   ctx_ = ctx;
+  on_nulled_ = &on_nulled;
+  rows_charged_ = rows->size();
   emitted_ = 0;
   ++run_seq_;  // re-arms the once-per-Run static-mask version validation
+  CompileOrder();
   if (!tps_->empty()) Recurse(0);
+  ChargeRows();
   ctx_ = nullptr;
   return emitted_;
 }
 
-std::vector<int> MultiwayJoin::MasterColumns() const {
-  std::vector<int> cols;
-  for (size_t i = 0; i < var_names_.size(); ++i) {
-    bool in_master = false;
-    for (const TpState& tp : *tps_) {
-      if (gosn_.IsAbsoluteMaster(tp.sn_id) &&
-          tp.tp.UsesVar(var_names_[i])) {
-        in_master = true;
+void MultiwayJoin::CompileOrder() {
+  // Alg 5.4 lines 6-11: the next TP is the first unvisited one in stps
+  // order with a bound variable (a variable-free TP qualifies at once),
+  // else the first unvisited one. Every visit binds all of its TP's
+  // variables, NULL included, so the choice depends on the depth alone.
+  const size_t n = stps_.size();
+  order_.clear();
+  depth_of_tp_.assign(tps_->size(), kNotVisited);
+  var_slots_.resize(var_names_.size());
+  for (std::vector<int>& slots : var_slots_) slots.clear();
+  auto bound = [&](int var) { return var >= 0 && !var_slots_[var].empty(); };
+  for (size_t d = 0; d < n; ++d) {
+    int chosen = -1;
+    for (int tp_id : stps_) {
+      if (depth_of_tp_[tp_id] != kNotVisited) continue;
+      if (chosen < 0) chosen = tp_id;  // the fallback
+      const int rv = row_var_of_tp_[tp_id];
+      const int cv = col_var_of_tp_[tp_id];
+      if ((rv < 0 && cv < 0) || bound(rv) || bound(cv)) {
+        chosen = tp_id;
         break;
       }
     }
-    if (in_master) cols.push_back(static_cast<int>(i));
+    depth_of_tp_[chosen] = d;
+    order_.push_back(chosen);
+    const int rv = row_var_of_tp_[chosen];
+    const int cv = col_var_of_tp_[chosen];
+    if (rv >= 0) var_slots_[rv].push_back(static_cast<int>(2 * d));
+    if (cv >= 0 && cv != rv) {
+      var_slots_[cv].push_back(static_cast<int>(2 * d + 1));
+    }
   }
-  return cols;
+  first_slot_.resize(var_names_.size());
+  for (size_t v = 0; v < var_names_.size(); ++v) {
+    first_slot_[v] = var_slots_[v].empty() ? -1 : var_slots_[v].front();
+  }
+
+  // A NULL visit NULLs both slots of its depth and a match binds only
+  // non-NULL ids, so one slot per TP tells the two apart.
+  probe_slots_.resize(static_cast<size_t>(gosn_.num_supernodes()));
+  for (int sn = 0; sn < gosn_.num_supernodes(); ++sn) {
+    probe_slots_[sn].clear();
+    if (gosn_.IsAbsoluteMaster(sn)) continue;
+    for (int tp_id : gosn_.supernode(sn).tp_ids) {
+      const size_t d = depth_of_tp_[tp_id];
+      const bool on_row = row_var_of_tp_[tp_id] >= 0;
+      if (d == kNotVisited || (!on_row && col_var_of_tp_[tp_id] < 0)) continue;
+      probe_slots_[sn].push_back(static_cast<int>(2 * d + (on_row ? 0 : 1)));
+    }
+  }
+
+  // A slave TP left empty (by prune, or by the data) can never match:
+  // its depth stays NULL for the whole Run and is never enumerated.
+  frame_.assign(2 * n, kNullBinding);
+  live_from_.assign(n + 1, n);
+  for (size_t d = n; d-- > 0;) {
+    const TpState& tp = (*tps_)[order_[d]];
+    const bool null_up_front =
+        !gosn_.IsAbsoluteMaster(tp.sn_id) && tp.mat.bm.IsEmpty();
+    live_from_[d] = null_up_front ? live_from_[d + 1] : d;
+  }
 }
 
-void MultiwayJoin::VisitWith(const TpState& tp, uint64_t row_value,
-                             uint64_t col_value, size_t visited_count) {
-  int rv = row_var_of_tp_[tp.tp_id];
-  int cv = col_var_of_tp_[tp.tp_id];
-  if (rv >= 0) vmap_[rv].push_back(Entry{tp.tp_id, row_value});
-  if (cv >= 0 && cv != rv) vmap_[cv].push_back(Entry{tp.tp_id, col_value});
-  visited_[tp.tp_id] = true;
-  Recurse(visited_count + 1);
-  visited_[tp.tp_id] = false;
-  if (rv >= 0) vmap_[rv].pop_back();
-  if (cv >= 0 && cv != rv) vmap_[cv].pop_back();
+void MultiwayJoin::ChargeRows() {
+  // Memory accounting point: the result rows, charged in chunks.
+  if (ctx_ != nullptr) {
+    ctx_->ChargeMemory((rows_->size() - rows_charged_) * rows_->width() *
+                       sizeof(uint64_t));
+  }
+  rows_charged_ = rows_->size();
 }
 
-void MultiwayJoin::VisitNull(const TpState& tp, size_t visited_count) {
-  int rv = row_var_of_tp_[tp.tp_id];
-  int cv = col_var_of_tp_[tp.tp_id];
-  if (rv >= 0) vmap_[rv].push_back(Entry{tp.tp_id, kNullBinding});
-  if (cv >= 0 && cv != rv) vmap_[cv].push_back(Entry{tp.tp_id, kNullBinding});
-  visited_[tp.tp_id] = true;
-  Recurse(visited_count + 1);
-  visited_[tp.tp_id] = false;
-  if (rv >= 0) vmap_[rv].pop_back();
-  if (cv >= 0 && cv != rv) vmap_[cv].pop_back();
-}
-
-void MultiwayJoin::Recurse(size_t visited_count) {
-  if (visited_count == stps_.size()) {
+void MultiwayJoin::Recurse(size_t depth) {
+  depth = live_from_[depth];
+  if (depth == order_.size()) {
     Emit();
-    return;
+  } else {
+    RecurseOn(depth);
   }
-  RecurseOn(ChooseNextTp(), visited_count);
 }
 
-int MultiwayJoin::ChooseNextTp() const {
-  // Pick the first non-visited TP (in stps order) with at least one bound
-  // variable; variable-free TPs qualify immediately; with nothing bound yet
-  // (the very first call) the first TP is taken (Alg 5.4 lines 6-11).
-  int chosen = -1;
-  int fallback = -1;
-  for (int tp_id : stps_) {
-    if (visited_[tp_id]) continue;
-    if (fallback == -1) fallback = tp_id;
-    int rv = row_var_of_tp_[tp_id];
-    int cv = col_var_of_tp_[tp_id];
-    if (rv < 0 && cv < 0) {
-      chosen = tp_id;  // existence guard
-      break;
-    }
-    if ((rv >= 0 && FirstEntry(rv) != nullptr) ||
-        (cv >= 0 && FirstEntry(cv) != nullptr)) {
-      chosen = tp_id;
-      break;
-    }
-  }
-  return chosen == -1 ? fallback : chosen;
-}
-
-void MultiwayJoin::RecurseOn(int chosen, size_t visited_count) {
+void MultiwayJoin::RecurseOn(size_t depth) {
   // Cancellation granularity of the join: every recursion node descends
   // through here, so abort latency is bounded by one enumeration step, and
   // a detached control costs a single pointer test (DESIGN.md §9).
   if (ctx_ != nullptr) ctx_->CheckCancel();
-  const TpState& tp = (*tps_)[chosen];
-  bool matched = EnumerateMatches(chosen, [&](uint64_t rw, uint64_t cl) {
-    VisitWith(tp, rw, cl, visited_count);
+  uint64_t* slots = &frame_[2 * depth];
+  bool matched = EnumerateMatches(depth, [&](uint64_t rw, uint64_t cl) {
+    slots[0] = rw;
+    slots[1] = cl;
+    Recurse(depth + 1);
   });
   // No match (Alg 5.4 lines 27-28): an absolute master rolls the branch
   // back; a slave binds NULL and the branch continues.
-  if (!matched && !gosn_.IsAbsoluteMaster(tp.sn_id)) {
-    VisitNull(tp, visited_count);
+  if (!matched && !gosn_.IsAbsoluteMaster((*tps_)[order_[depth]].sn_id)) {
+    slots[0] = slots[1] = kNullBinding;
+    Recurse(depth + 1);
   }
 }
 
@@ -477,7 +493,8 @@ void MultiwayJoin::EnumeratePrepared(
 }
 
 template <typename EmitPair>
-bool MultiwayJoin::EnumerateMatches(int chosen, EmitPair&& emit) {
+bool MultiwayJoin::EnumerateMatches(size_t depth, EmitPair&& emit) {
+  const int chosen = order_[depth];
   const TpState& tp = (*tps_)[chosen];
   int rv = row_var_of_tp_[chosen];
   int cv = col_var_of_tp_[chosen];
@@ -489,10 +506,10 @@ bool MultiwayJoin::EnumerateMatches(int chosen, EmitPair&& emit) {
   auto resolve = [&](int var, DomainKind kind,
                      uint32_t* local) -> Constraint {
     if (var < 0) return Constraint::kFree;
-    const Entry* e = FirstEntry(var);
-    if (e == nullptr) return Constraint::kFree;
-    if (e->value == kNullBinding) return Constraint::kImpossible;
-    std::optional<uint32_t> l = ids_.ToLocal(kind, e->value);
+    const uint64_t* value = BindingAt(var, depth);
+    if (value == nullptr) return Constraint::kFree;
+    if (*value == kNullBinding) return Constraint::kImpossible;
+    std::optional<uint32_t> l = ids_.ToLocal(kind, *value);
     if (!l) return Constraint::kImpossible;
     *local = *l;
     return Constraint::kLocal;
@@ -508,6 +525,10 @@ bool MultiwayJoin::EnumerateMatches(int chosen, EmitPair&& emit) {
 
   auto global_row = [&](uint32_t r) { return ids_.ToGlobal(tp.mat.row_kind, r); };
   auto global_col = [&](uint32_t c) { return ids_.ToGlobal(tp.mat.col_kind, c); };
+  auto hit = [&](uint64_t row_value, uint64_t col_value) {
+    matched = true;
+    emit(row_value, col_value);
+  };
 
   // Enumerates a candidate set over one of the chosen TP's dimensions,
   // pruned by the masters' static fold mask and bound-row constraints
@@ -525,7 +546,7 @@ bool MultiwayJoin::EnumerateMatches(int chosen, EmitPair&& emit) {
       return;
     }
     std::array<BoundCheck, kMaxBoundChecks> checks;
-    int nchecks = PrepareBoundChecks(var, chosen, kind, &checks);
+    int nchecks = PrepareBoundChecks(var, depth, kind, &checks);
     if (nchecks < 0) return;  // a master can never match: zero candidates
     const Bitvector* sm = StaticFoldMask(var, chosen, dim, kind, size);
     if (sm == nullptr && nchecks == 0) {
@@ -543,56 +564,41 @@ bool MultiwayJoin::EnumerateMatches(int chosen, EmitPair&& emit) {
     // fallthrough: no triple matches.
   } else if (rv < 0 && cv < 0) {
     // Variable-free TP: pure existence check.
-    if (!bm.IsEmpty()) {
-      matched = true;
-      emit(0, 0);
-    }
+    if (!bm.IsEmpty()) hit(0, 0);
   } else if (cv < 0) {
     // Single-variable TP: bits live at (row, 0).
     if (rc == Constraint::kLocal) {
-      if (bm.Test(row_local, 0)) {
-        matched = true;
-        emit(global_row(row_local), 0);
-      }
+      if (bm.Test(row_local, 0)) hit(global_row(row_local), 0);
     } else {
       enumerate(bm.NonEmptyRows(), rv, Dim::kRow, tp.mat.row_kind,
-                     bm.num_rows(), bm.Count(), [&](uint32_t r) {
-                       matched = true;
-                       emit(global_row(r), 0);
-                     });
+                bm.num_rows(), bm.Count(),
+                [&](uint32_t r) { hit(global_row(r), 0); });
     }
   } else if (diagonal) {
     // (?x p ?x): the diagonal was enforced at load time; enumerate rows.
     if (rc == Constraint::kLocal) {
       if (bm.Test(row_local, row_local)) {
-        matched = true;
-        emit(global_row(row_local), global_col(row_local));
+        hit(global_row(row_local), global_col(row_local));
       }
     } else {
       enumerate(bm.NonEmptyRows(), rv, Dim::kRow, tp.mat.row_kind,
-                     bm.num_rows(), bm.Count(), [&](uint32_t r) {
-                       if (bm.Test(r, r)) {
-                         matched = true;
-                         emit(global_row(r), global_col(r));
-                       }
-                     });
+                bm.num_rows(), bm.Count(), [&](uint32_t r) {
+                  if (bm.Test(r, r)) hit(global_row(r), global_col(r));
+                });
     }
   } else if (rc == Constraint::kLocal && cc == Constraint::kLocal) {
     if (bm.Test(row_local, col_local)) {
-      matched = true;
-      emit(global_row(row_local), global_col(col_local));
+      hit(global_row(row_local), global_col(col_local));
     }
   } else if (rc == Constraint::kLocal) {
     enumerate_row(bm.Row(row_local), cv, Dim::kCol, tp.mat.col_kind,
                   bm.num_cols(), [&](uint32_t c) {
-                    matched = true;
-                    emit(global_row(row_local), global_col(c));
+                    hit(global_row(row_local), global_col(c));
                   });
   } else if (cc == Constraint::kLocal) {
     enumerate_row(TransposedColumn(chosen, col_local), rv, Dim::kRow,
                   tp.mat.row_kind, bm.num_rows(), [&](uint32_t r) {
-                    matched = true;
-                    emit(global_row(r), global_col(col_local));
+                    hit(global_row(r), global_col(col_local));
                   });
   } else {
     // Neither dimension bound: enumerate every triple (first TP, or a TP
@@ -602,8 +608,7 @@ bool MultiwayJoin::EnumerateMatches(int chosen, EmitPair&& emit) {
     // the other, since neither is bound yet.
     uint32_t cur_row = 0;  // hoisted so the column visitor is built once
     const auto visit_col = [&](uint32_t c) {
-      matched = true;
-      emit(global_row(cur_row), global_col(c));
+      hit(global_row(cur_row), global_col(c));
     };
     // Resolve the column-side constraints once: no binding is pushed
     // between rows at this level, so PrepareBoundChecks and the static
@@ -612,7 +617,7 @@ bool MultiwayJoin::EnumerateMatches(int chosen, EmitPair&& emit) {
     int col_nchecks = 0;
     const Bitvector* col_sm = nullptr;
     if (cv >= 0 && !masters_of_var_[cv].empty()) {
-      col_nchecks = PrepareBoundChecks(cv, chosen, tp.mat.col_kind,
+      col_nchecks = PrepareBoundChecks(cv, depth, tp.mat.col_kind,
                                        &col_checks);
       if (col_nchecks >= 0) {
         col_sm = StaticFoldMask(cv, chosen, Dim::kCol, tp.mat.col_kind,
@@ -642,32 +647,34 @@ void MultiwayJoin::Emit() {
   // One check per emitted row: a leaf TP's enumeration can emit a whole
   // candidate row's worth of results from a single RecurseOn.
   if (ctx_ != nullptr) ctx_->CheckCancel();
-  // Per-supernode nulled state for this row (member scratch: Emit is the
-  // innermost hot path and must not allocate).
-  std::vector<char>& sn_nulled = sn_nulled_scratch_;
-  sn_nulled.assign(static_cast<size_t>(gosn_.num_supernodes()), 0);
-
   bool row_nulled = false;
+  // Per-supernode nulled state for this row, member scratch: Emit must not
+  // allocate. A variable's effective binding is its first (master-most)
+  // slot whose TP is not in a nulled supernode.
+  std::vector<char>& sn_nulled = sn_nulled_scratch_;
+  auto effective = [&](int var) -> uint64_t {
+    for (int slot : var_slots_[var]) {
+      if (sn_nulled[(*tps_)[order_[slot / 2]].sn_id] == 0) return frame_[slot];
+    }
+    return kNullBinding;
+  };
 
-  // --- Nullification (cyclic queries, Lemma 3.4): a slave supernode whose
-  // TP entries are partially NULL is inconsistent; NULL the whole group and
-  // cascade through the failure closure.
+  // Only nullification and FaN null supernodes; without them every row
+  // takes its first bindings and sn_nulled is never read.
+  if (options_.nullification || !options_.filters.empty()) {
+    sn_nulled.assign(static_cast<size_t>(gosn_.num_supernodes()), 0);
+  }
+
+  // --- Nullification (cyclic queries, Lemma 3.4): a slave supernode
+  // whose TPs were visited partly NULL is inconsistent; NULL the whole
+  // group and cascade through the failure closure.
   if (options_.nullification) {
     std::vector<int>& seeds = null_seeds_scratch_;
     seeds.clear();
     for (int sn = 0; sn < gosn_.num_supernodes(); ++sn) {
-      if (gosn_.IsAbsoluteMaster(sn)) continue;
       bool any_null = false, any_bound = false;
-      for (int tp_id : gosn_.supernode(sn).tp_ids) {
-        int rv = row_var_of_tp_[tp_id];
-        int cv = col_var_of_tp_[tp_id];
-        for (int var : {rv, cv}) {
-          if (var < 0) continue;
-          for (const Entry& e : vmap_[var]) {
-            if (e.tp_id != tp_id) continue;
-            (e.value == kNullBinding ? any_null : any_bound) = true;
-          }
-        }
+      for (int slot : probe_slots_[sn]) {
+        (frame_[slot] == kNullBinding ? any_null : any_bound) = true;
       }
       if (any_null && any_bound) seeds.push_back(sn);
     }
@@ -677,16 +684,6 @@ void MultiwayJoin::Emit() {
       row_nulled = true;
     }
   }
-
-  // Effective binding of a variable: the first (master-most) entry whose TP
-  // is not in a nulled supernode.
-  auto effective = [&](int var) -> uint64_t {
-    for (const Entry& e : vmap_[var]) {
-      if (sn_nulled[gosn_.SupernodeOf(e.tp_id)] != 0) continue;
-      return e.value;
-    }
-    return kNullBinding;
-  };
 
   // --- FaN: apply scoped filters innermost-first (Section 5.2).
   for (const ScopedFilter& filter : options_.filters) {
@@ -698,14 +695,11 @@ void MultiwayJoin::Emit() {
       return ids_.Decode(dict_, v);
     };
     if (FilterPasses(filter.expr, lookup)) continue;
-    bool touches_abs_master = false;
-    for (int sn : filter.scope_supernodes) {
-      if (gosn_.IsAbsoluteMaster(sn)) {
-        touches_abs_master = true;
-        break;
-      }
+    if (std::any_of(filter.scope_supernodes.begin(),
+                    filter.scope_supernodes.end(),
+                    [&](int sn) { return gosn_.IsAbsoluteMaster(sn); })) {
+      return;  // The scope touches an absolute master: drop the row.
     }
-    if (touches_abs_master) return;  // Drop the row.
     for (int sn : FailureClosure(gosn_, filter.scope_supernodes)) {
       sn_nulled[sn] = 1;
     }
@@ -713,13 +707,17 @@ void MultiwayJoin::Emit() {
     row_nulled = true;
   }
 
-  RawRow& row = emit_row_scratch_;
-  row.assign(var_names_.size(), kNullBinding);
+  uint64_t* row = rows_->AppendNulls();  // straight into the caller's slab
   for (size_t i = 0; i < var_names_.size(); ++i) {
-    row[i] = effective(static_cast<int>(i));
+    if (row_nulled) {
+      row[i] = effective(static_cast<int>(i));
+    } else if (first_slot_[i] >= 0) {
+      row[i] = frame_[first_slot_[i]];
+    }
   }
   ++emitted_;
-  sink_(row, row_nulled);
+  if (row_nulled && *on_nulled_) (*on_nulled_)(rows_->size() - 1);
+  if (rows_->size() - rows_charged_ >= kRowChargeChunk) ChargeRows();
 }
 
 }  // namespace lbr

@@ -19,10 +19,19 @@ namespace lbr {
 /// The multi-way pipelined join of Algorithm 5.4.
 ///
 /// TPs are processed in the stps order (selective absolute masters first,
-/// then the master-slave hierarchy); variable bindings live in vmap (one
-/// entry stack per variable, tagged by the binding TP); no intermediate
-/// tables or hash joins are built. Unmatched slave TPs produce NULL
-/// bindings; unmatched absolute-master TPs roll the branch back.
+/// then the master-slave hierarchy); no intermediate tables or hash joins
+/// are built. Unmatched slave TPs produce NULL bindings; unmatched
+/// absolute-master TPs roll the branch back.
+///
+/// The visit order is compiled once at the top of every Run (DESIGN.md
+/// §6): Alg 5.4's choice — the first unvisited TP in stps order with a
+/// bound variable — depends only on which TPs are visited, since a NULL
+/// visit binds its variables too, so depth d always visits the same TP.
+/// Bindings therefore live in one depth-indexed frame (a row and a column
+/// slot per depth), and a variable's binding is the fixed slot of the
+/// first depth whose TP binds it. A slave TP whose BitMat is empty when the
+/// Run starts can never match: its depth is bound NULL for the whole Run
+/// and never enumerated.
 ///
 /// Candidate enumeration (DESIGN.md §6): before recursing over the set
 /// bits of a candidate row, the row is intersected word-parallel with the
@@ -40,10 +49,11 @@ namespace lbr {
 ///    supernode closure.
 class MultiwayJoin {
  public:
-  /// Receives each result row plus whether nullification/FaN nulled part of
-  /// it. Nulled rows are phantoms of reordered enumeration: the engine must
-  /// deduplicate them (at full-row granularity) and run best-match.
-  using Sink = std::function<void(const RawRow&, bool nulled)>;
+  /// Called with the slab index of each row nullification/FaN nulled part
+  /// of, right after the row is written. Nulled rows are phantoms of
+  /// reordered enumeration: the engine deduplicates them (at full-row
+  /// granularity, popping the row from the slab) and runs best-match.
+  using NulledRowHook = std::function<void(size_t row)>;
 
   struct Options {
     /// Run the nullification repair at emit time.
@@ -63,11 +73,17 @@ class MultiwayJoin {
   const std::vector<std::string>& var_names() const { return var_names_; }
   int VarIndex(const std::string& name) const;
 
-  /// Runs the join, emitting each final row to `sink`. Returns the number
-  /// of rows emitted. `ctx` (optional) supplies pooled scratch for the
-  /// candidate-intersection masks and position buffers; without it every
-  /// Recurse level falls back to function-local buffers.
-  uint64_t Run(const Sink& sink, ExecContext* ctx = nullptr);
+  /// Runs the join, appending each final row to `rows` (whose width is
+  /// var_names().size()) and telling `on_nulled`, when given, about every
+  /// nulled one. Returns the number of rows emitted. `ctx` (optional)
+  /// supplies pooled scratch for the candidate-intersection masks and
+  /// position buffers, and is charged for the appended rows; without it
+  /// every Recurse level falls back to function-local buffers.
+  uint64_t Run(RowSlab* rows, ExecContext* ctx = nullptr,
+               const NulledRowHook& on_nulled = nullptr);
+
+  /// The visit order the last Run compiled: the TP visited at each depth.
+  const std::vector<int>& visit_order() const { return order_; }
 
   /// True if any row needed nullification repair or FaN nulling — the
   /// engine must then run best-match over the emitted rows.
@@ -75,7 +91,7 @@ class MultiwayJoin {
 
   /// Column indexes of variables bound by absolute-master TPs (never NULL);
   /// used as the best-match grouping key.
-  std::vector<int> MasterColumns() const;
+  const std::vector<int>& MasterColumns() const { return master_columns_; }
 
   /// Transpose-cache telemetry (cumulative over Runs): columns extracted
   /// lazily, the populated rows those extractions scanned, and full
@@ -92,11 +108,6 @@ class MultiwayJoin {
   uint64_t enum_pruned_bound() const { return enum_pruned_bound_; }
 
  private:
-  struct Entry {
-    int tp_id;
-    uint64_t value;  // kNullBinding for NULL.
-  };
-
   /// The fold part of a dimension's candidate constraint: the intersection
   /// of the (aligned) folds of every absolute-master TP sharing the
   /// dimension's variable. A variable is only ever enumerated freely while
@@ -153,33 +164,42 @@ class MultiwayJoin {
     std::vector<std::pair<uint32_t, BitMat::RowHandle>> cols;
   };
 
-  void Recurse(size_t visited_count);
+  /// Compiles the Run's visit order (Alg 5.4 lines 6-11, evaluated once
+  /// per depth) and everything that follows from it: each variable's
+  /// binding slots, the slave supernodes' probe slots, the depths bound
+  /// NULL up front, and a fresh frame.
+  void CompileOrder();
+
+  /// Descends to `depth`, skipping the depths bound NULL up front; past the
+  /// last depth, emits the row.
+  void Recurse(size_t depth);
   void Emit();
 
-  /// The TP Recurse would descend on next: the first non-visited TP (in
-  /// stps order) with at least one bound variable (Alg 5.4 lines 6-11).
-  int ChooseNextTp() const;
-
-  /// The Recurse body below the TP selection: enumerates `chosen`'s
-  /// matches under the current bindings and descends once per match; with
-  /// no match, an absolute master rolls the branch back and a slave binds
+  /// One recursion node: enumerates the matches of the TP at `depth` under
+  /// the current bindings, binds each into the frame and descends; with no
+  /// match, an absolute master rolls the branch back and a slave binds
   /// NULL (Alg 5.4 lines 27-28).
-  void RecurseOn(int chosen, size_t visited_count);
+  void RecurseOn(size_t depth);
 
-  /// Enumerates every (row_value, col_value) match of `chosen` under the
-  /// current bindings — the case chain of Alg 5.4 with the DESIGN.md §6
-  /// candidate intersection — calling `emit` for each in enumeration
-  /// order. Returns false when nothing matched.
+  /// Enumerates every (row_value, col_value) match of the TP at `depth`
+  /// under the current bindings — the case chain of Alg 5.4 with the
+  /// DESIGN.md §6 candidate intersection — calling `emit` for each in
+  /// enumeration order. Returns false when nothing matched.
   template <typename EmitPair>
-  bool EnumerateMatches(int chosen, EmitPair&& emit);
+  bool EnumerateMatches(size_t depth, EmitPair&& emit);
 
-  // Pushes an entry for every variable of `tp` and recurses; pops after.
-  void VisitWith(const TpState& tp, uint64_t row_value, uint64_t col_value,
-                 size_t visited_count);
-  void VisitNull(const TpState& tp, size_t visited_count);
+  /// The binding of `var` seen at `depth`: its first binding slot once a
+  /// shallower depth filled it, nullptr while `var` is still free.
+  const uint64_t* BindingAt(int var, size_t depth) const {
+    const int slot = first_slot_[var];
+    return slot >= 0 && static_cast<size_t>(slot) < 2 * depth
+               ? &frame_[slot]
+               : nullptr;
+  }
 
-  // First entry (master-most binding) for a variable; nullptr if no entry.
-  const Entry* FirstEntry(int var) const;
+  /// Charges the rows appended since the last charge to the query's
+  /// memory budget.
+  void ChargeRows();
 
   /// Column `col` of TP `tp_id`'s BitMat as a compressed row over the row
   /// domain, served from the lazy transpose cache. The reference stays
@@ -206,12 +226,12 @@ class MultiwayJoin {
     bool cross;  ///< S/O cross-domain: candidates >= |Vso| always fail.
   };
 
-  /// Resolves the currently-applicable bound-row constraints on `var`.
-  /// Returns -1 when some master can never match under the current
-  /// bindings (no candidate survives; the branch is bound to roll back),
-  /// else the number of checks filled (capped at kMaxBoundChecks — a
-  /// subset of constraints is still a sound filter).
-  int PrepareBoundChecks(int var, int chosen_tp, DomainKind dst_kind,
+  /// Resolves the currently-applicable bound-row constraints on `var` for
+  /// the TP at `depth`. Returns -1 when some master can never match under
+  /// the current bindings (no candidate survives; the branch is bound to
+  /// roll back), else the number of checks filled (capped at
+  /// kMaxBoundChecks — a subset of constraints is still a sound filter).
+  int PrepareBoundChecks(int var, size_t depth, DomainKind dst_kind,
                          std::array<BoundCheck, kMaxBoundChecks>* out);
 
   /// True iff candidate `p` passes every prepared check — the exact Tests
@@ -250,9 +270,8 @@ class MultiwayJoin {
   std::vector<int> row_var_of_tp_;
   std::vector<int> col_var_of_tp_;
 
-  std::vector<std::vector<Entry>> vmap_;  // per var column
   std::vector<std::vector<MasterConstraint>> masters_of_var_;  // per var
-  std::vector<bool> visited_;
+  std::vector<int> master_columns_;
   std::vector<TransposeCache> transpose_cache_;  // per TP
 
   // Per TP: the static fold masks of its row (index 0) and column (1)
@@ -268,17 +287,34 @@ class MultiwayJoin {
   /// Monotonic Run() counter feeding StaticMask::validated_run.
   uint64_t run_seq_ = 0;
 
-  Sink sink_;
+  // The compiled visit order (per Run). A frame slot is 2 * depth for the
+  // row value bound at that depth and 2 * depth + 1 for the column value.
+  static constexpr size_t kNotVisited = static_cast<size_t>(-1);
+  std::vector<int> order_;            // TP id per depth
+  std::vector<size_t> depth_of_tp_;   // per TP; kNotVisited outside stps
+  std::vector<int> first_slot_;       // per var; -1 if no TP binds it
+  std::vector<size_t> live_from_;     // per depth: next one not NULL up front
+  std::vector<uint64_t> frame_;       // the bindings, two slots per depth
+  // Per var, every slot binding it in depth order; Emit walks them only
+  // when a row has nulled supernodes.
+  std::vector<std::vector<int>> var_slots_;
+  // Per supernode, one slot per variable-carrying TP of a slave supernode
+  // (none for absolute masters): NULL iff that TP was visited NULL.
+  std::vector<std::vector<int>> probe_slots_;
+
+  RowSlab* rows_ = nullptr;                   // valid during Run
+  const NulledRowHook* on_nulled_ = nullptr;  // valid during Run
+  /// Result rows per memory charge (ChargeRows).
+  static constexpr size_t kRowChargeChunk = 1024;
+  size_t rows_charged_ = 0;
   ExecContext* ctx_ = nullptr;  // valid during Run
   uint64_t emitted_ = 0;
   bool nulling_applied_ = false;
 
   // Per-emit scratch, reused across the whole enumeration (Emit runs once
-  // per result row; allocating these there put malloc on the innermost
-  // loop of Alg 5.4).
+  // per result row and must not allocate).
   std::vector<char> sn_nulled_scratch_;
   std::vector<int> null_seeds_scratch_;
-  RawRow emit_row_scratch_;
 };
 
 }  // namespace lbr

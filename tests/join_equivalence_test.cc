@@ -81,10 +81,7 @@ std::vector<Emission> RunJoin(const Graph& graph, const std::string& group,
   MultiwayJoin join(gosn, ids, graph.dict(), &states, stps,
                     std::move(options));
   ExecContext ctx;
-  std::vector<Emission> out;
-  join.Run(
-      [&out](const RawRow& row, bool nulled) { out.emplace_back(row, nulled); },
-      &ctx);
+  std::vector<Emission> out = testing::JoinEmissions(&join, &ctx);
   if (access != nullptr) {
     *access = {join.columns_extracted(), join.rows_scanned(),
                join.transposes()};

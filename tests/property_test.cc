@@ -27,90 +27,8 @@ namespace {
 using testing::Canonicalize;
 using testing::CanonicalizeProjected;
 
-// Random small graph over a fixed vocabulary. Small domains force dense
-// value collisions, which is what stresses join correctness.
-Graph RandomGraph(Rng* rng, int num_entities, int num_predicates,
-                  int num_triples) {
-  std::vector<TermTriple> triples;
-  triples.reserve(num_triples);
-  for (int i = 0; i < num_triples; ++i) {
-    std::string s = "e" + std::to_string(rng->Uniform(num_entities));
-    std::string p = "p" + std::to_string(rng->Uniform(num_predicates));
-    std::string o = "e" + std::to_string(rng->Uniform(num_entities));
-    triples.push_back(testing::T(s, p, o));
-  }
-  return Graph::FromTriples(triples);
-}
-
-// A random well-designed query. Shape: a master BGP over a star of
-// variables, plus up to 3 OPTIONAL groups whose first TP reuses a master
-// variable (guaranteeing well-designedness and connectivity).
-std::string RandomWellDesignedQuery(Rng* rng, int num_predicates,
-                                    int num_entities, bool allow_nested,
-                                    bool allow_filter) {
-  std::ostringstream q;
-  q << "SELECT * WHERE { ";
-  int var_counter = 0;
-  auto fresh_var = [&var_counter]() {
-    return "?v" + std::to_string(var_counter++);
-  };
-  auto pred = [&]() {
-    return "<p" + std::to_string(rng->Uniform(num_predicates)) + ">";
-  };
-  auto entity = [&]() {
-    return "<e" + std::to_string(rng->Uniform(num_entities)) + ">";
-  };
-
-  // Master BGP: 1-3 TPs sharing ?v0.
-  std::vector<std::string> master_vars;
-  std::string root = fresh_var();
-  master_vars.push_back(root);
-  int master_tps = 1 + static_cast<int>(rng->Uniform(3));
-  for (int i = 0; i < master_tps; ++i) {
-    if (rng->Chance(0.25)) {
-      q << root << " " << pred() << " " << entity() << " . ";
-    } else {
-      std::string obj = fresh_var();
-      master_vars.push_back(obj);
-      q << root << " " << pred() << " " << obj << " . ";
-    }
-  }
-
-  int num_opts = 1 + static_cast<int>(rng->Uniform(3));
-  for (int o = 0; o < num_opts; ++o) {
-    // Hook the OPTIONAL group onto a master variable.
-    const std::string& hook =
-        master_vars[rng->Uniform(master_vars.size())];
-    q << "OPTIONAL { ";
-    std::string a = fresh_var();
-    q << hook << " " << pred() << " " << a << " . ";
-    if (rng->Chance(0.5)) {
-      // A second TP chaining off the new variable (multi-jvar slave when a
-      // cycle closes elsewhere).
-      if (rng->Chance(0.4)) {
-        q << a << " " << pred() << " " << entity() << " . ";
-      } else {
-        std::string b = fresh_var();
-        q << a << " " << pred() << " " << b << " . ";
-      }
-    }
-    if (rng->Chance(0.3)) {
-      // A parallel edge master->new var via another predicate (cyclic GoJ
-      // pressure when combined with chains).
-      q << hook << " " << pred() << " " << a << " . ";
-    }
-    if (allow_nested && rng->Chance(0.35)) {
-      q << "OPTIONAL { " << a << " " << pred() << " " << fresh_var()
-        << " . } ";
-    }
-    if (allow_filter && rng->Chance(0.3)) {
-      q << "FILTER (" << a << " != " << entity() << ") ";
-    }
-    q << "} ";
-  }
-  q << "}";
-  return q.str();
-}
+using testing::RandomGraph;
+using testing::RandomWellDesignedQuery;
 
 struct SweepParams {
   uint64_t seed;
@@ -123,21 +41,24 @@ struct SweepParams {
 
 class WellDesignedSweep : public ::testing::TestWithParam<SweepParams> {};
 
-TEST_P(WellDesignedSweep, EngineMatchesReference) {
-  const SweepParams& p = GetParam();
+// Runs the sweep's 25 generated queries through an engine with `options`
+// and compares each with the reference evaluator. Returns how many of them
+// ran best-match.
+int SweepMatchesReference(const SweepParams& p, EngineOptions options) {
   Rng rng(p.seed);
   Graph g = RandomGraph(&rng, p.num_entities, p.num_predicates,
                         p.num_triples);
   TripleIndex index = TripleIndex::Build(g);
-  Engine engine(&index, &g.dict());
+  Engine engine(&index, &g.dict(), options);
   ReferenceEvaluator oracle(&g);
 
+  int best_match_runs = 0;
   for (int iter = 0; iter < 25; ++iter) {
     std::string text = RandomWellDesignedQuery(
         &rng, p.num_predicates, p.num_entities, p.allow_nested,
         p.allow_filter);
     ParsedQuery query = Parser::Parse(text);
-    ASSERT_TRUE(IsWellDesigned(*query.body)) << text;
+    EXPECT_TRUE(IsWellDesigned(*query.body)) << text;
 
     ResultTable expected = oracle.Execute(query);
     ResultTable got;
@@ -147,10 +68,26 @@ TEST_P(WellDesignedSweep, EngineMatchesReference) {
     } catch (const UnsupportedQueryError&) {
       continue;  // e.g. a generated Cartesian product; out of engine scope
     }
+    if (stats.best_match_used) ++best_match_runs;
     EXPECT_EQ(CanonicalizeProjected(got, expected.var_names),
               Canonicalize(expected))
         << "query: " << text << "\ncyclic: " << stats.goj_cyclic;
   }
+  return best_match_runs;
+}
+
+TEST_P(WellDesignedSweep, EngineMatchesReference) {
+  SweepMatchesReference(GetParam(), EngineOptions());
+}
+
+// The same queries with prune_triples off: the join then meets partially
+// NULL slave groups (phantoms of enumeration order) that nullification and
+// best-match must repair, so the leg must run best-match at least once.
+TEST_P(WellDesignedSweep, UnprunedEngineMatchesReference) {
+  EngineOptions options;
+  options.enable_prune = false;
+  EXPECT_GT(SweepMatchesReference(GetParam(), options), 0)
+      << "no query of the leg ran best-match";
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -1,6 +1,7 @@
 #include "test_util.h"
 
 #include <algorithm>
+#include <sstream>
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -97,6 +98,103 @@ std::vector<std::string> CanonicalizeProjected(
   }
   std::sort(out.begin(), out.end());
   return out;
+}
+
+std::vector<std::pair<RawRow, bool>> JoinEmissions(MultiwayJoin* join,
+                                                   ExecContext* ctx) {
+  RowSlab rows(join->var_names().size());
+  std::vector<bool> nulled;
+  join->Run(&rows, ctx, [&nulled](size_t row) {
+    nulled.resize(row + 1);
+    nulled[row] = true;
+  });
+  nulled.resize(rows.size());
+  std::vector<std::pair<RawRow, bool>> out;
+  for (size_t r = 0; r < rows.size(); ++r) {
+    out.emplace_back(RawRow(rows.row(r), rows.row(r) + rows.width()),
+                     nulled[r]);
+  }
+  return out;
+}
+
+Graph RandomGraph(Rng* rng, int num_entities, int num_predicates,
+                  int num_triples) {
+  std::vector<TermTriple> triples;
+  triples.reserve(num_triples);
+  for (int i = 0; i < num_triples; ++i) {
+    std::string s = "e" + std::to_string(rng->Uniform(num_entities));
+    std::string p = "p" + std::to_string(rng->Uniform(num_predicates));
+    std::string o = "e" + std::to_string(rng->Uniform(num_entities));
+    triples.push_back(T(s, p, o));
+  }
+  return Graph::FromTriples(triples);
+}
+
+std::string RandomWellDesignedQuery(Rng* rng, int num_predicates,
+                                    int num_entities, bool allow_nested,
+                                    bool allow_filter) {
+  std::ostringstream q;
+  q << "SELECT * WHERE { ";
+  int var_counter = 0;
+  auto fresh_var = [&var_counter]() {
+    return "?v" + std::to_string(var_counter++);
+  };
+  auto pred = [&]() {
+    return "<p" + std::to_string(rng->Uniform(num_predicates)) + ">";
+  };
+  auto entity = [&]() {
+    return "<e" + std::to_string(rng->Uniform(num_entities)) + ">";
+  };
+
+  // Master BGP: 1-3 TPs sharing ?v0.
+  std::vector<std::string> master_vars;
+  std::string root = fresh_var();
+  master_vars.push_back(root);
+  int master_tps = 1 + static_cast<int>(rng->Uniform(3));
+  for (int i = 0; i < master_tps; ++i) {
+    if (rng->Chance(0.25)) {
+      q << root << " " << pred() << " " << entity() << " . ";
+    } else {
+      std::string obj = fresh_var();
+      master_vars.push_back(obj);
+      q << root << " " << pred() << " " << obj << " . ";
+    }
+  }
+
+  int num_opts = 1 + static_cast<int>(rng->Uniform(3));
+  for (int o = 0; o < num_opts; ++o) {
+    // Hook the OPTIONAL group onto a master variable.
+    const std::string& hook =
+        master_vars[rng->Uniform(master_vars.size())];
+    q << "OPTIONAL { ";
+    std::string a = fresh_var();
+    q << hook << " " << pred() << " " << a << " . ";
+    if (rng->Chance(0.5)) {
+      // A second TP chaining off the new variable (multi-jvar slave when a
+      // cycle closes elsewhere).
+      if (rng->Chance(0.4)) {
+        q << a << " " << pred() << " " << entity() << " . ";
+      } else {
+        std::string b = fresh_var();
+        q << a << " " << pred() << " " << b << " . ";
+      }
+    }
+    if (rng->Chance(0.3)) {
+      // A parallel edge master->new var via another predicate (cyclic GoJ
+      // pressure when combined with chains).
+      q << hook << " " << pred() << " " << a << " . ";
+    }
+    if (allow_nested && rng->Chance(0.35)) {
+      q << "OPTIONAL { " << a << " " << pred() << " " << fresh_var()
+        << " . } ";
+    }
+    if (allow_filter && rng->Chance(0.3)) {
+      q << "FILTER (" << a << " != " << entity() << ") ";
+    }
+    q << "} ";
+  }
+  q << "}";
+  return q.str();
 }
 
 std::string TempPath(const std::string& name) {

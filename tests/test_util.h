@@ -7,8 +7,10 @@
 #include <vector>
 
 #include "core/engine.h"
+#include "core/multiway_join.h"
 #include "rdf/graph.h"
 #include "rdf/term.h"
+#include "util/rng.h"
 
 namespace lbr::testing {
 
@@ -33,6 +35,26 @@ std::vector<std::string> Canonicalize(const ResultTable& table);
 /// via this helper that also aligns column orders by name.
 std::vector<std::string> CanonicalizeProjected(
     const ResultTable& table, const std::vector<std::string>& var_order);
+
+/// Runs `join` into a fresh slab and returns its ordered emission stream:
+/// every row the join wrote (phantoms included, nothing deduplicated)
+/// with its nulled flag.
+std::vector<std::pair<RawRow, bool>> JoinEmissions(MultiwayJoin* join,
+                                                   ExecContext* ctx = nullptr);
+
+/// Random graph over a fixed vocabulary (e<i> entities, p<i> predicates).
+/// Small domains force dense value collisions, which is what stresses join
+/// correctness.
+Graph RandomGraph(Rng* rng, int num_entities, int num_predicates,
+                  int num_triples);
+
+/// A random well-designed query: a master BGP over a star of variables,
+/// plus up to 3 OPTIONAL groups whose first TP reuses a master variable
+/// (guaranteeing well-designedness and connectivity); optionally nested
+/// OPTIONALs and scoped FILTERs.
+std::string RandomWellDesignedQuery(Rng* rng, int num_predicates,
+                                    int num_entities, bool allow_nested,
+                                    bool allow_filter);
 
 /// A scratch file path unique to the running test and process:
 /// `<gtest TempDir>/<suite>.<test>.<pid>.<name>`. Tests that ctest runs in
