@@ -108,7 +108,9 @@ struct JoinSetup {
   }
 
   // Times MultiwayJoin::Run; the join object is kept across repetitions so
-  // transpose caches and fold memos are warm (the engine's steady state).
+  // transpose caches and fold memos are warm. The engine builds one join
+  // per branch and runs it once, so this times repeated Runs of a warm
+  // join, not the engine's cold first Run.
   // Returns seconds per run; *rows gets the emission count (identical on
   // every kernel backend — asserted by the caller).
   double Time(double min_sample_sec, uint64_t* rows,

@@ -144,11 +144,11 @@ void BitMat::FoldInto(Dim retain, Bitvector* out, ExecContext* ctx) const {
   for (const RowHandle& row : handles_) row->OrInto(out);
   if (ctx != nullptr) ctx->CountFoldMiss();
   if (!col_fold_.seen) {
-    // First fold at this version: only record that it happened.
+    // First fold since the last mutation: only record that it happened.
     col_fold_.seen = true;
     return;
   }
-  // Second fold at this version: the result is evidently reused.
+  // Second fold since the last mutation: the result is evidently reused.
   col_fold_.bits = std::make_shared<const Bitvector>(*out);
 }
 

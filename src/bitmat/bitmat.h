@@ -42,9 +42,9 @@ enum class Dim : uint8_t {
 /// (`RowHandle`). Copying a BitMat is O(non-empty rows) refcount bumps, and
 /// mutating ops (`SetRow`, `Unfold`) replace only the handles of rows they
 /// actually change — a copy-on-write discipline that makes TpCache hits
-/// near-free. Every bit-changing op bumps `version()`; a per-matrix
-/// column-fold cache stamped with the version lets `FoldInto(kCol)` return
-/// the memoized fold without row iteration while the matrix is unchanged.
+/// near-free. A per-matrix column-fold memo, dropped by every op that
+/// changes bit content, lets `FoldInto(kCol)` return the memoized fold
+/// without row iteration while the matrix is unchanged.
 ///
 /// Thread confinement: a BitMat object belongs to one thread at a time,
 /// and that includes its const folds — `FoldInto` writes the mutable
@@ -115,20 +115,14 @@ class BitMat {
     for (size_t i = 0; i < ids_.size(); ++i) fn(ids_[i], handles_[i]);
   }
 
-  /// Monotonically increasing mutation stamp: bumped by every op that
-  /// changes bit content (`SetRow` always; `Unfold` when at least one bit
-  /// was cleared). Reads never change it. Derived results memoized at
-  /// version v stay valid exactly while version() == v.
-  uint64_t version() const { return version_; }
-
   /// fold(BM, dim) -> bit array over that dimension (Section 4).
   Bitvector Fold(Dim retain) const;
 
   /// Fold into `*out` (resized + cleared), reusing its word capacity. Runs
   /// decode into whole words.
   ///
-  /// Column folds are memoized on the second fold at an unchanged
-  /// version(): the first fold after a mutation only records that it
+  /// Column folds are memoized on the second fold with no mutation in
+  /// between: the first fold after a mutation only records that it
   /// happened (fold-once-then-mutate patterns like the semi-join slave pay
   /// no memo cost), the second stores the result, and later calls copy the
   /// memo's words without touching any row (DESIGN.md §4). `ctx`
@@ -251,17 +245,14 @@ class BitMat {
   /// removed.
   void RebuildRank();
 
-  /// Records a bit-content change: bumps the version and drops the fold
-  /// memo, so the next fold starts the second-touch count afresh.
-  void Touch() {
-    ++version_;
-    col_fold_ = FoldMemo();
-  }
+  /// Records a bit-content change (`SetRow` always; `Unfold` when at
+  /// least one bit was cleared): drops the fold memo, so the next fold
+  /// starts the second-touch count afresh.
+  void Touch() { col_fold_ = FoldMemo(); }
 
   uint32_t num_rows_ = 0;
   uint32_t num_cols_ = 0;
   uint64_t count_ = 0;
-  uint64_t version_ = 0;
   size_t arena_bytes_ = 0;
   /// Ascending ids of the non-empty rows; handles_[i] is row ids_[i] and
   /// is never null.
@@ -272,7 +263,7 @@ class BitMat {
   std::vector<uint32_t> rank_;
   Bitvector non_empty_rows_;
 
-  /// Memoized column fold at the current version (second-touch policy):
+  /// Memoized column fold since the last mutation (second-touch policy):
   /// the first fold only sets `seen`, the second stores `bits`, and later
   /// folds word-copy `bits`. Reset by every mutation (Touch). Copies of
   /// the matrix inherit it; the stored bits are immutable and shared.

@@ -339,23 +339,15 @@ TripleIndex TripleIndex::Open(std::shared_ptr<MappedFile> file,
   for (uint32_t p = 0; p < np; ++p) {
     index.pred_counts_[p] = mr.Read<uint64_t>();
   }
-  index.non_empty_s_.resize(np);
-  index.non_empty_o_.resize(np);
-  std::vector<uint64_t> tmp;
-  auto read_bitvector = [&](Bitvector* bv, size_t nbits) {
+  // The per-predicate non-empty-row bitvectors (subjects, then objects)
+  // only size the rowdir at write time; nothing reads them, so skip them.
+  for (uint32_t i = 0; i < 2 * np; ++i) {
     uint64_t nwords = mr.Read<uint64_t>();
     if (nwords > meta.size / 8) {
       throw SnapshotError(SnapshotErrorCode::kCorrupt,
                           "bitvector length overrun in " + path);
     }
-    const uint8_t* words = mr.ReadRaw(nwords * 8);
-    tmp.assign(nwords, 0);
-    std::memcpy(tmp.data(), words, nwords * 8);
-    bv->AssignWords(tmp.data(), nwords, nbits);
-  };
-  for (uint32_t p = 0; p < np; ++p) {
-    read_bitvector(&index.non_empty_s_[p], index.num_subjects_);
-    read_bitvector(&index.non_empty_o_[p], index.num_objects_);
+    mr.ReadRaw(nwords * 8);
   }
 
   const size_t num_slots = 2 * static_cast<size_t>(np);

@@ -9,30 +9,14 @@ namespace lbr {
 
 namespace {
 
-// Re-derives the variable name of a cached dimension from its domain kind:
-// the loader maps kSubject dims to the subject variable, kObject to the
-// object variable, kPredicate to the predicate variable.
-std::string VarForKind(const TriplePattern& tp, DomainKind kind) {
-  switch (kind) {
-    case DomainKind::kSubject:
-      return tp.s.is_var ? tp.s.var : std::string();
-    case DomainKind::kObject:
-      return tp.o.is_var ? tp.o.var : std::string();
-    case DomainKind::kPredicate:
-      return tp.p.is_var ? tp.p.var : std::string();
-    case DomainKind::kUnit:
-      return std::string();
-  }
-  return std::string();
-}
-
-// A snapshot with the caller's variable names re-derived from the cached
-// dimension kinds (the key normalizes names away). O(non-empty rows)
+// A snapshot of `cached` named for the caller's `tp`: the key normalizes
+// variable names away, so the layout is taken afresh. O(non-empty rows)
 // handle bumps, no payload copy.
-TpBitMat SnapshotFor(const TpBitMat& cached, const TriplePattern& tp) {
-  TpBitMat copy = cached;
-  copy.row_var = VarForKind(tp, copy.row_kind);
-  copy.col_var = VarForKind(tp, copy.col_kind);
+TpBitMat SnapshotFor(const TpBitMat& cached, const TripleIndex& index,
+                     const TriplePattern& tp, bool prefer_subject_rows) {
+  TpBitMat copy;
+  static_cast<TpLayout&>(copy) = LayoutOf(index, tp, prefer_subject_rows);
+  copy.bm = cached.bm;
   return copy;
 }
 
@@ -55,8 +39,8 @@ TpCache::TpCache(uint64_t triple_budget)
 std::string TpCache::KeyFor(const TriplePattern& tp,
                             bool prefer_subject_rows) {
   // Variable names do not affect the loaded bits, only the var<->dimension
-  // mapping, which the caller re-derives; normalize them out of the key so
-  // that (?a :p ?b) and (?x :p ?y) share an entry.
+  // mapping, which a hit takes from LayoutOf; normalize them out of the key
+  // so that (?a :p ?b) and (?x :p ?y) share an entry.
   auto norm = [](const PatternTerm& t, const char* placeholder) {
     return t.is_var ? std::string(placeholder) : t.term.ToString();
   };
@@ -92,7 +76,7 @@ TpBitMat TpCache::GetOrLoad(const TripleIndex& index, const Dictionary& dict,
         if (meter_ != nullptr) meter_->ChargeMemory(TpBitMatHeapBytes(*loaded));
         return SingleFlightLru<TpBitMat>::Loaded{loaded, loaded->bm.Count()};
       });
-  return SnapshotFor(*entry, tp);
+  return SnapshotFor(*entry, index, tp, prefer_subject_rows);
 }
 
 TpBitMat TpCache::GetOrLoadMasked(const TripleIndex& index,
@@ -114,11 +98,8 @@ TpBitMat TpCache::GetOrLoadMasked(const TripleIndex& index,
   }
 
   TpBitMat out;
-  out.row_kind = entry->row_kind;
-  out.col_kind = entry->col_kind;
-  out.row_var = VarForKind(tp, out.row_kind);
-  out.col_var = VarForKind(tp, out.col_kind);
-  out.bm = BitMat(entry->bm.num_rows(), entry->bm.num_cols());
+  static_cast<TpLayout&>(out) = LayoutOf(index, tp, prefer_subject_rows);
+  out.bm = BitMat(out.num_rows, out.num_cols);
   ScratchPositions scratch(ctx);
   entry->bm.ForEachRow([&](uint32_t r, const BitMat::RowHandle& row) {
     if (masks.row_mask != nullptr &&

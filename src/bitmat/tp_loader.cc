@@ -97,20 +97,54 @@ TripleIndex::Side TpReadSide(const TriplePattern& tp,
                              : TripleIndex::Side::kOS;
 }
 
-namespace {
-
-TpBitMat LoadTpBitMatImpl(const TripleIndex& index, const Dictionary& dict,
-                          const TriplePattern& tp, bool prefer_subject_rows,
-                          const ActiveMasks& masks, ExecContext* ctx) {
-  const bool sv = tp.s.is_var, pv = tp.p.is_var, ov = tp.o.is_var;
-  if (sv && pv && ov) {
+TpLayout LayoutOf(const TripleIndex& index, const TriplePattern& tp,
+                  bool prefer_subject_rows) {
+  if (tp.s.is_var && tp.p.is_var && tp.o.is_var) {
     throw UnsupportedQueryError(
         "triple patterns with all three positions variable are not "
         "supported: " +
         tp.ToString());
   }
+  // Every variable position is one dimension, rows first, taken in this
+  // order: the predicate, then the subject and the object in the order of
+  // the side the TP reads (S-O rows are keyed by subject, O-S rows by
+  // object).
+  struct Position {
+    DomainKind kind;
+    const PatternTerm& term;
+    uint32_t size;
+  };
+  const Position s{DomainKind::kSubject, tp.s, index.num_subjects()};
+  const Position o{DomainKind::kObject, tp.o, index.num_objects()};
+  const Position p{DomainKind::kPredicate, tp.p, index.num_predicates()};
+  const bool so =
+      TpReadSide(tp, prefer_subject_rows) == TripleIndex::Side::kSO;
+  TpLayout layout;
+  bool row_taken = false;
+  for (const Position* pos : {&p, so ? &s : &o, so ? &o : &s}) {
+    if (!pos->term.is_var) continue;
+    if (!row_taken) {
+      layout.row_kind = pos->kind;
+      layout.row_var = pos->term.var;
+      layout.num_rows = pos->size;
+      row_taken = true;
+    } else {
+      layout.col_kind = pos->kind;
+      layout.col_var = pos->term.var;
+      layout.num_cols = pos->size;
+    }
+  }
+  return layout;
+}
 
+namespace {
+
+TpBitMat LoadTpBitMatImpl(const TripleIndex& index, const Dictionary& dict,
+                          const TriplePattern& tp, bool prefer_subject_rows,
+                          const ActiveMasks& masks, ExecContext* ctx) {
   TpBitMat out;
+  static_cast<TpLayout&>(out) = LayoutOf(index, tp, prefer_subject_rows);
+  const bool sv = tp.s.is_var, pv = tp.p.is_var, ov = tp.o.is_var;
   const TripleIndex::Side side = TpReadSide(tp, prefer_subject_rows);
   auto subject_id = [&]() -> std::optional<uint32_t> {
     return dict.SubjectId(tp.s.term);
@@ -129,44 +163,25 @@ TpBitMat LoadTpBitMatImpl(const TripleIndex& index, const Dictionary& dict,
       // Pin the slice across the copy-out so a concurrent snapshot spill
       // cannot free the row vectors mid-iteration.
       TripleIndex::SlicePin pin = p ? index.Slice(*p, side) : nullptr;
-      const bool so = side == TripleIndex::Side::kSO;
-      out.row_kind = so ? DomainKind::kSubject : DomainKind::kObject;
-      out.col_kind = so ? DomainKind::kObject : DomainKind::kSubject;
-      out.row_var = so ? tp.s.var : tp.o.var;
-      out.col_var = so ? tp.o.var : tp.s.var;
-      const uint32_t num_rows =
-          so ? index.num_subjects() : index.num_objects();
-      const uint32_t num_cols =
-          so ? index.num_objects() : index.num_subjects();
       out.bm = pin ? FillRows(pin->rows, masks, tp.s.var == tp.o.var,
-                              index.num_common(), ctx, num_rows, num_cols)
-                   : BitMat(num_rows, num_cols);
+                              index.num_common(), ctx, out.num_rows,
+                              out.num_cols)
+                   : BitMat(out.num_rows, out.num_cols);
       return out;
     }
-    if (sv) {
-      // (?a :p :o): one row of the P-S BitMat of :o == row o of the O-S slice.
-      out.row_kind = DomainKind::kSubject;
-      out.row_var = tp.s.var;
-      std::optional<uint32_t> o = object_id();
-      TripleIndex::SlicePin pin = p && o ? index.Slice(*p, side) : nullptr;
-      out.bm = pin ? FillColumnVector(TripleIndex::FindRowIn(pin->rows, *o),
-                                      masks, index.num_subjects())
-                   : BitMat(index.num_subjects(), 1);
-      return out;
-    }
-    if (ov) {
-      // (:s :p ?b): one row of the P-O BitMat of :s == row s of the S-O slice.
-      out.row_kind = DomainKind::kObject;
-      out.row_var = tp.o.var;
-      std::optional<uint32_t> s = subject_id();
-      TripleIndex::SlicePin pin = p && s ? index.Slice(*p, side) : nullptr;
-      out.bm = pin ? FillColumnVector(TripleIndex::FindRowIn(pin->rows, *s),
-                                      masks, index.num_objects())
-                   : BitMat(index.num_objects(), 1);
+    if (sv != ov) {
+      // (?a :p :o) is one row of the P-S BitMat of :o == row o of the O-S
+      // slice; (:s :p ?b) one row of the P-O BitMat of :s == row s of the
+      // S-O slice.
+      std::optional<uint32_t> key = sv ? object_id() : subject_id();
+      TripleIndex::SlicePin pin = p && key ? index.Slice(*p, side) : nullptr;
+      out.bm = pin ? FillColumnVector(TripleIndex::FindRowIn(pin->rows, *key),
+                                      masks, out.num_rows)
+                   : BitMat(out.num_rows, out.num_cols);
       return out;
     }
     // Fully fixed (:s :p :o): a 1x1 existence matrix.
-    out.bm = BitMat(1, 1);
+    out.bm = BitMat(out.num_rows, out.num_cols);
     std::optional<uint32_t> s = subject_id();
     std::optional<uint32_t> o = object_id();
     if (p && s && o) {
@@ -181,12 +196,7 @@ TpBitMat LoadTpBitMatImpl(const TripleIndex& index, const Dictionary& dict,
   // Variable predicate: (:s ?p ?b) is the P-O BitMat of :s and (?a ?p :o)
   // the P-S BitMat of :o; row p of either is row `key` of p's slice.
   if (sv != ov) {
-    out.row_kind = DomainKind::kPredicate;
-    out.row_var = tp.p.var;
-    out.col_kind = sv ? DomainKind::kSubject : DomainKind::kObject;
-    out.col_var = sv ? tp.s.var : tp.o.var;
-    BitMat::Builder b(index.num_predicates(),
-                      sv ? index.num_subjects() : index.num_objects());
+    BitMat::Builder b(out.num_rows, out.num_cols);
     std::optional<uint32_t> key = sv ? object_id() : subject_id();
     if (key) {
       ScratchPositions scratch(ctx);
@@ -207,9 +217,7 @@ TpBitMat LoadTpBitMatImpl(const TripleIndex& index, const Dictionary& dict,
     return out;
   }
   // (:s ?p :o): predicates linking the fixed pair.
-  out.row_kind = DomainKind::kPredicate;
-  out.row_var = tp.p.var;
-  out.bm = BitMat(index.num_predicates(), 1);
+  out.bm = BitMat(out.num_rows, out.num_cols);
   std::optional<uint32_t> s = subject_id();
   std::optional<uint32_t> o = object_id();
   if (s && o) {

@@ -33,15 +33,17 @@ class UnsupportedQueryError : public std::runtime_error {
       : std::runtime_error(msg) {}
 };
 
-/// A triple pattern's loaded BitMat plus the mapping from its dimensions to
-/// query variables. `row_var`/`col_var` are empty when the corresponding
-/// dimension is kUnit.
-struct TpBitMat {
-  BitMat bm;
+/// A triple pattern's BitMat layout (Section 5's case analysis): the query
+/// variable and value domain of each dimension, and each dimension's size.
+/// `row_var`/`col_var` are empty when the corresponding dimension is kUnit
+/// (size 1).
+struct TpLayout {
   DomainKind row_kind = DomainKind::kUnit;
   DomainKind col_kind = DomainKind::kUnit;
   std::string row_var;
   std::string col_var;
+  uint32_t num_rows = 1;
+  uint32_t num_cols = 1;
 
   bool HasVar(const std::string& v) const {
     return (!row_var.empty() && row_var == v) ||
@@ -54,6 +56,12 @@ struct TpBitMat {
   DomainKind KindOf(const std::string& v) const {
     return DimOf(v) == Dim::kRow ? row_kind : col_kind;
   }
+};
+
+/// A triple pattern's loaded BitMat with its layout; `bm` has the layout's
+/// dimensions.
+struct TpBitMat : TpLayout {
+  BitMat bm;
 };
 
 /// Optional pre-loading restrictions for active pruning (Section 5): bit
@@ -100,6 +108,19 @@ inline void SetRowMaskedShared(uint32_t id, const BitMat::RowHandle& row,
 /// materializes a side it does not read.
 TripleIndex::Side TpReadSide(const TriplePattern& tp,
                              bool prefer_subject_rows);
+
+/// The layout of `tp`'s BitMat in `index`, the one place Section 5's case
+/// analysis lives — LoadTpBitMat builds from it, the engine sizes and aligns
+/// its active-pruning masks by it, and the TP cache names a snapshot's
+/// dimensions by it:
+///   (?a :p ?b)  S x O when `prefer_subject_rows`, else O x S; the
+///               diagonal (?x :p ?x) has `x` on both dimensions
+///   (?a :p :o)  S x unit          (:s :p ?b)  O x unit
+///   (:s :p :o)  unit x unit       (:s ?p :o)  P x unit
+///   (:s ?p ?b)  P x O             (?a ?p :o)  P x S
+/// Throws UnsupportedQueryError for (?s ?p ?o) patterns.
+TpLayout LayoutOf(const TripleIndex& index, const TriplePattern& tp,
+                  bool prefer_subject_rows);
 
 /// Loads the BitMat holding all triples matching `tp` (Section 5's `init`
 /// step). `prefer_subject_rows` picks the S-O (true) or O-S (false)

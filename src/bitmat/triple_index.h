@@ -12,7 +12,6 @@
 #include "bitmat/bitmat.h"
 #include "bitmat/snapshot_format.h"
 #include "rdf/graph.h"
-#include "util/bitvector.h"
 #include "util/compressed_row.h"
 #include "util/mapped_file.h"
 #include "util/query_control.h"
@@ -32,9 +31,7 @@ namespace lbr {
 /// as-if-materialized sizes of all four families for parity with the paper.
 ///
 /// Per-predicate matrices are stored sparsely: only non-empty rows are kept,
-/// sorted by row id, with a condensed non-empty-row Bitvector per
-/// orientation (the "meta-information" of Appendix D that lets selectivity
-/// be judged without scanning payload).
+/// sorted by row id.
 ///
 /// A *slice* is one (predicate, side) matrix: the S-O or the O-S BitMat of
 /// one predicate. It is the unit the index materializes, pins, spills,
@@ -126,12 +123,6 @@ class TripleIndex {
   static const CompressedRow& FindRowIn(
       const std::vector<std::pair<uint32_t, CompressedRow>>& rows,
       uint32_t id);
-
-  /// Non-empty-row bit arrays (condensed metadata). Always resident — they
-  /// decode eagerly at open from the meta section, so stats collection and
-  /// selectivity never touch row payload.
-  const Bitvector& SubjectsOf(uint32_t p) const { return non_empty_s_[p]; }
-  const Bitvector& ObjectsOf(uint32_t p) const { return non_empty_o_[p]; }
 
   // --- Residency, budget and integrity (DESIGN.md §11, §12) -----------------
 
@@ -276,9 +267,6 @@ class TripleIndex {
   uint32_t num_common_ = 0;
   uint64_t num_triples_ = 0;
   std::vector<uint64_t> pred_counts_;
-  /// Always-resident condensed metadata (one Bitvector pair per predicate).
-  std::vector<Bitvector> non_empty_s_;
-  std::vector<Bitvector> non_empty_o_;
   /// Slice storage, indexed by SlotOf(p, side): entries start null and are
   /// published/spilled under backing_->mu[slot].
   mutable std::vector<std::shared_ptr<SliceRows>> slices_;

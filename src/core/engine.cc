@@ -269,6 +269,9 @@ Engine::BranchResult Engine::ExecuteBranchPlan(
     if (options_.enable_active_pruning) {
       auto build_mask = [&](const std::string& var, DomainKind kind,
                             uint32_t size, Bitvector* mask) -> bool {
+        // Unit dimensions carry no variable; predicate dimensions are
+        // never restricted.
+        if (var.empty() || kind == DomainKind::kPredicate) return false;
         bool restricted = false;
         ScratchBits fold_s(&exec_ctx_), aligned_s(&exec_ctx_);
         for (int j : loaded) {
@@ -278,8 +281,9 @@ Engine::BranchResult Engine::ExecuteBranchPlan(
               gosn.TpIsMasterOf(prev.tp_id, st.tp_id) ||
               gosn.TpIsPeer(prev.tp_id, st.tp_id);
           if (!can_restrict) continue;
-          // O(prev-TPs) folds per loaded TP: the version-stamped memo makes
-          // refolds of not-yet-pruned previous TPs word copies.
+          // O(prev-TPs) folds per loaded TP: the fold memo, dropped only
+          // when a matrix loses bits, makes refolds of not-yet-pruned
+          // previous TPs word copies.
           prev.mat.bm.FoldInto(prev.mat.DimOf(var), fold_s.get(), &exec_ctx_);
           AlignMaskInto(*fold_s, prev.mat.KindOf(var), kind,
                         index_->num_common(), size, aligned_s.get());
@@ -292,50 +296,13 @@ Engine::BranchResult Engine::ExecuteBranchPlan(
         }
         return restricted;
       };
-      // Pre-compute this TP's dimension layout without loading, mirroring
-      // the loader's case analysis: probe with a dry call is overkill, so
-      // derive kinds/vars directly.
-      TriplePattern& tp = st.tp;
-      std::string rvar, cvar;
-      DomainKind rkind = DomainKind::kUnit, ckind = DomainKind::kUnit;
-      uint32_t rsize = 1, csize = 1;
-      if (!tp.p.is_var) {
-        if (tp.s.is_var && tp.o.is_var) {
-          if (prefer_subject_rows) {
-            rvar = tp.s.var; rkind = DomainKind::kSubject;
-            rsize = index_->num_subjects();
-            cvar = tp.o.var; ckind = DomainKind::kObject;
-            csize = index_->num_objects();
-          } else {
-            rvar = tp.o.var; rkind = DomainKind::kObject;
-            rsize = index_->num_objects();
-            cvar = tp.s.var; ckind = DomainKind::kSubject;
-            csize = index_->num_subjects();
-          }
-        } else if (tp.s.is_var) {
-          rvar = tp.s.var; rkind = DomainKind::kSubject;
-          rsize = index_->num_subjects();
-        } else if (tp.o.is_var) {
-          rvar = tp.o.var; rkind = DomainKind::kObject;
-          rsize = index_->num_objects();
-        }
-      } else {
-        rvar = tp.p.var; rkind = DomainKind::kPredicate;
-        rsize = index_->num_predicates();
-        if (!tp.s.is_var && tp.o.is_var) {
-          cvar = tp.o.var; ckind = DomainKind::kObject;
-          csize = index_->num_objects();
-        } else if (tp.s.is_var && !tp.o.is_var) {
-          cvar = tp.s.var; ckind = DomainKind::kSubject;
-          csize = index_->num_subjects();
-        }
-      }
-      if (!rvar.empty() && rkind != DomainKind::kPredicate &&
-          build_mask(rvar, rkind, rsize, &row_mask)) {
+      const TpLayout layout = LayoutOf(*index_, st.tp, prefer_subject_rows);
+      if (build_mask(layout.row_var, layout.row_kind, layout.num_rows,
+                     &row_mask)) {
         masks.row_mask = &row_mask;
       }
-      if (!cvar.empty() && ckind != DomainKind::kPredicate &&
-          build_mask(cvar, ckind, csize, &col_mask)) {
+      if (build_mask(layout.col_var, layout.col_kind, layout.num_cols,
+                     &col_mask)) {
         masks.col_mask = &col_mask;
       }
     }

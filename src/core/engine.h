@@ -268,7 +268,6 @@ class Engine {
 
   /// The TP BitMat cache (meaningful when enable_tp_cache is set).
   const TpCache& tp_cache() const { return *tp_cache_; }
-  void ClearTpCache() { tp_cache_->Clear(); }
   /// The shareable cache handle, for wiring sibling engines to one cache.
   std::shared_ptr<TpCache> shared_tp_cache() const { return tp_cache_; }
 

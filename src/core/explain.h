@@ -32,7 +32,7 @@ std::string ExplainQuery(const Engine& engine, const std::string& sparql);
 /// Post-execution companion to ExplainQuery: renders what a query actually
 /// did from its QueryStats — its termination, per-phase times, the join's
 /// column-access counters, TpCache hits/misses and held triples, and the
-/// version-stamped fold-memo hits/misses. Appended by tools (e.g. the
+/// fold-memo hits/misses. Appended by tools (e.g. the
 /// SPARQL shell's timing mode) after running the query.
 std::string ExplainCacheStats(const QueryStats& stats);
 

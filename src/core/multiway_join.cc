@@ -124,15 +124,6 @@ const CompressedRow& MultiwayJoin::TransposedColumn(int tp_id, uint32_t col) {
   static const CompressedRow kEmptyRow;
   const BitMat& bm = (*tps_)[tp_id].mat.bm;
   TransposeCache& tc = transpose_cache_[tp_id];
-  if (!tc.valid || tc.version != bm.version()) {
-    // First use, or the source mutated between Runs: start a fresh entry.
-    tc.valid = true;
-    tc.version = bm.version();
-    tc.full = false;
-    tc.full_mat = BitMat();
-    tc.rows_scanned = 0;
-    tc.cols.clear();
-  }
   if (tc.full) return tc.full_mat.Row(col);
   auto it = std::lower_bound(
       tc.cols.begin(), tc.cols.end(), col,
@@ -190,24 +181,8 @@ const Bitvector* MultiwayJoin::StaticFoldMask(int var, int chosen_tp,
                                               uint32_t dst_size) {
   if (var < 0) return nullptr;
   StaticMask& sm = static_masks_[chosen_tp][static_cast<size_t>(dim)];
-  if (sm.built && sm.validated_run != run_seq_) {
-    // Version check against every folded contributor: a mutation between
-    // Runs orphans the entry. (An early-stopped build recorded only the
-    // folds it consumed — the mask is their intersection, a sound superset
-    // of the full one, and stays valid while exactly they are unchanged.)
-    // BitMats never mutate mid-Run, so one validation covers the Run.
-    for (const auto& [tp_id, version] : sm.sources) {
-      if ((*tps_)[tp_id].mat.bm.version() != version) {
-        sm.built = false;
-        break;
-      }
-    }
-  }
   if (!sm.built) {
     sm.built = true;
-    sm.restricted = false;
-    sm.inert = false;
-    sm.sources.clear();
     // The visited state is irrelevant here: a visited TP binds its
     // variables, and this mask is only consulted while `var` is free — so
     // every master in masters_of_var_ is necessarily unvisited then.
@@ -218,7 +193,6 @@ const Bitvector* MultiwayJoin::StaticFoldMask(int var, int chosen_tp,
       // The fold over var's dimension — row folds are the free
       // NonEmptyRows metadata, column folds hit the BitMat's memo.
       (*tps_)[mc.tp_id].mat.bm.FoldInto(mc.vdim, src.get(), ctx_);
-      sm.sources.emplace_back(mc.tp_id, (*tps_)[mc.tp_id].mat.bm.version());
       if (!sm.restricted) {
         AlignMaskInto(*src, mc.kind, dst_kind, ids_.num_common, dst_size,
                       &sm.mask);
@@ -243,12 +217,8 @@ const Bitvector* MultiwayJoin::StaticFoldMask(int var, int chosen_tp,
       own->And(sm.mask);
       uint64_t pass = own->Count();
       sm.inert = total > 0 && pass * 8 >= total * 7;
-      // The inert decision depends on the chosen TP's own fold, so its
-      // version is a staleness source too.
-      sm.sources.emplace_back(chosen_tp, cbm.version());
     }
   }
-  sm.validated_run = run_seq_;
   return sm.restricted && !sm.inert ? &sm.mask : nullptr;
 }
 
@@ -337,7 +307,6 @@ uint64_t MultiwayJoin::Run(RowSlab* rows, ExecContext* ctx,
   on_nulled_ = &on_nulled;
   rows_charged_ = rows->size();
   emitted_ = 0;
-  ++run_seq_;  // re-arms the once-per-Run static-mask version validation
   CompileOrder();
   if (!tps_->empty()) Recurse(0);
   ChargeRows();

@@ -64,6 +64,11 @@ class MultiwayJoin {
 
   /// The join keeps its own per-emit scratch buffers (below), so
   /// steady-state emission does not touch the heap.
+  ///
+  /// Precondition: the TPs' BitMats are frozen — nothing changes them from
+  /// construction until the last Run. The join memoizes what it derives
+  /// from them (static fold masks, transposes) for its whole lifetime; the
+  /// engine builds one join per branch after prune and runs it once.
   MultiwayJoin(const Gosn& gosn, const GlobalIds& ids, const Dictionary& dict,
                std::vector<TpState>* tps, std::vector<int> stps_order,
                Options options);
@@ -113,24 +118,16 @@ class MultiwayJoin {
   /// dimension's variable. A variable is only ever enumerated freely while
   /// every master sharing it is unvisited (a visited TP binds its
   /// variables), so the contributing set never depends on the recursion
-  /// state — one mask per (TP, dim) serves every Recurse node. Entries
-  /// persist across Runs, stamped with each contributing BitMat's
-  /// version() (like the fold memo and the transpose cache): a mutation of
-  /// any contributor between Runs triggers a rebuild.
+  /// state — one mask per (TP, dim) serves every Recurse node, and since
+  /// the inputs are frozen, for the join's lifetime.
   struct StaticMask {
     bool built = false;
-    /// Run sequence number of the last source-version validation: BitMats
-    /// never mutate mid-Run, so one check per Run covers every consult
-    /// (otherwise every Recurse node would re-walk the source list).
-    uint64_t validated_run = 0;
     bool restricted = false;  ///< At least one master constrains the var.
     /// Mask too dense to pay for itself: most of the domain survives, so
     /// the per-node AND would filter next to nothing — skip it (bound-row
     /// filtering still applies). Decided once per build from Count().
     bool inert = false;
     Bitvector mask;
-    /// (tp_id, version at build time) of every folded contributor.
-    std::vector<std::pair<int, uint64_t>> sources;
   };
 
   /// One absolute-master TP constraining a variable, precomputed in the
@@ -148,11 +145,9 @@ class MultiwayJoin {
   /// actually visits are extracted (as shared row handles), each by a scan
   /// of the populated rows, while the rows scanned stay within the cost of
   /// one full Transposed() (Count() + num_cols()/64); the miss that would
-  /// exceed it transposes instead. Version-stamped like the fold memo — a
-  /// mutation of the source BitMat between Runs orphans the entry.
+  /// exceed it transposes instead. Valid for the join's lifetime (frozen
+  /// inputs).
   struct TransposeCache {
-    bool valid = false;  ///< An entry exists (version is meaningful).
-    uint64_t version = 0;
     bool full = false;
     BitMat full_mat;  // when `full`
     /// Populated rows the lazy extractions of this entry have scanned.
@@ -203,7 +198,7 @@ class MultiwayJoin {
 
   /// Column `col` of TP `tp_id`'s BitMat as a compressed row over the row
   /// domain, served from the lazy transpose cache. The reference stays
-  /// valid until the cache entry is invalidated (source version change).
+  /// valid for the join's lifetime.
   const CompressedRow& TransposedColumn(int tp_id, uint32_t col);
 
   /// The cached static fold mask for enumerating `var` on `dim` of TP
@@ -275,8 +270,7 @@ class MultiwayJoin {
   std::vector<TransposeCache> transpose_cache_;  // per TP
 
   // Per TP: the static fold masks of its row (index 0) and column (1)
-  // dimensions, built lazily and version-stamped against their
-  // contributors (the join never mutates BitMats mid-Run).
+  // dimensions, built lazily.
   std::vector<std::array<StaticMask, 2>> static_masks_;
   uint64_t columns_extracted_ = 0;
   uint64_t rows_scanned_ = 0;
@@ -284,8 +278,6 @@ class MultiwayJoin {
   uint64_t enum_candidates_ = 0;
   uint64_t enum_pruned_static_ = 0;
   uint64_t enum_pruned_bound_ = 0;
-  /// Monotonic Run() counter feeding StaticMask::validated_run.
-  uint64_t run_seq_ = 0;
 
   // The compiled visit order (per Run). A frame slot is 2 * depth for the
   // row value bound at that depth and 2 * depth + 1 for the column value.

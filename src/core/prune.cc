@@ -39,8 +39,8 @@ void SemiJoin(const std::string& jvar, TpState* slave, const TpState& master,
   size_t before = beta.Count();
 
   // fold(BM_master, dim_j) aligned to the slave's domain. Across the
-  // fixpoint's two passes most masters are refolded unchanged — the
-  // version-stamped memo turns those into word copies.
+  // fixpoint's two passes most masters are refolded unchanged — the fold
+  // memo turns those into word copies.
   Bitvector& mfold = *mfold_s;
   master.mat.bm.FoldInto(master.mat.DimOf(jvar), &mfold, ctx);
   DomainKind master_kind = master.mat.KindOf(jvar);

@@ -40,7 +40,8 @@ void ClusteredSemiJoin(const std::string& jvar,
 /// With an ExecContext the whole fixpoint loop runs out of pooled fold and
 /// mask buffers — no per-iteration Bitvector allocations. Folds of TPs no
 /// semi-join has changed (most of the second pass) are served from the
-/// BitMats' version-stamped fold memos without row iteration (DESIGN.md §4).
+/// BitMats' fold memos, which only a bit-clearing Unfold drops, without row
+/// iteration (DESIGN.md §4).
 void PruneTriples(const JvarOrder& order, const Gosn& gosn, const Goj& goj,
                   uint32_t num_common, std::vector<TpState>* tps,
                   ExecContext* ctx = nullptr);

@@ -68,7 +68,7 @@ class ExecContext {
   size_t positions_created() const { return positions_created_; }
 
   /// Fold-memoization telemetry: BitMat::FoldInto reports here whether a
-  /// column fold was served from the version-stamped cache (hit) or had to
+  /// column fold was served from the matrix's fold memo (hit) or had to
   /// iterate rows (miss). Counters are cumulative; the engine snapshots
   /// them around a query to derive per-query deltas for QueryStats.
   void CountFoldHit() { ++fold_cache_hits_; }

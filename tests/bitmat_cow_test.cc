@@ -1,7 +1,7 @@
-// Copy-on-write aliasing semantics, version-counter monotonicity, and the
-// version-stamped fold memo of BitMat (DESIGN.md §4): copies share row
-// handles; mutations clone only touched rows and never leak into siblings;
-// FoldInto serves repeat column folds from the memo without row iteration.
+// Copy-on-write aliasing semantics and the fold memo of BitMat (DESIGN.md
+// §4): copies share row handles; mutations clone only touched rows and never
+// leak into siblings; FoldInto serves repeat column folds from the memo
+// without row iteration until a mutation drops it.
 
 #include "bitmat/bitmat.h"
 
@@ -84,30 +84,30 @@ TEST(BitMatCowTest, DeepCopySeversAliasing) {
   EXPECT_NE(b.SharedRow(2).get(), a.SharedRow(2).get());
 }
 
-TEST(BitMatCowTest, VersionIsMonotonicAndBumpedByMutations) {
+TEST(BitMatCowTest, FoldMemoKeptByReadsDroppedByBitClearingUnfold) {
   BitMat bm(4, 6);
-  uint64_t v = bm.version();
   bm.SetRow(0, {1, 3});
-  EXPECT_GT(bm.version(), v);
-  v = bm.version();
-
-  // Reads never change the version.
   bm.Fold(Dim::kCol);
+  bm.Fold(Dim::kCol);  // second touch stores
+  ASSERT_TRUE(bm.ColFoldMemoized());
+
+  // Reads keep the memo.
   bm.Test(0, 1);
   bm.Transposed();
-  EXPECT_EQ(bm.version(), v);
+  bm.Fold(Dim::kRow);
+  EXPECT_TRUE(bm.ColFoldMemoized());
 
-  // A no-op unfold (mask keeps everything) changes no bit: no bump.
+  // A no-op unfold (mask keeps everything) changes no bit: memo kept.
   Bitvector full(6);
   full.Fill();
   bm.Unfold(full, Dim::kCol);
-  EXPECT_EQ(bm.version(), v);
+  EXPECT_TRUE(bm.ColFoldMemoized());
 
-  // A bit-clearing unfold bumps.
+  // A bit-clearing unfold drops it.
   Bitvector narrow(6);
   narrow.Set(1);
   bm.Unfold(narrow, Dim::kCol);
-  EXPECT_GT(bm.version(), v);
+  EXPECT_FALSE(bm.ColFoldMemoized());
 }
 
 TEST(BitMatCowTest, FoldIntoMemoizesColumnFoldOnSecondTouch) {
@@ -115,7 +115,7 @@ TEST(BitMatCowTest, FoldIntoMemoizesColumnFoldOnSecondTouch) {
   BitMat bm = SampleBitMat();
   EXPECT_FALSE(bm.ColFoldMemoized());
 
-  // First fold at this version: computed, only marked (fold-once-then-
+  // First fold: computed, only marked (fold-once-then-
   // mutate patterns must not pay the memo's allocation).
   Bitvector first;
   bm.FoldInto(Dim::kCol, &first, &ctx);
@@ -123,14 +123,14 @@ TEST(BitMatCowTest, FoldIntoMemoizesColumnFoldOnSecondTouch) {
   EXPECT_EQ(ctx.fold_cache_hits(), 0u);
   EXPECT_FALSE(bm.ColFoldMemoized());
 
-  // Second fold at the same version: computed and stored.
+  // Second fold with no mutation between: computed and stored.
   Bitvector second;
   bm.FoldInto(Dim::kCol, &second, &ctx);
   EXPECT_EQ(ctx.fold_cache_misses(), 2u);
   EXPECT_TRUE(bm.ColFoldMemoized());
   EXPECT_EQ(second, first);
 
-  // Third fold with version() unchanged: served from the memo — the hit
+  // Third fold, still unmutated: served from the memo — the hit
   // counter proves no row iteration ran — with identical content.
   Bitvector third;
   bm.FoldInto(Dim::kCol, &third, &ctx);
@@ -172,7 +172,7 @@ TEST(BitMatCowTest, FoldMemoSharedAcrossCopiesUntilDivergence) {
   b.FoldInto(Dim::kCol, &out, &ctx);
   EXPECT_EQ(ctx.fold_cache_hits(), 1u);
 
-  // Mutating the copy orphans only its own stamp; the original still hits.
+  // Mutating the copy drops only its own memo; the original still hits.
   Bitvector narrow(6);
   narrow.Set(1);
   b.Unfold(narrow, Dim::kCol);

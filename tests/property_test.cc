@@ -30,6 +30,10 @@ using testing::CanonicalizeProjected;
 using testing::RandomGraph;
 using testing::RandomWellDesignedQuery;
 
+// gtest names each sweep test after the raw bytes of its SweepParams, so
+// the struct must hold no padding: padding bytes are indeterminate, and the
+// ctest names would change from run to run. `unused` fills the two bytes
+// the bools leave before the struct's 8-byte alignment.
 struct SweepParams {
   uint64_t seed;
   int num_entities;
@@ -37,7 +41,11 @@ struct SweepParams {
   int num_triples;
   bool allow_nested;
   bool allow_filter;
+  uint16_t unused = 0;
 };
+static_assert(sizeof(SweepParams) == sizeof(uint64_t) + 3 * sizeof(int) +
+                                         2 * sizeof(bool) + sizeof(uint16_t),
+              "SweepParams must have no padding bytes");
 
 class WellDesignedSweep : public ::testing::TestWithParam<SweepParams> {};
 

@@ -60,6 +60,19 @@ TEST_F(TpCacheTest, VariableNamesNormalizedInKey) {
   // The copy carries the caller's variable names.
   EXPECT_EQ(renamed.row_var, "foo");
   EXPECT_EQ(renamed.col_var, "bar");
+
+  // So does a masked copy-out, here of the O-S entry.
+  Bitvector row_mask(index_.num_objects(), true);
+  ActiveMasks masks;
+  masks.row_mask = &row_mask;
+  cache.GetOrLoad(index_, graph_.dict(), Tp("?x", "p", "?y"), false);
+  TpBitMat masked = cache.GetOrLoadMasked(
+      index_, graph_.dict(), Tp("?u", "p", "?v"), false, masks);
+  EXPECT_EQ(cache.hits(), 2u);
+  EXPECT_EQ(masked.row_kind, DomainKind::kObject);
+  EXPECT_EQ(masked.row_var, "v");
+  EXPECT_EQ(masked.col_var, "u");
+  EXPECT_EQ(masked.bm.Count(), 3u);
 }
 
 TEST_F(TpCacheTest, OrientationIsPartOfKey) {

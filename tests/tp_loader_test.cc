@@ -141,6 +141,52 @@ TEST_F(TpLoaderTest, DiagonalSameVarTwice) {
   EXPECT_TRUE(none.bm.IsEmpty());
 }
 
+TEST_F(TpLoaderTest, LayoutOfAgreesWithTheLoadedMatrix) {
+  const uint32_t ns = index_.num_subjects(), no = index_.num_objects(),
+                 np = index_.num_predicates();
+  const DomainKind kS = DomainKind::kSubject, kO = DomainKind::kObject,
+                   kP = DomainKind::kPredicate, kU = DomainKind::kUnit;
+  struct Shape {
+    TriplePattern tp;
+    bool subject_rows;
+    TpLayout want;
+  };
+  const std::vector<Shape> shapes = {
+      {Tp("?a", "p", "?b"), true, {kS, kO, "a", "b", ns, no}},
+      {Tp("?a", "p", "?b"), false, {kO, kS, "b", "a", no, ns}},
+      {Tp("?x", "r", "?x"), true, {kS, kO, "x", "x", ns, no}},
+      {Tp("?x", "r", "?x"), false, {kO, kS, "x", "x", no, ns}},
+      {Tp("?a", "p", "c"), true, {kS, kU, "a", "", ns, 1}},
+      {Tp("a", "p", "?b"), false, {kO, kU, "b", "", no, 1}},
+      {Tp("a", "p", "b"), true, {kU, kU, "", "", 1, 1}},
+      {Tp("a", "?p", "?b"), false, {kP, kO, "p", "b", np, no}},
+      {Tp("?a", "?p", "b"), true, {kP, kS, "p", "a", np, ns}},
+      {Tp("a", "?p", "b"), true, {kP, kU, "p", "", np, 1}},
+  };
+  for (const Shape& shape : shapes) {
+    SCOPED_TRACE(shape.tp.ToString() + (shape.subject_rows ? " S" : " O"));
+    const TpLayout layout = LayoutOf(index_, shape.tp, shape.subject_rows);
+    EXPECT_EQ(layout.row_kind, shape.want.row_kind);
+    EXPECT_EQ(layout.col_kind, shape.want.col_kind);
+    EXPECT_EQ(layout.row_var, shape.want.row_var);
+    EXPECT_EQ(layout.col_var, shape.want.col_var);
+    EXPECT_EQ(layout.num_rows, shape.want.num_rows);
+    EXPECT_EQ(layout.num_cols, shape.want.num_cols);
+
+    const TpBitMat m =
+        LoadTpBitMat(index_, graph_.dict(), shape.tp, shape.subject_rows);
+    EXPECT_EQ(m.row_kind, layout.row_kind);
+    EXPECT_EQ(m.col_kind, layout.col_kind);
+    EXPECT_EQ(m.row_var, layout.row_var);
+    EXPECT_EQ(m.col_var, layout.col_var);
+    EXPECT_EQ(m.bm.num_rows(), layout.num_rows);
+    EXPECT_EQ(m.bm.num_cols(), layout.num_cols);
+    EXPECT_FALSE(m.bm.IsEmpty());
+  }
+  EXPECT_THROW(LayoutOf(index_, Tp("?s", "?p", "?o"), true),
+               UnsupportedQueryError);
+}
+
 TEST_F(TpLoaderTest, SingleColumnRowsShareTheUnitRow) {
   // Every row of a one-column TP matrix is the one static unit row.
   for (const TriplePattern& tp :

@@ -80,18 +80,6 @@ TEST(TripleIndexTest, MissingRowsAreEmpty) {
   EXPECT_EQ(idx.Slice(999, TripleIndex::Side::kSO), nullptr);  // out of range
 }
 
-TEST(TripleIndexTest, NonEmptyRowBitvectors) {
-  Graph g = SmallGraph();
-  TripleIndex idx = TripleIndex::Build(g);
-  uint32_t p = *g.dict().PredicateId(Term::Iri("p"));
-  Bitvector subjects = idx.SubjectsOf(p);
-  EXPECT_TRUE(subjects.Get(*g.dict().SubjectId(Term::Iri("a"))));
-  EXPECT_TRUE(subjects.Get(*g.dict().SubjectId(Term::Iri("b"))));
-  EXPECT_EQ(subjects.Count(), 2u);
-  Bitvector objects = idx.ObjectsOf(p);
-  EXPECT_EQ(objects.Count(), 2u);  // b, c
-}
-
 TEST(TripleIndexTest, DerivedPsAndPoBitMats) {
   Graph g = SmallGraph();
   TripleIndex idx = TripleIndex::Build(g);
