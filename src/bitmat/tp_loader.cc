@@ -20,20 +20,49 @@ size_t RowBound(size_t candidates, const Bitvector* row_mask) {
                              : std::min<size_t>(candidates, row_mask->Count());
 }
 
+using SliceRowIt =
+    std::vector<std::pair<uint32_t, CompressedRow>>::const_iterator;
+
+// The first row in [first, last) whose id is >= `target`, for ids sorted
+// ascending: exponential steps from `first`, then a binary search in the
+// last step. O(log d) for a row d places ahead.
+SliceRowIt Gallop(SliceRowIt first, SliceRowIt last, uint32_t target) {
+  if (first == last || first->first >= target) return first;
+  // Invariant: lo->first < target.
+  SliceRowIt lo = first;
+  ptrdiff_t step = 1;
+  while (step < last - lo && lo[step].first < target) {
+    lo += step;
+    step *= 2;
+  }
+  // The answer is in (lo, hi]: lower_bound yields hi when no row before it
+  // reaches `target`.
+  SliceRowIt hi = step < last - lo ? lo + step : last;
+  return std::lower_bound(
+      lo + 1, hi, target,
+      [](const std::pair<uint32_t, CompressedRow>& row, uint32_t id) {
+        return row.first < id;
+      });
+}
+
 // Builds the matrix of a slice's (id, row) pairs in one arena, applying the
 // active-pruning masks. A row the column mask leaves whole stays the
 // slice's row (a view of the mapped extent); only rows that lose bits are
 // re-encoded. `diagonal` restricts a same-variable TP (?x :p ?x) to its
 // diagonal: only IDs in the shared Vso range can denote the same term on
 // both dimensions.
+//
+// With a row mask, the slice's sorted ids and the mask's set bits are
+// intersected leapfrog style: gallop the rows to the current mask bit,
+// then jump the mask to the row's id. A load costs O(k log(n/k) + mask
+// words) for k kept rows of n, not one mask probe per slice row.
 BitMat FillRows(const std::vector<std::pair<uint32_t, CompressedRow>>& rows,
                 const ActiveMasks& masks, bool diagonal, uint32_t num_common,
                 ExecContext* ctx, uint32_t num_rows, uint32_t num_cols) {
   BitMat::Builder b(num_rows, num_cols);
   b.Reserve(RowBound(rows.size(), masks.row_mask), 0);
   ScratchPositions scratch(ctx);
-  for (const auto& [id, row] : rows) {
-    if (!Admits(masks.row_mask, id)) continue;
+  auto add = [&](uint32_t id, const CompressedRow& row) {
     if (diagonal) {
       if (id < num_common && row.Test(id) && Admits(masks.col_mask, id)) {
         scratch->assign(1, id);
@@ -44,6 +73,24 @@ BitMat FillRows(const std::vector<std::pair<uint32_t, CompressedRow>>& rows,
     } else {
       b.Add(id, row);
     }
+  };
+  if (masks.row_mask == nullptr) {
+    for (const auto& [id, row] : rows) add(id, row);
+    return b.Finish();
+  }
+  const Bitvector& mask = *masks.row_mask;
+  const SliceRowIt end = rows.end();
+  SliceRowIt it = rows.begin();
+  for (size_t bit = mask.FindFirst(); bit < mask.size();) {
+    it = Gallop(it, end, static_cast<uint32_t>(bit));
+    if (it == end) break;
+    if (it->first == bit) {
+      add(it->first, it->second);
+      if (++it == end) break;
+    }
+    // it->first > bit >= 0 here, so the first mask bit at or past the
+    // row's id is FindNext(id - 1).
+    bit = mask.FindNext(it->first - 1);
   }
   return b.Finish();
 }
@@ -51,12 +98,17 @@ BitMat FillRows(const std::vector<std::pair<uint32_t, CompressedRow>>& rows,
 // The single-column matrix of the set bits of `row`, honoring the
 // row-domain mask. Every row is the shared unit row.
 BitMat FillColumnVector(const CompressedRow& row, const ActiveMasks& masks,
-                        uint32_t num_rows) {
+                        ExecContext* ctx, uint32_t num_rows) {
   BitMat::Builder b(num_rows, 1);
   b.Reserve(RowBound(row.Count(), masks.row_mask), 0);
-  row.ForEachSetBit([&](uint32_t id) {
-    if (Admits(masks.row_mask, id)) b.AddShared(id, BitMat::UnitRow());
-  });
+  if (masks.row_mask == nullptr) {
+    row.ForEachSetBit(
+        [&](uint32_t id) { b.AddShared(id, BitMat::UnitRow()); });
+    return b.Finish();
+  }
+  ScratchPositions ids(ctx);
+  row.AppendMaskedPositions(*masks.row_mask, ids.get());
+  for (uint32_t id : *ids) b.AddShared(id, BitMat::UnitRow());
   return b.Finish();
 }
 
@@ -176,7 +228,7 @@ TpBitMat LoadTpBitMatImpl(const TripleIndex& index, const Dictionary& dict,
       std::optional<uint32_t> key = sv ? object_id() : subject_id();
       TripleIndex::SlicePin pin = p && key ? index.Slice(*p, side) : nullptr;
       out.bm = pin ? FillColumnVector(TripleIndex::FindRowIn(pin->rows, *key),
-                                      masks, out.num_rows)
+                                      masks, ctx, out.num_rows)
                    : BitMat(out.num_rows, out.num_cols);
       return out;
     }

@@ -267,10 +267,11 @@ TEST(EngineTest, AbsentAllConstantPatternYieldsNoRow) {
 
 TEST(EngineTest, AllConstantOptionalKeepsTheRow) {
   // The OPTIONAL triple absent, then present: one empty row either way.
-  for (const std::string& c : {"c", "x"}) {
+  for (const char* c : {"c", "x"}) {
     EngineFixture f(MakeGraph({{"a", "p", "b"}, {"b", "q", "x"}}));
     const std::string query =
-        "SELECT * WHERE { <a> <p> <b> OPTIONAL { <b> <q> <" + c + "> } }";
+        std::string("SELECT * WHERE { <a> <p> <b> OPTIONAL { <b> <q> <") + c +
+        "> } }";
     ResultTable t = f.Run(query);
     ASSERT_EQ(t.rows.size(), 1u) << query;
     EXPECT_TRUE(t.rows[0].empty());

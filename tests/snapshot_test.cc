@@ -504,6 +504,27 @@ TEST_F(SnapshotRejectTest, MetaDimensionsDisagreeWithDict) {
   }
 }
 
+TEST_F(SnapshotRejectTest, MetaBitvectorLengthOverrun) {
+  // After |Vs|, |Vp|, |Vo|, |Vso| (uint32s), the triple count and |Vp|
+  // per-predicate counts (uint64s) come the non-empty-row bitvectors, each
+  // a uint64 word count and its words. A first word count longer than the
+  // whole section must fail as corrupt before anything skips past the end.
+  SnapSectionEntry meta = FindSection(bytes_, kSnapSectionMeta);
+  uint32_t np = 0;
+  std::memcpy(&np, &bytes_[meta.offset + 4], sizeof(np));
+  const uint64_t first_bitvector = 16 + 8 + 8 * uint64_t{np};
+  RewriteSealed(kSnapSectionMeta, first_bitvector, meta.size / 8 + 1);
+  try {
+    Database::OpenSnapshot(path_);
+    ADD_FAILURE() << "open succeeded";
+  } catch (const SnapshotError& e) {
+    EXPECT_EQ(e.code(), SnapshotErrorCode::kCorrupt);
+    EXPECT_NE(std::string(e.what()).find("bitvector length overrun"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 // The rewritten dict sections below checksum clean too; the open pass
 // that views the section must reject them as corrupt.
 
