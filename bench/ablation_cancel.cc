@@ -162,7 +162,6 @@ void Run(const char* json_path_arg) {
   ParsedQuery heavy = Parser::Parse(kHeavyQuery);
   EngineOptions heavy_options;
   heavy_options.enable_prune = false;  // keep the join long, not the prune
-  heavy_options.enable_active_pruning = false;
 
   // Unbounded reference time, so the aborts demonstrably land mid-run.
   double unbounded_sec;

@@ -4,7 +4,8 @@
 // Shared harness for the table-reproduction benches: builds a workload,
 // runs every query on the LBR engine, the pairwise (column-store stand-in)
 // baseline, and the no-prune LBR ablation, and prints a Table 6.x-style
-// row per query plus the Section 6.2 geometric means.
+// row per query plus the Section 6.2 geometric means. A query on which the
+// three disagree about the number of rows ends the bench with exit code 1.
 
 #include <unistd.h>
 
@@ -110,7 +111,8 @@ inline double Median3(std::vector<double> v) {
   return v[v.size() / 2];
 }
 
-/// Runs one query on all three engines.
+/// Runs one query on all three engines; exits 1 unless all three return
+/// the same number of rows.
 inline QueryResultRow RunQuery(const Graph& graph, const TripleIndex& index,
                                const BenchQuery& query, int runs) {
   QueryResultRow row;
@@ -133,24 +135,33 @@ inline QueryResultRow RunQuery(const Graph& graph, const TripleIndex& index,
   }
 
   // Pairwise hash-join baseline (the Virtuoso/MonetDB stand-in).
+  uint64_t pairwise_rows = 0;
   {
     PairwiseEngine engine(const_cast<TripleIndex*>(&index), &graph.dict());
     row.t_pairwise = TimeAvg(runs, [&] {
       QueryStats stats;
       engine.ExecuteToTable(parsed, &stats);
+      pairwise_rows = stats.num_results;
     });
   }
 
   // LBR with pruning disabled: quantifies what Algorithms 3.1/3.2 buy.
+  uint64_t noprune_rows = 0;
   {
     EngineOptions options;
     options.enable_prune = false;
-    options.enable_active_pruning = false;
     Engine engine(&index, &graph.dict(), options);
     row.t_noprune = TimeAvg(runs, [&] {
-      QueryStats stats;
-      engine.Execute(parsed, [](const RawRow&) {}, &stats);
+      noprune_rows = engine.Execute(parsed, [](const RawRow&) {});
     });
+  }
+
+  if (pairwise_rows != row.lbr.num_results ||
+      noprune_rows != row.lbr.num_results) {
+    std::cerr << query.id << ": engines disagree on the row count (LBR "
+              << row.lbr.num_results << ", no-prune LBR " << noprune_rows
+              << ", pairwise " << pairwise_rows << ")\n";
+    std::exit(1);
   }
   return row;
 }

@@ -115,13 +115,11 @@ BranchPlan Engine::PlanBranch(const Algebra& branch,
   const Goj& goj = plan.goj;
 
   // --- decide-best-match-reqd (Alg 5.1 line 5 / Lemma 3.4): needed for a
-  // cyclic GoJ where some slave supernode holds more than one jvar. The
-  // ablation knobs that break Lemma 3.3's preconditions (pruning disabled,
-  // greedy order on an acyclic GoJ) also force it, since minimality is then
-  // not guaranteed. Structural throughout — no cardinality input — which is
-  // what makes the decision safely cacheable across constant rebindings.
-  plan.nb_reqd = !options_.enable_prune ||
-                 options_.order_strategy == JvarOrderStrategy::kGreedy;
+  // cyclic GoJ where some slave supernode holds more than one jvar.
+  // Structural throughout — no cardinality input, no engine option — which
+  // is what makes the decision safely cacheable across constant rebindings
+  // and across engines. ExecuteBranchPlan adds the run-time term: an
+  // engine that does not prune cannot rely on Lemma 3.3's minimality.
   if (goj.IsCyclic()) {
     for (int sn : gosn.SlaveSupernodes()) {
       std::set<int> jvars_in_sn;
@@ -150,19 +148,9 @@ BranchPlan Engine::PlanBranch(const Algebra& branch,
   }
   const std::vector<uint64_t>& cards = plan.estimated_cards;
 
-  // --- get_jvar_order (Alg 3.1 / ablation strategies).
+  // --- get_jvar_order (Alg 3.1).
   if (stats != nullptr) ++stats->planning_jvar_orders;
-  switch (options_.order_strategy) {
-    case JvarOrderStrategy::kPaper:
-      plan.order = GetJvarOrder(gosn, goj, cards);
-      break;
-    case JvarOrderStrategy::kNaiveBottomUp:
-      plan.order = GetNaiveJvarOrder(gosn, goj, cards);
-      break;
-    case JvarOrderStrategy::kGreedy:
-      plan.order = GetGreedyJvarOrder(goj, cards);
-      break;
-  }
+  plan.order = GetJvarOrder(gosn, goj, cards);
 
   // --- Orientation: for (?a :p ?b) load S-O iff ?a precedes ?b in
   // order_bu.
@@ -217,7 +205,7 @@ Engine::BranchResult Engine::ExecuteBranchPlan(
   }
   const Goj& goj = plan.goj;
   const JvarOrder& order = plan.order;
-  const bool nb_reqd = plan.nb_reqd;
+  const bool nb_reqd = plan.nb_reqd || !options_.enable_prune;
 
   if (stats != nullptr) {
     stats->goj_cyclic = stats->goj_cyclic || goj.IsCyclic();
@@ -266,7 +254,7 @@ Engine::BranchResult Engine::ExecuteBranchPlan(
     // peers of this one.
     Bitvector row_mask, col_mask;
     ActiveMasks masks;
-    if (options_.enable_active_pruning) {
+    if (options_.enable_prune) {
       auto build_mask = [&](const std::string& var, DomainKind kind,
                             uint32_t size, Bitvector* mask) -> bool {
         // Unit dimensions carry no variable; predicate dimensions are
@@ -693,16 +681,6 @@ uint64_t Engine::ExecuteTextControlled(
     const Stopwatch& total_watch, std::vector<std::string>* projection_out) {
   exec_ctx_.CheckCancelNow();
 
-  if (!options_.enable_plan_cache) {
-    Stopwatch plan_watch;
-    ++st->planning_parses;
-    ParsedQuery query = Parser::Parse(sparql);
-    CompiledPlan plan = CompilePlan(query, nullptr, st);
-    st->t_plan_sec += plan_watch.Seconds();
-    if (projection_out != nullptr) *projection_out = plan.projection;
-    return ExecutePlanned(plan, nullptr, sink, st, total_watch);
-  }
-
   // Plan-cache path (DESIGN.md §10): canonicalize to a shape key, fetch or
   // compile the skeleton (single-flight across engines sharing the cache),
   // then rebind this query's constants into a private copy.
@@ -822,8 +800,7 @@ std::vector<BatchResult> Engine::ExecuteBatch(
   // through the shape-keyed compiled-plan cache; repeated shapes across
   // the stream compile once (single-flight) regardless of which runner
   // draws them.
-  if (engine_options.plan_cache == nullptr &&
-      engine_options.enable_plan_cache) {
+  if (engine_options.plan_cache == nullptr) {
     engine_options.plan_cache = std::make_shared<PlanCache>();
   }
 

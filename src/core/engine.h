@@ -22,30 +22,25 @@ namespace lbr {
 class ThreadPool;
 class Stopwatch;
 
-/// Strategy knob for the jvar-ordering ablation (Table/figure A2).
-enum class JvarOrderStrategy {
-  kPaper,          ///< Algorithm 3.1 (default).
-  kNaiveBottomUp,  ///< Single whole-tree bottom-up pass (Section 3.2 strawman).
-  kGreedy,         ///< Greedy descending-selectivity order.
-};
-
-/// Engine tunables; defaults reproduce the paper's configuration. The other
-/// settings exist for the ablation benches and the cache extension.
+/// Engine tunables; defaults reproduce the paper's configuration. Each
+/// setting changes how a query runs, never its plan: CompilePlan reads none
+/// of them, so engines with different settings may share one PlanCache.
 struct EngineOptions {
-  bool enable_prune = true;           ///< Run prune_triples (Alg 3.2).
-  bool enable_active_pruning = true;  ///< Prune while loading BitMats (init).
-  JvarOrderStrategy order_strategy = JvarOrderStrategy::kPaper;
+  /// Prune: active-pruning masks while init loads the TPs (Alg 5.1 lines
+  /// 3-4), then prune_triples (Alg 3.2). Off, every TP loads unmasked,
+  /// prune is skipped, and every branch runs nullification and best-match,
+  /// since Lemma 3.3's minimality no longer holds. The paper tables'
+  /// no-prune column and the oracle tests turn it off.
+  bool enable_prune = true;
   /// Cache unmasked TP BitMats across queries (the paper's future-work item
   /// for short-running queries); active-pruning masks are re-applied on the
   /// cached copies.
   bool enable_tp_cache = false;
-  /// Cache compiled plan skeletons keyed by query shape, so parameterized
-  /// traffic pays parse/rewrite/GoSN/jvar-order once per shape. Only the
-  /// text entry points (Execute(std::string), ExecuteToTable(std::string))
-  /// consult it; ParsedQuery entry points always plan afresh.
-  bool enable_plan_cache = true;
-  /// Share a plan cache across engines (the server deployment). Null makes
-  /// the engine create a private one.
+  /// The compiled-plan cache behind the text entry points (Execute and
+  /// ExecuteToTable on SPARQL text), keyed by query shape so parameterized
+  /// traffic pays parse/rewrite/GoSN/jvar-order once per shape. Share one
+  /// across engines (the server deployment); null makes the engine create
+  /// a private one. ParsedQuery entry points always plan afresh.
   std::shared_ptr<PlanCache> plan_cache;
 };
 
@@ -227,9 +222,9 @@ class Engine {
   /// plan-cache entry point (DESIGN.md §10): the text is canonicalized to
   /// a shape key, the compiled skeleton is fetched or compiled
   /// (single-flight), constants are rebound, and execution proceeds — so a
-  /// repeated shape skips parse/rewrite/GoSN/jvar-order entirely. With
-  /// enable_plan_cache off it parses and plans per call. `projection_out`
-  /// (optional) receives the effective projection (the sink's row layout).
+  /// repeated shape skips parse/rewrite/GoSN/jvar-order entirely.
+  /// `projection_out` (optional) receives the effective projection (the
+  /// sink's row layout).
   uint64_t Execute(const std::string& sparql, const RowSink& sink,
                    QueryStats* stats = nullptr, QueryControl* control = nullptr,
                    std::vector<std::string>* projection_out = nullptr);
@@ -271,7 +266,7 @@ class Engine {
   /// The shareable cache handle, for wiring sibling engines to one cache.
   std::shared_ptr<TpCache> shared_tp_cache() const { return tp_cache_; }
 
-  /// The compiled-plan cache (meaningful when enable_plan_cache is set).
+  /// The compiled-plan cache behind the text entry points.
   const PlanCache& plan_cache() const { return *plan_cache_; }
   std::shared_ptr<PlanCache> shared_plan_cache() const { return plan_cache_; }
 

@@ -9,7 +9,10 @@ namespace lbr {
 
 namespace {
 
-void ExplainBranch(const BranchPlan& plan, int branch_no, std::ostream* os) {
+// `pruned`: whether the explaining engine prunes; one that does not runs
+// best-match on every branch.
+void ExplainBranch(const BranchPlan& plan, bool pruned, int branch_no,
+                   std::ostream* os) {
   const Gosn& gosn = plan.gosn;
   const Goj& goj = plan.goj;
   const auto& tps = gosn.tps();
@@ -70,7 +73,7 @@ void ExplainBranch(const BranchPlan& plan, int branch_no, std::ostream* os) {
 
   // Lemma 3.4 decision.
   *os << "  nullification/best-match: "
-      << (plan.nb_reqd ? "REQUIRED (minimality not guaranteed)"
+      << (plan.nb_reqd || !pruned ? "REQUIRED (minimality not guaranteed)"
                        : "not required (Lemmas 3.3/3.4)")
       << "\n";
 }
@@ -91,7 +94,7 @@ std::string ExplainQuery(const Engine& engine, const ParsedQuery& query) {
      << "\n";
   int n = 0;
   for (const BranchPlan& branch : plan.branches) {
-    ExplainBranch(branch, n++, &os);
+    ExplainBranch(branch, engine.options().enable_prune, n++, &os);
   }
   return os.str();
 }

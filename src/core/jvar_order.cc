@@ -45,18 +45,10 @@ uint64_t SupernodeSelectivityKey(const Gosn& gosn,
   return best;
 }
 
-}  // namespace
-
-int FirstIndexOf(const std::vector<int>& order, int jvar) {
-  for (size_t i = 0; i < order.size(); ++i) {
-    if (order[i] == jvar) return static_cast<int>(i);
-  }
-  return INT_MAX;
-}
-
+// Alg 3.1's cyclic fallback: all jvars in descending selectivity (most
+// selective first) for both passes.
 JvarOrder GetGreedyJvarOrder(const Goj& goj,
                              const std::vector<uint64_t>& tp_cards) {
-  // Greedy: all jvars in descending selectivity (most selective first).
   std::vector<uint64_t> keys = JvarKeys(goj, tp_cards);
   std::vector<int> greedy(goj.num_jvars());
   for (int j = 0; j < goj.num_jvars(); ++j) greedy[j] = j;
@@ -69,51 +61,20 @@ JvarOrder GetGreedyJvarOrder(const Goj& goj,
   return result;
 }
 
-JvarOrder GetNaiveJvarOrder(const Gosn& gosn, const Goj& goj,
-                            const std::vector<uint64_t>& tp_cards) {
-  if (goj.IsCyclic()) return GetGreedyJvarOrder(goj, tp_cards);
-  std::vector<uint64_t> keys = JvarKeys(goj, tp_cards);
+}  // namespace
 
-  // Root: least selective jvar appearing in an absolute master (as in
-  // Section 3.2's first, pre-Alg-3.1 procedure).
-  std::set<int> jm_set;
-  for (int sn : gosn.AbsoluteMasters()) {
-    for (int tp_id : gosn.supernode(sn).tp_ids) {
-      for (const std::string& v : gosn.tps()[tp_id].Vars()) {
-        int j = goj.JvarIndex(v);
-        if (j >= 0) jm_set.insert(j);
-      }
-    }
+int FirstIndexOf(const std::vector<int>& order, int jvar) {
+  for (size_t i = 0; i < order.size(); ++i) {
+    if (order[i] == jvar) return static_cast<int>(i);
   }
-  int root = -1;
-  uint64_t worst = 0;
-  for (int j : jm_set) {
-    if (root == -1 || keys[j] > worst) {
-      root = j;
-      worst = keys[j];
-    }
-  }
-  if (root == -1 && goj.num_jvars() > 0) root = 0;
-
-  JvarOrder result;
-  if (root >= 0) {
-    std::vector<int> all(goj.num_jvars());
-    for (int j = 0; j < goj.num_jvars(); ++j) all[j] = j;
-    Goj::InducedTree tree = goj.GetTree(all, root);
-    result.order_bu = Goj::BottomUp(tree);
-    result.order_td = Goj::TopDown(tree);
-  }
-  return result;
+  return INT_MAX;
 }
 
 JvarOrder GetJvarOrder(const Gosn& gosn, const Goj& goj,
                        const std::vector<uint64_t>& tp_cards) {
+  if (goj.IsCyclic()) return GetGreedyJvarOrder(goj, tp_cards);
   JvarOrder result;
   std::vector<uint64_t> keys = JvarKeys(goj, tp_cards);
-
-  if (goj.IsCyclic()) {
-    return GetGreedyJvarOrder(goj, tp_cards);
-  }
 
   // Jm: jvars in absolute master supernodes.
   std::set<int> jm_set;

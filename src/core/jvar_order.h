@@ -40,20 +40,6 @@ JvarOrder GetJvarOrder(const Gosn& gosn, const Goj& goj,
 /// absent.
 int FirstIndexOf(const std::vector<int>& order, int jvar);
 
-/// Ablation strawman (Section 3.2's "does this give us an optimal order?
-/// No"): a single bottom-up/top-down pass over the whole GoJ tree rooted at
-/// the least selective absolute-master jvar — i.e. processing OPT patterns
-/// in the order the original query imposes, without the master-first
-/// segmentation of Algorithm 3.1. Falls back to the greedy order when the
-/// GoJ is cyclic.
-JvarOrder GetNaiveJvarOrder(const Gosn& gosn, const Goj& goj,
-                            const std::vector<uint64_t>& tp_cardinalities);
-
-/// Ablation: the greedy (descending-selectivity) order for both passes,
-/// regardless of cyclicity.
-JvarOrder GetGreedyJvarOrder(const Goj& goj,
-                             const std::vector<uint64_t>& tp_cardinalities);
-
 }  // namespace lbr
 
 #endif  // LBR_CORE_JVAR_ORDER_H_

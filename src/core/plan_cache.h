@@ -37,10 +37,10 @@ struct BranchPlan {
   Gosn gosn;
   Goj goj;
   JvarOrder order;
-  /// Whether nullification + best-match is required (Section 5.3). A
-  /// structural property of the GoSN/GoJ (prune setting, order strategy,
-  /// cyclicity, multi-jvar slave supernodes) — independent of constants,
-  /// hence cacheable.
+  /// Whether the plan's shape requires nullification + best-match (Lemma
+  /// 3.4: a cyclic GoJ with a multi-jvar slave supernode). Structural —
+  /// independent of constants and of engine options, hence cacheable and
+  /// shareable; an engine that does not prune runs best-match regardless.
   bool nb_reqd = false;
   /// False when Appendix B well-designedness violations were found (and
   /// converted) at plan time — surfaced into QueryStats on every execution.

@@ -41,7 +41,7 @@ void TablePrinter::Print(const std::string& title) const {
 
 std::string TablePrinter::Seconds(double sec) {
   char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.4f", sec);
+  std::snprintf(buf, sizeof(buf), "%.6f", sec);
   return buf;
 }
 

@@ -17,7 +17,8 @@ class TablePrinter {
   /// Renders to stdout with a title line.
   void Print(const std::string& title) const;
 
-  /// Formats seconds the way the paper's tables do (3 decimals, seconds).
+  /// Formats seconds, as the paper's tables do, with 6 decimals: the
+  /// microsecond resolution keeps sub-millisecond queries apart.
   static std::string Seconds(double sec);
   static std::string Count(uint64_t n);
   static std::string YesNo(bool b);

@@ -302,7 +302,6 @@ TEST(EngineTest, LoadChargesWhatTheTpHolds) {
 TEST(EngineTest, DisabledPruningStillCorrect) {
   EngineOptions options;
   options.enable_prune = false;
-  options.enable_active_pruning = false;
   EngineFixture f(testing::SitcomGraph(), options);
   ParsedQuery q = Parser::Parse(testing::SitcomQuery());
   ReferenceEvaluator oracle(&f.graph);
@@ -312,19 +311,22 @@ TEST(EngineTest, DisabledPruningStillCorrect) {
             Canonicalize(expected));
 }
 
-TEST(EngineTest, AlternativeJvarOrdersStayCorrect) {
-  for (JvarOrderStrategy strategy :
-       {JvarOrderStrategy::kNaiveBottomUp, JvarOrderStrategy::kGreedy}) {
-    EngineOptions options;
-    options.order_strategy = strategy;
-    EngineFixture f(testing::SitcomGraph(), options);
-    ParsedQuery q = Parser::Parse(testing::SitcomQuery());
-    ReferenceEvaluator oracle(&f.graph);
-    ResultTable expected = oracle.Execute(q);
-    ResultTable got = f.engine.ExecuteToTable(q);
-    EXPECT_EQ(CanonicalizeProjected(got, expected.var_names),
-              Canonicalize(expected));
-  }
+// Turning pruning off turns off both of its halves: no active-pruning masks
+// during init and no prune_triples. The query has no diagonal TP, so its
+// estimates are exact counts, and the default engine prunes some of them.
+TEST(EngineTest, DisabledPruningLoadsEveryMatchingTriple) {
+  ParsedQuery q = Parser::Parse(testing::SitcomQuery());
+  QueryStats pruned;
+  EngineFixture(testing::SitcomGraph()).engine.ExecuteToTable(q, &pruned);
+  ASSERT_LT(pruned.triples_after_prune, pruned.initial_triples);
+
+  EngineOptions options;
+  options.enable_prune = false;
+  EngineFixture f(testing::SitcomGraph(), options);
+  QueryStats unpruned;
+  f.engine.ExecuteToTable(q, &unpruned);
+  EXPECT_EQ(unpruned.initial_triples, pruned.initial_triples);
+  EXPECT_EQ(unpruned.triples_after_prune, unpruned.initial_triples);
 }
 
 TEST(EngineTest, RowSinkStreamsProjectedRows) {

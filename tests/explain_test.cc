@@ -53,6 +53,17 @@ TEST_F(ExplainTest, CyclicMultiJvarSlaveFlagged) {
   EXPECT_NE(plan.find("order (greedy)"), std::string::npos);
 }
 
+// The plan's decision is structural; an engine that does not prune runs
+// best-match on every branch, and its explain says so.
+TEST_F(ExplainTest, UnprunedEngineRequiresBestMatch) {
+  EngineOptions options;
+  options.enable_prune = false;
+  Engine unpruned(&index_, &graph_.dict(), options);
+  std::string plan = ExplainQuery(unpruned, testing::SitcomQuery());
+  EXPECT_NE(plan.find("nullification/best-match: REQUIRED"),
+            std::string::npos);
+}
+
 TEST_F(ExplainTest, NonWellDesignedConversionReported) {
   std::string plan = Explain(
       "SELECT * WHERE { { <Jerry> <hasFriend> ?f . "

@@ -3,8 +3,9 @@
 // scalar kernels is the reference, and every SIMD backend the build and
 // CPU can run (sse4.2) must reproduce it bit for bit, with pruning on
 // and off. End to end, the engine must produce the reference evaluator's
-// row multiset with pruning on and off — the unpruned run feeds the join
-// the large candidate sets the intersection filters hardest. Shapes
+// row multiset with pruning on and off — the unpruned run loads every TP
+// without active-pruning masks and skips prune_triples, so it feeds the
+// join the large candidate sets the intersection filters hardest. Shapes
 // covered: cyclic master triangles (multi-constraint jvars), multi-jvar
 // slaves (nullification + best-match), FaN-filtered queries, both sides
 // of the lazy transpose cache's cost rule, and a random well-designed
@@ -123,7 +124,7 @@ void ExpectJoinStreamsIdentical(const Graph& graph, const std::string& group,
 }
 
 // Full-engine bag equivalence against the reference evaluator, with
-// prune_triples on and off.
+// pruning on and off (off: unmasked loads and no prune_triples).
 void ExpectEngineMatchesReference(const Graph& graph,
                                   const std::string& sparql) {
   TripleIndex index = TripleIndex::Build(graph);

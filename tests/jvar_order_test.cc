@@ -110,22 +110,11 @@ TEST(JvarOrderTest, FirstIndexOfHelper) {
   EXPECT_EQ(FirstIndexOf(order, 99), INT_MAX);
 }
 
-TEST(JvarOrderTest, NaiveOrderCoversAllJvarsOnce) {
-  Prepared p = Prepare(
-      "{ ?a <p> ?b . OPTIONAL { ?b <q> ?c . ?c <r> <x> . } }");
-  std::vector<uint64_t> cards{1, 10, 20};
-  JvarOrder naive = GetNaiveJvarOrder(p.gosn, p.goj, cards);
-  EXPECT_EQ(naive.order_bu.size(),
-            static_cast<size_t>(p.goj.num_jvars()));
-  // Top-down is the exact reverse of bottom-up for a single whole-tree pass.
-  std::vector<int> reversed(naive.order_bu.rbegin(), naive.order_bu.rend());
-  EXPECT_EQ(naive.order_td, reversed);
-}
-
 TEST(JvarOrderTest, GreedyOrderSortsBySelectivity) {
+  // A cyclic GoJ takes Alg 3.1's greedy fallback.
   Prepared p = Prepare("{ ?a <p> ?b . ?b <q> ?c . ?c <r> ?a . }");
   std::vector<uint64_t> cards{7, 3, 9};
-  JvarOrder greedy = GetGreedyJvarOrder(p.goj, cards);
+  JvarOrder greedy = GetJvarOrder(p.gosn, p.goj, cards);
   EXPECT_TRUE(greedy.greedy);
   // Keys: a = min(7,9) = 7; b = min(7,3) = 3; c = min(3,9) = 3.
   int a = p.goj.JvarIndex("a");

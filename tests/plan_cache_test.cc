@@ -298,18 +298,6 @@ TEST_F(PlanCacheEngineTest, DifferentOptionalNestingMisses) {
   EXPECT_EQ(s2.plan_cache_hits, 0u);
 }
 
-TEST_F(PlanCacheEngineTest, CacheDisabledStillWorks) {
-  EngineOptions options;
-  options.enable_plan_cache = false;
-  Engine engine(&index_, &graph_.dict(), options);
-  QueryStats s1, s2;
-  ResultTable a = engine.ExecuteToTable(SitcomQuery(), &s1);
-  ResultTable b = engine.ExecuteToTable(SitcomQuery(), &s2);
-  EXPECT_EQ(s2.plan_cache_hits, 0u);
-  EXPECT_GE(s2.planning_parses, 1u);  // parses every time
-  EXPECT_EQ(Canonicalize(a), Canonicalize(b));
-}
-
 TEST_F(PlanCacheEngineTest, ParseErrorsAreNotCached) {
   Engine engine = MakeEngine();
   EXPECT_THROW(engine.ExecuteToTable("SELECT ?x WHERE { ?x }"),

@@ -51,13 +51,19 @@ class WellDesignedSweep : public ::testing::TestWithParam<SweepParams> {};
 
 // Runs the sweep's 25 generated queries through an engine with `options`
 // and compares each with the reference evaluator. Returns how many of them
-// ran best-match.
-int SweepMatchesReference(const SweepParams& p, EngineOptions options) {
+// ran best-match. With `shared_plan_cache`, each query runs as text, right
+// after a default engine sharing the plan cache has compiled it, so the
+// engine under test runs every query on another engine's cached plan.
+int SweepMatchesReference(const SweepParams& p, EngineOptions options,
+                          bool shared_plan_cache = false) {
   Rng rng(p.seed);
   Graph g = RandomGraph(&rng, p.num_entities, p.num_predicates,
                         p.num_triples);
   TripleIndex index = TripleIndex::Build(g);
   Engine engine(&index, &g.dict(), options);
+  EngineOptions compiler_options;
+  compiler_options.plan_cache = engine.shared_plan_cache();
+  Engine compiler(&index, &g.dict(), compiler_options);
   ReferenceEvaluator oracle(&g);
 
   int best_match_runs = 0;
@@ -72,7 +78,13 @@ int SweepMatchesReference(const SweepParams& p, EngineOptions options) {
     ResultTable got;
     QueryStats stats;
     try {
-      got = engine.ExecuteToTable(query, &stats);
+      if (shared_plan_cache) {
+        compiler.ExecuteToTable(text);
+        got = engine.ExecuteToTable(text, &stats);
+        EXPECT_EQ(stats.plan_cache_hits, 1u) << text;
+      } else {
+        got = engine.ExecuteToTable(query, &stats);
+      }
     } catch (const UnsupportedQueryError&) {
       continue;  // e.g. a generated Cartesian product; out of engine scope
     }
@@ -88,13 +100,26 @@ TEST_P(WellDesignedSweep, EngineMatchesReference) {
   SweepMatchesReference(GetParam(), EngineOptions());
 }
 
-// The same queries with prune_triples off: the join then meets partially
-// NULL slave groups (phantoms of enumeration order) that nullification and
+// The same queries without pruning: every TP loads without active-pruning
+// masks and prune_triples is skipped. The join then meets partially NULL
+// slave groups (phantoms of enumeration order) that nullification and
 // best-match must repair, so the leg must run best-match at least once.
 TEST_P(WellDesignedSweep, UnprunedEngineMatchesReference) {
   EngineOptions options;
   options.enable_prune = false;
   EXPECT_GT(SweepMatchesReference(GetParam(), options), 0)
+      << "no query of the leg ran best-match";
+}
+
+// An unpruned engine running plans that a pruning engine compiled into a
+// shared PlanCache: the cached plan must not carry the compiling engine's
+// prune setting, or the unpruned engine skips the best-match it needs.
+TEST_P(WellDesignedSweep, UnprunedEngineOnSharedPlanCacheMatchesReference) {
+  EngineOptions options;
+  options.enable_prune = false;
+  EXPECT_GT(SweepMatchesReference(GetParam(), options,
+                                  /*shared_plan_cache=*/true),
+            0)
       << "no query of the leg ran best-match";
 }
 

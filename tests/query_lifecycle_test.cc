@@ -254,7 +254,6 @@ TEST_F(QueryLifecycleTest, DeadlineTerminatesHeavyQueryPromptly) {
       "?d ub:takesCourse ?c . ?b ub:advisor ?p . }";
   EngineOptions options;
   options.enable_prune = false;
-  options.enable_active_pruning = false;
   auto count_rows = [](const RawRow&) {};
 
   // Grow the dataset until the unbounded run is comfortably past the

@@ -210,7 +210,8 @@ TEST(TablePrinterTest, FormatsNumbers) {
   EXPECT_EQ(TablePrinter::Count(999), "999");
   EXPECT_EQ(TablePrinter::Count(1000), "1,000");
   EXPECT_EQ(TablePrinter::Count(1234567), "1,234,567");
-  EXPECT_EQ(TablePrinter::Seconds(1.23456), "1.2346");
+  EXPECT_EQ(TablePrinter::Seconds(1.23456), "1.234560");
+  EXPECT_EQ(TablePrinter::Seconds(4.2e-5), "0.000042");
   EXPECT_EQ(TablePrinter::YesNo(true), "Yes");
   EXPECT_EQ(TablePrinter::YesNo(false), "No");
 }
